@@ -3,7 +3,8 @@
 Drives the same batches the acceptance tests freeze: four batches over
 Gauss valuations whose residue algebra is division, then three batches
 over p-adic valuations where the conic has a unit point.  Prints one
-summary line per batch and exits nonzero if any instance fails.
+summary line per batch, with the batch's own wall time and its time per
+instance, and exits nonzero if any instance fails.
 """
 
 import argparse
@@ -44,24 +45,22 @@ def main(argv=None):
     ap.add_argument("--seed", type=int, default=42, help="generator seed")
     args = ap.parse_args(argv)
 
+    batches = [
+        (f"division branch p={p:<2} d={d:>2}", division_scenario(p, d, args.trials, args.seed))
+        for p, d in DIVISION_BATCHES
+    ] + [
+        (f"split branch    p={p:<2}      ", split_scenario(p, args.trials, args.seed))
+        for p in SPLIT_PRIMES
+    ]
     failures = 0
     start = time.monotonic()
-    for p, d in DIVISION_BATCHES:
-        sc = division_scenario(p, d, args.trials, args.seed)
+    for label, sc in batches:
+        batch_start = time.monotonic()
         _, counts, counterexample = run_batch(sc, args.trials)
-        ok = counts["verified"] == args.trials
-        failures += 0 if ok else 1
-        print(f"division branch p={p:<2} d={d:>2}: verified {counts['verified']}/{args.trials}"
-              f"  ({time.monotonic() - start:.1f}s)")
-        if counterexample is not None:
-            print(f"  counterexample at index {counterexample['index']}")
-    for p in SPLIT_PRIMES:
-        sc = split_scenario(p, args.trials, args.seed)
-        _, counts, counterexample = run_batch(sc, args.trials)
-        ok = counts["verified"] == args.trials
-        failures += 0 if ok else 1
-        print(f"split branch    p={p:<2}      : verified {counts['verified']}/{args.trials}"
-              f"  ({time.monotonic() - start:.1f}s)")
+        seconds = time.monotonic() - batch_start
+        failures += 0 if counts["verified"] == args.trials else 1
+        print(f"{label}: verified {counts['verified']}/{args.trials}"
+              f"  ({seconds:.1f}s, {1000 * seconds / max(args.trials, 1):.1f} ms/instance)")
         if counterexample is not None:
             print(f"  counterexample at index {counterexample['index']}")
     print(f"total wall time {time.monotonic() - start:.1f}s")

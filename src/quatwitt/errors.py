@@ -29,6 +29,11 @@ class NonIntegralValue(QuatwittError, AssertionError):
     """Half-norm value came out non-integral; internal inconsistency."""
 
 
+class CertificateFailed(QuatwittError, AssertionError):
+    """An exact self-check (a congruence certificate, a splitting
+    identity, a norm guard) failed; internal inconsistency."""
+
+
 class NegativeValue(QuatwittError, ValueError):
     """Residue requested for an element of negative value."""
 

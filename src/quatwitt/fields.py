@@ -31,6 +31,7 @@ from fractions import Fraction
 from math import isqrt
 
 from .errors import (
+    CertificateFailed,
     DivisionByZero,
     EvenResidueChar,
     LevelMismatch,
@@ -116,9 +117,15 @@ class FieldElement:
             n = -n
         else:
             base = self.value
+        # square-and-multiply: one squaring per bit of n, one product per
+        # set bit
         out = f.one()
-        for _ in range(n):
-            out = f.mul(out, base)
+        while n:
+            if n & 1:
+                out = f.mul(out, base)
+            n >>= 1
+            if n:
+                base = f.mul(base, base)
         return FieldElement(f, out)
 
     def __eq__(self, other):
@@ -638,6 +645,12 @@ class FunctionField(_FieldBase):
         return a[1]
 
     def add(self, a, b):
+        # payloads are canonical, so a zero operand leaves the other as
+        # the canonical sum
+        if not a[0]:
+            return b
+        if not b[0]:
+            return a
         base = self.base
         one = (base.one(),)
         if a[1] == one and b[1] == one:
@@ -652,9 +665,9 @@ class FunctionField(_FieldBase):
     def mul(self, a, b):
         base = self.base
         one = (base.one(),)
+        if not a[0] or not b[0]:
+            return ((), one)
         if a[1] == one and b[1] == one:
-            if not a[0] or not b[0]:
-                return ((), one)
             return (poly_mul(base, a[0], b[0]), one)
         return self.make(poly_mul(base, a[0], b[0]), poly_mul(base, a[1], b[1]))
 
@@ -799,8 +812,9 @@ class ConicExtension(_FieldBase):
         if self.is_zero(a):
             raise DivisionByZero("inverse of 0 in the conic extension")
         n = self.norm(a)
-        # nonzero elements have nonzero norm since theta is a nonsquare
-        assert not inner.is_zero(n)
+        if inner.is_zero(n):
+            # nonzero elements have nonzero norm since theta is a nonsquare
+            raise CertificateFailed("zero norm of a nonzero conic element")
         ninv = inner.inv(n)
         return (inner.mul(a[0], ninv), inner.neg(inner.mul(a[1], ninv)))
 

@@ -6,7 +6,8 @@ A form is an n x n Gram matrix G over the algebra with conj(G[l][k])
 equal to -G[k][l]; the pairing is conjugate-linear in the first slot.
 Nondegeneracy is checked on the 4n x 4n base-field model built from
 left-regular blocks, which detects singular Gram matrices over split
-algebras as well.
+algebras as well.  A diagonal Gram matrix skips building the model: its
+model is block diagonal with determinant the product of nrd(delta_k)^2.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from typing import Optional, Tuple
 from . import faults
 from .errors import (
     AlgebraMismatch,
+    CertificateFailed,
     Degenerate,
     DimensionMismatch,
     RamifiedAlgebra,
@@ -28,6 +30,7 @@ from .quadforms import mat_det
 from .quaternions import (
     QuaternionAlgebra,
     QuaternionElement,
+    RamificationReport,
     extval,
     left_regular_matrix,
     ramification,
@@ -65,13 +68,16 @@ class SkewHermitianForm:
                     raise ValueError("gram matrix is not skew-hermitian")
         self.algebra = algebra
         self.gram = tuple(rows)
-        base = algebra.base
-        big = []
-        for k in range(n):
-            blocks = [left_regular_matrix(self.gram[k][l]) for l in range(n)]
-            for r in range(4):
-                big.append([blocks[l][r][c] for l in range(n) for c in range(4)])
-        if mat_det(base, big).is_zero():
+        if self.is_diagonal():
+            singular = any(rows[k][k].nrd().is_zero() for k in range(n))
+        else:
+            big = []
+            for k in range(n):
+                blocks = [left_regular_matrix(self.gram[k][l]) for l in range(n)]
+                for r in range(4):
+                    big.append([blocks[l][r][c] for l in range(n) for c in range(4)])
+            singular = mat_det(algebra.base, big).is_zero()
+        if singular:
             raise Degenerate("skew-hermitian gram matrix is singular")
 
     @classmethod
@@ -172,14 +178,19 @@ def diagonalize_h(h: SkewHermitianForm):
     Returns (entries, P) with conj(P)^t * G * P = diag(entries) checked
     exactly; every diagonal entry has nonzero reduced norm.  Pivots with
     reduced norm zero are repaired by mixing in another basis vector
-    scaled by a small unit multiple.
+    scaled by a small unit multiple.  A diagonal form comes back with the
+    identity for P, since conj(I)^t * G * I = G holds identically.
     """
     alg = h.algebra
     n = h.rank
-    g = [list(row) for row in h.gram]
     p = [
         [alg.one() if r == c else alg.zero() for c in range(n)] for r in range(n)
     ]
+    if h.is_diagonal():
+        entries = h.diagonal_entries()
+        _check_pure(entries)
+        return entries, tuple(tuple(row) for row in p)
+    g = [list(row) for row in h.gram]
 
     def add_col(dst, src, lam):
         for r in range(n):
@@ -238,16 +249,22 @@ def diagonalize_h(h: SkewHermitianForm):
             if not lam.is_zero():
                 add_col(k, r, lam)
     entries = tuple(g[i][i] for i in range(n))
-    for u in entries:
-        assert u.coeffs[0].is_zero(), "diagonal entry of a skew form must be pure"
+    _check_pure(entries)
     g0 = [list(row) for row in h.gram]
     pc = [[p[r][c].conj() for r in range(n)] for c in range(n)]
     check = _qmat_mul(alg, pc, _qmat_mul(alg, g0, p))
     for i in range(n):
         for j in range(n):
             want = entries[i] if i == j else alg.zero()
-            assert check[i][j] == want, "congruence certificate failed"
+            if check[i][j] != want:
+                raise CertificateFailed("congruence certificate failed")
     return entries, tuple(tuple(row) for row in p)
+
+
+def _check_pure(entries):
+    for u in entries:
+        if not u.coeffs[0].is_zero():
+            raise CertificateFailed("diagonal entry of a skew form must be pure")
 
 
 @dataclass(frozen=True)
@@ -257,6 +274,7 @@ class GoodReductionCertificate:
     extvals: Tuple[Fraction, ...]
     diagonal: Tuple[QuaternionElement, ...]
     scaled_diagonal: Optional[Tuple[QuaternionElement, ...]]
+    ramification_report: RamificationReport
 
     @property
     def certified(self) -> bool:
@@ -269,7 +287,8 @@ def good_reduction_certificate(h: SkewHermitianForm, v) -> GoodReductionCertific
 
     Certified needs every scaled entry to have extended value 0 with all
     coordinates of value >= 0; the scaling window is bounded by the
-    largest entry value.  The algebra must be unramified at v.
+    largest entry value.  The algebra must be unramified at v; the
+    certificate carries the ramification report that establishes it.
     NoCertificate is a failed search, not a proof of bad reduction.
     """
     report = ramification(h.algebra, v)
@@ -293,5 +312,9 @@ def good_reduction_certificate(h: SkewHermitianForm, v) -> GoodReductionCertific
             continue
         if any(v.value(c) < 0 for u in scaled for c in u.coeffs):
             continue
-        return GoodReductionCertificate(CERTIFIED, m, evals, entries, scaled)
-    return GoodReductionCertificate(NO_CERTIFICATE, None, evals, entries, None)
+        return GoodReductionCertificate(
+            CERTIFIED, m, evals, entries, scaled, report
+        )
+    return GoodReductionCertificate(
+        NO_CERTIFICATE, None, evals, entries, None, report
+    )

@@ -24,6 +24,7 @@ from typing import Optional, Tuple
 
 from .errors import (
     AlgebraMismatch,
+    CertificateFailed,
     DegenerateSpecialization,
     HypothesisNotCertified,
     NotOnConic,
@@ -38,7 +39,7 @@ from .quadforms import (
     QuadraticForm,
     Verdict,
     diagonalize,
-    residue_forms,
+    second_residue_form,
     witt_trivial,
 )
 from .quaternions import QuaternionAlgebra, QuaternionElement, ramification
@@ -83,14 +84,17 @@ class SplittingData:
         self.algebra = alg
         self.field = C
         self.images = {"1": img_one, "i": img_i, "j": img_j, "ij": img_ij}
-        assert _m2_eq(_m2_mul(C, img_i, img_i), _m2_scale(C, img_one, d))
-        assert _m2_eq(_m2_mul(C, img_j, img_j), _m2_scale(C, img_one, t))
-        assert _m2_eq(_m2_mul(C, img_i, img_j), img_ij)
-        assert _m2_eq(
-            _m2_mul(C, img_j, img_i), _m2_scale(C, img_ij, C(-1))
-        )
-        for m in (img_i, img_j, img_ij):
-            assert _m2_eq(_m2_adj(C, m), _m2_scale(C, m, C(-1)))
+        identities = [
+            _m2_eq(_m2_mul(C, img_i, img_i), _m2_scale(C, img_one, d)),
+            _m2_eq(_m2_mul(C, img_j, img_j), _m2_scale(C, img_one, t)),
+            _m2_eq(_m2_mul(C, img_i, img_j), img_ij),
+            _m2_eq(_m2_mul(C, img_j, img_i), _m2_scale(C, img_ij, C(-1))),
+        ] + [
+            _m2_eq(_m2_adj(C, m), _m2_scale(C, m, C(-1)))
+            for m in (img_i, img_j, img_ij)
+        ]
+        if not all(identities):
+            raise CertificateFailed("splitting identity failed")
 
     def image(self, u: QuaternionElement):
         if u.algebra != self.algebra:
@@ -349,7 +353,6 @@ def verify_instance(
         raise HypothesisNotCertified(
             f"no unimodular scaling found; entry values {cert.extvals}"
         )
-    report = ramification(h.algebra, v)
     entries = cert.scaled_diagonal
     min_values = tuple(
         min(v.value(coord) for coord in u.coeffs if not coord.is_zero())
@@ -359,7 +362,7 @@ def verify_instance(
         vtil = extend_valuation(v, h.algebra)
         quad = _reduce_diagonal(h.algebra, entries)
         values = tuple(vtil.value(u) for u in quad.entries)
-        pair = residue_forms(quad, vtil)
+        second = second_residue_form(quad, vtil, values)
         used_point = None
     elif route == "point":
         if point is None:
@@ -370,11 +373,11 @@ def verify_instance(
                 )
         quad = _split_reduce_entries(h.algebra, entries, point)
         values = tuple(v.value(u) for u in quad.entries)
-        pair = residue_forms(quad, v)
+        second = second_residue_form(quad, v, values)
         used_point = (h.algebra.base(point[0]), h.algebra.base(point[1]))
     else:
         raise ValueError(f"unknown route {route!r}; use 'conic' or 'point'")
-    verdict = witt_trivial(pair.second, budget)
+    verdict = witt_trivial(second, budget)
     return VerificationReport(
         algebra=h.algebra,
         scaling=cert.scaling,
@@ -385,7 +388,7 @@ def verify_instance(
         point=used_point,
         quad=quad,
         quad_values=values,
-        second_residue=pair.second,
-        residue_division=not report.split_over_residue,
+        second_residue=second,
+        residue_division=not cert.ramification_report.split_over_residue,
         verdict=verdict,
     )

@@ -16,7 +16,7 @@ import itertools
 from dataclasses import dataclass
 
 from . import faults
-from .errors import Degenerate, DimensionMismatch
+from .errors import CertificateFailed, Degenerate, DimensionMismatch
 from .fields import (
     ConicExtension,
     FieldElement,
@@ -224,12 +224,37 @@ def diagonalize(base, gram):
     for i in range(n):
         for j in range(n):
             want = diag[i] if i == j else base(0)
-            assert check[i][j] == want, "congruence certificate failed"
+            if check[i][j] != want:
+                raise CertificateFailed("congruence certificate failed")
     return QuadraticForm(base, diag), [tuple(row) for row in p]
 
 
 # ---------------------------------------------------------------------------
 # residue forms
+
+
+def _residue_slot(m) -> int:
+    """The residue form an entry of value m reduces into: 0 for the
+    first, 1 for the second."""
+    if faults.is_active(faults.SKIP_EVEN_SCALING):
+        # corrupted variant for sensitivity tests: classify by the raw
+        # value with no even-power scaling
+        return 0 if m == 0 else 1
+    return m % 2
+
+
+def _even_scaled(v, u, m) -> FieldElement:
+    """u, of value m, times the even uniformizer power that brings its
+    value to 0 or 1."""
+    return u * v.uniformizer ** (-2 * (m // 2)) if m // 2 else u
+
+
+def _residue_entry(v, u, m, slot) -> FieldElement:
+    """The residue entry u of value m contributes to its slot's form:
+    the even-scaled u, divided by the uniformizer for the second form."""
+    if not faults.is_active(faults.SKIP_EVEN_SCALING):
+        u = _even_scaled(v, u, m)
+    return v.residue(u / v.uniformizer if slot else u)
 
 
 def residue_forms(q: QuadraticForm, v) -> ResiduePair:
@@ -239,36 +264,30 @@ def residue_forms(q: QuadraticForm, v) -> ResiduePair:
     value-0 entries reduce into `first`, value-1 entries divide by the
     uniformizer and reduce into `second`.
     """
-    pi = v.uniformizer
-    first, second = [], []
+    forms = ([], [])
     for u in q.entries:
         m = v.value(u)
-        if faults.is_active(faults.SKIP_EVEN_SCALING):
-            # corrupted variant for sensitivity tests: classify by the raw
-            # value with no even-power scaling
-            if m == 0:
-                first.append(v.residue(u))
-            else:
-                second.append(v.residue(u / pi))
-            continue
-        u0 = u * pi ** (-2 * (m // 2))
-        if m % 2 == 0:
-            first.append(v.residue(u0))
-        else:
-            second.append(v.residue(u0 / pi))
+        slot = _residue_slot(m)
+        forms[slot].append(_residue_entry(v, u, m, slot))
     rf = v.residue_field
-    return ResiduePair(QuadraticForm(rf, first), QuadraticForm(rf, second))
+    return ResiduePair(QuadraticForm(rf, forms[0]), QuadraticForm(rf, forms[1]))
+
+
+def second_residue_form(q: QuadraticForm, v, values) -> QuadraticForm:
+    """`residue_forms(q, v).second`, given the values of q's entries at v;
+    the entries of the first form are never reduced."""
+    second = [
+        _residue_entry(v, u, m, 1)
+        for u, m in zip(q.entries, values)
+        if _residue_slot(m) == 1
+    ]
+    return QuadraticForm(v.residue_field, second)
 
 
 def reconstruction(q: QuadraticForm, v) -> QuadraticForm:
     """A lift of first perp uniformizer*(lift of second), using the
     value-scaled entries themselves as lifts."""
-    pi = v.uniformizer
-    out = []
-    for u in q.entries:
-        m = v.value(u)
-        out.append(u * pi ** (-2 * (m // 2)))
-    return QuadraticForm(q.base, out)
+    return QuadraticForm(q.base, [_even_scaled(v, u, v.value(u)) for u in q.entries])
 
 
 # ---------------------------------------------------------------------------

@@ -91,3 +91,36 @@ def pure_quaternions(alg, coeffs=None):
         coeffs,
         coeffs,
     ).filter(lambda u: not u.is_zero())
+
+
+def corrupted_congruence_record(setattr_):
+    """run_instance on a split battery instance made non-diagonal by a
+    unimodular base change, with a corrupted quaternion matrix product
+    installed through setattr_(owner, name, value); the corruption breaks
+    the congruence re-check in diagonalize_h."""
+    from dataclasses import replace
+
+    from quatwitt import hermitian, scenarios
+
+    sc = scenarios.load_scenario({
+        "field": {"kind": "rationals"},
+        "valuation": {"kind": "padic", "p": 3},
+        "generator": "point",
+        "seed": 42,
+        "rank": 2,
+        "trials": 1,
+    })
+    inst = scenarios.generate_instance(sc, 0)
+    alg = inst.algebra
+    moved = inst.form.transform([[alg.one(), alg.one()], [alg.zero(), alg.one()]])
+    assert not moved.is_diagonal()
+    product = hermitian._qmat_mul
+
+    def corrupted(algebra, m1, m2):
+        out = product(algebra, m1, m2)
+        out[0][0] = out[0][0] + algebra.i()
+        return out
+
+    setattr_(scenarios, "generate_instance", lambda _sc, _index: replace(inst, form=moved))
+    setattr_(hermitian, "_qmat_mul", corrupted)
+    return scenarios.run_instance(sc, 0)

@@ -1,5 +1,6 @@
 """Command line interface: subcommands, exit codes, canonical output."""
 
+import hashlib
 import json
 import subprocess
 import sys
@@ -316,6 +317,43 @@ def test_injected_fault_surfaces_a_counterexample(batch_path, capsys):
     assert "counterexample" in payload
     assert payload["counts"]["verified"] < 10
     assert faults.active_names() == ()
+
+
+_QS_FIELD = {"kind": "function", "base": {"kind": "rationals"}, "variable": "s"}
+
+
+@pytest.mark.parametrize(
+    "scenario, digest",
+    [
+        (
+            {
+                "field": _QS_FIELD,
+                "valuation": {"kind": "gauss", "inner": {"kind": "padic", "p": 3}},
+                "generator": "conic",
+                "algebra": {"d": "-1", "t": "s"},
+                "seed": 42,
+                "trials": 12,
+            },
+            "9319460112bb4da9ded01465cc775651dfaca50be3344675f88f3f03ba46244a",
+        ),
+        (
+            {
+                "field": {"kind": "rationals"},
+                "valuation": {"kind": "padic", "p": 5},
+                "generator": "point",
+                "seed": 42,
+                "trials": 20,
+            },
+            "5c31f562b7e41bc9c9118bced864a26125358ed9881e1ec48b063d62bf03008c",
+        ),
+    ],
+    ids=["conic-gauss", "point-padic"],
+)
+def test_verify_theorem_json_is_pinned(tmp_path, capsys, scenario, digest):
+    sc = write_scenario(tmp_path, "pinned.json", scenario)
+    assert main(["verify-theorem", "--scenario", sc, "--json"]) == EXIT_OK
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_run_batch_counts_match_records(batch_path):

@@ -1,10 +1,11 @@
 """Exact arithmetic in the field tower: rationals, finite fields,
 rational function fields, and conic extensions."""
 
+import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import support
@@ -237,6 +238,104 @@ def test_tower_of_function_fields(Q):
     s = L(K.gen())
     assert ((x + s) * (x - s) - (x**2 - s**2)).is_zero()
     assert repr(L.parse("(x + s)*(x - s)")) == "x^2 - s^2"
+
+
+def _sympy_expr(field, payload, sympy):
+    """A Rationals or (nested) FunctionField payload as a sympy expression."""
+    if isinstance(field, Rationals):
+        return sympy.Rational(payload.numerator, payload.denominator)
+    var = sympy.Symbol(field.var)
+
+    def poly(cs):
+        return sum(
+            (_sympy_expr(field.base, c, sympy) * var**k for k, c in enumerate(cs)),
+            sympy.Integer(0),
+        )
+
+    return poly(payload[0]) / poly(payload[1])
+
+
+_QS = FunctionField(Rationals(), "s")
+_QSX = FunctionField(_QS, "x")
+# built with `make` alone, so that the generator does not rest on the
+# add and mul under test
+_QS_PAYLOADS = st.builds(
+    lambda num, den: _QS.make(tuple(num), tuple(den)),
+    st.lists(support.fractions(max_num=9, max_den=4), max_size=2),
+    st.lists(support.fractions(max_num=9, max_den=4), min_size=1, max_size=2).filter(any),
+)
+_QSX_ELEMENTS = st.one_of(
+    st.just(_QSX(0)),
+    st.builds(
+        _QSX.from_polys,
+        st.lists(_QS_PAYLOADS, max_size=3),
+        st.lists(_QS_PAYLOADS, min_size=1, max_size=3).filter(
+            lambda cs: any(c[0] for c in cs)
+        ),
+    ),
+)
+
+
+@settings(max_examples=25)
+@given(_QSX_ELEMENTS, _QSX_ELEMENTS)
+def test_function_field_tower_against_sympy(f, g):
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+    fe, ge = (_sympy_expr(_QSX, u.value, sympy) for u in (f, g))
+    cases = [(f + g, fe + ge), (f * g, fe * ge)]
+    if not f.is_zero():
+        cases.append((f.inv(), 1 / fe))
+    for got, want in cases:
+        num, den = got.value
+        assert sympy.cancel(_sympy_expr(_QSX, got.value, sympy) - want) == 0
+        assert den[-1] == _QS.one()
+        # lowest terms in x over Q(s): same x-degrees as sympy's reduced form
+        want_num, want_den = sympy.fraction(sympy.cancel(want))
+        if num:
+            assert len(num) - 1 == sympy.degree(want_num, x)
+            assert len(den) - 1 == sympy.degree(want_den, x)
+        else:
+            assert want_num == 0 and den == (_QS.one(),)
+
+
+# ---------------------------------------------------------------------------
+# powers
+
+
+@pytest.mark.parametrize(
+    "field, base, want",
+    [
+        (FiniteField(101), 7, pow(7, 800, 101)),
+        (Rationals(), Fraction(3, 2), Fraction(3, 2) ** 800),
+    ],
+)
+def test_power_squares_and_multiplies(monkeypatch, field, base, want):
+    calls = []
+    mul = field.mul
+
+    def counting(a, b):
+        calls.append(1)
+        return mul(a, b)
+
+    monkeypatch.setattr(field, "mul", counting)
+    assert field(base) ** 800 == field(want)
+    assert len(calls) <= 2 * math.ceil(math.log2(800)) + 1
+
+
+def test_power_matches_repeated_products(Q):
+    K = FunctionField(Q, "s")
+    C = ConicExtension(Q, Q(2).value, Q(3).value)
+    for u in (K("(s^2 + 1)/(s - 2)"), C("x + 2*y - 1"), K(0), C(0)):
+        for n in range(-6, 7):
+            if n < 0 and u.is_zero():
+                with pytest.raises(DivisionByZero):
+                    u ** n
+                continue
+            step = u if n >= 0 else u.inv()
+            want = u.field(1)
+            for _ in range(abs(n)):
+                want = want * step
+            assert (u ** n).value == want.value
 
 
 def test_level_mismatch_is_rejected(Q, K):

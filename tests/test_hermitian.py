@@ -1,12 +1,18 @@
 """Skew-hermitian forms over quaternion algebras: construction,
 diagonalization, and good-reduction certificates."""
 
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 import support
-from quatwitt import faults
+from quatwitt import faults, hermitian
 from quatwitt.errors import (
     Degenerate,
     DimensionMismatch,
@@ -21,7 +27,8 @@ from quatwitt.hermitian import (
     diagonalize_h,
     good_reduction_certificate,
 )
-from quatwitt.quaternions import QuaternionAlgebra
+from quatwitt.quadforms import mat_det
+from quatwitt.quaternions import QuaternionAlgebra, left_regular_matrix
 from quatwitt.valuations import PAdicValuation
 
 
@@ -71,6 +78,45 @@ def test_rejects_empty_and_ragged(A23):
         SkewHermitianForm(A23, [])
     with pytest.raises(DimensionMismatch):
         SkewHermitianForm(A23, [[A23.i(), A23.j()]])
+
+
+def _model_is_singular(alg, entries):
+    """Nondegeneracy by the determinant of the full 4n x 4n model."""
+    n = len(entries)
+    zero = alg.zero()
+    big = []
+    for k in range(n):
+        blocks = [left_regular_matrix(entries[k] if k == l else zero) for l in range(n)]
+        for r in range(4):
+            big.append([blocks[l][r][c] for l in range(n) for c in range(4)])
+    return mat_det(alg.base, big).is_zero()
+
+
+# over (1, 1) the pure quaternion a*i + b*j + c*ij has nrd c^2 - a^2 - b^2
+_NULL_COORDS = ((0, 0, 0), (1, 0, 1), (0, -2, 2), (3, 4, 5), (-4, 3, -5))
+
+
+@pytest.mark.parametrize("d, t", [(1, 1), (2, 3)])
+@given(
+    st.lists(
+        st.one_of(
+            st.tuples(*[st.integers(-9, 9)] * 3),
+            st.sampled_from(_NULL_COORDS),
+        ),
+        min_size=1,
+        max_size=3,
+    )
+)
+def test_diagonal_nondegeneracy_matches_the_full_model(d, t, coords):
+    Q = Rationals()
+    alg = QuaternionAlgebra(Q, Q(d), Q(t))
+    entries = [alg.el(0, a, b, c) for a, b, c in coords]
+    singular = _model_is_singular(alg, entries)
+    if singular:
+        with pytest.raises(Degenerate):
+            SkewHermitianForm.diagonal(alg, entries)
+    else:
+        assert SkewHermitianForm.diagonal(alg, entries).diagonal_entries() == tuple(entries)
 
 
 def test_off_diagonal_gram_is_accepted(A23):
@@ -154,6 +200,8 @@ def test_diagonalize_h_leaves_diagonals_alone(A23):
     h = SkewHermitianForm.diagonal(A23, [A23.i(), A23.j()])
     entries, p = diagonalize_h(h)
     assert entries == (A23.i(), A23.j())
+    one, zero = A23.one(), A23.zero()
+    assert p == ((one, zero), (zero, one))
 
 
 @given(st.integers(-3, 3), st.integers(-3, 3), st.integers(-3, 3))
@@ -221,3 +269,35 @@ def test_certificate_drop_unit_rep_fault(A_m1_1, v3):
         cert = good_reduction_certificate(h, v3)
         assert cert.status == NO_CERTIFICATE
     assert good_reduction_certificate(h, v3).certified
+
+
+# ---------------------------------------------------------------------------
+# failed self-checks become error records
+
+
+def test_failed_congruence_certificate_is_an_error_record(monkeypatch):
+    record = support.corrupted_congruence_record(monkeypatch.setattr)
+    assert record["status"] == "error"
+    assert record["error"] == "CertificateFailed"
+    assert record["message"] == "congruence certificate failed"
+
+
+def test_failed_congruence_certificate_survives_optimized_mode():
+    tests = Path(__file__).resolve().parent
+    src = Path(hermitian.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(src), str(tests)]))
+    code = (
+        "import json, sys, support\n"
+        "if not sys.flags.optimize: sys.exit('not optimized')\n"
+        "print(json.dumps(support.corrupted_congruence_record(setattr)))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", code],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    record = json.loads(proc.stdout)
+    assert (record["status"], record["error"]) == ("error", "CertificateFailed")

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 import support
 from quatwitt import faults
-from quatwitt.errors import Degenerate, NegativeValue
+from quatwitt.errors import Degenerate, NegativeValue, QuatwittError
 from quatwitt.fields import FiniteField, FunctionField, Rationals
 from quatwitt.quadforms import (
     FALSE,
@@ -22,6 +22,7 @@ from quatwitt.quadforms import (
     mat_transpose,
     reconstruction,
     residue_forms,
+    second_residue_form,
     witt_trivial,
 )
 from quatwitt.valuations import GaussValuation, PAdicValuation
@@ -114,6 +115,58 @@ def test_residue_forms_function_field(K, g3):
     pair = residue_forms(q, g3)
     assert [str(e) for e in pair.first.entries] == ["s"]
     assert [str(e) for e in pair.second.entries] == ["s"]
+
+
+def _second_residue_outcome(compute):
+    try:
+        return [str(e) for e in compute().entries]
+    except QuatwittError as e:
+        return (type(e).__name__, str(e))
+
+
+def _check_second_residue_form(q, v, fault):
+    """second_residue_form, fed the entry values, agrees with
+    residue_forms(q, v).second, errors included."""
+    with faults.injected(*fault):
+        values = [v.value(u) for u in q.entries]
+        assert _second_residue_outcome(
+            lambda: second_residue_form(q, v, values)
+        ) == _second_residue_outcome(lambda: residue_forms(q, v).second)
+
+
+_FAULT_CHOICES = st.sampled_from([(), (faults.SKIP_EVEN_SCALING,)])
+
+
+@given(
+    st.sampled_from([3, 5]),
+    st.lists(
+        st.tuples(support.nonzero_fractions(max_num=20, max_den=5), st.integers(-3, 3)),
+        min_size=1,
+        max_size=5,
+    ),
+    _FAULT_CHOICES,
+)
+def test_second_residue_form_matches_residue_forms_padic(p, raw, fault):
+    Q = Rationals()
+    q = QuadraticForm(Q, [Q(c * Fraction(p) ** k) for c, k in raw])
+    _check_second_residue_form(q, PAdicValuation(p), fault)
+
+
+@given(
+    st.lists(
+        st.tuples(
+            support.nonzero_rational_functions(FunctionField(Rationals(), "s"), max_deg=2),
+            st.integers(-3, 3),
+        ),
+        min_size=1,
+        max_size=4,
+    ),
+    _FAULT_CHOICES,
+)
+def test_second_residue_form_matches_residue_forms_gauss(raw, fault):
+    K = FunctionField(Rationals(), "s")
+    q = QuadraticForm(K, [u * K(3) ** k for u, k in raw])
+    _check_second_residue_form(q, GaussValuation(PAdicValuation(3), K), fault)
 
 
 def test_reconstruction_recovers_the_witt_class(Q, v3):
