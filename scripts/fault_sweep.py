@@ -11,82 +11,28 @@ import argparse
 import sys
 import time
 
-from quatwitt import faults
-from quatwitt.errors import QuatwittError
-from quatwitt.morita import verify_instance
-from quatwitt.scenarios import generate_instance, load_scenario
-
-FAULTS = ("negate-fast-path", "drop-unit-rep", "skip-even-scaling")
-
-
-def scenarios(seed):
-    division = load_scenario({
-        "field": {"kind": "function", "base": {"kind": "rationals"}, "variable": "s"},
-        "valuation": {"kind": "gauss", "inner": {"kind": "padic", "p": 3}},
-        "generator": "conic",
-        "algebra": {"d": "-1", "t": "s"},
-        "seed": seed,
-        "trials": 30,
-    })
-    split = load_scenario({
-        "field": {"kind": "rationals"},
-        "valuation": {"kind": "padic", "p": 3},
-        "generator": "point",
-        "seed": seed,
-        "trials": 30,
-    })
-
-    def division_ok(rep):
-        return (rep.verified and all(v == 0 for v in rep.quad_values)
-                and rep.second_residue.rank == 0)
-
-    def split_ok(rep):
-        return rep.verified
-
-    return (("division", division, division_ok), ("split", split, split_ok))
-
-
-def count_failures(sc, ok, fault, slice_size):
-    bad = 0
-    for i in range(slice_size):
-        inst = generate_instance(sc, i)
-        kwargs = {"route": "point", "point": inst.point} if inst.point else {}
-        try:
-            if fault is None:
-                rep = verify_instance(inst.form, inst.valuation, **kwargs)
-            else:
-                with faults.injected(fault):
-                    rep = verify_instance(inst.form, inst.valuation, **kwargs)
-            good = ok(rep)
-        except QuatwittError:
-            good = False
-        if not good:
-            bad += 1
-    return bad
+from quatwitt.batteries import FAULTS, SEED, SWEEP_SLICE, count_failures, sweep_rows
 
 
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--slice", type=int, default=30, help="instances per scenario")
-    ap.add_argument("--seed", type=int, default=42, help="generator seed")
+    ap.add_argument("--slice", type=int, default=SWEEP_SLICE, help="instances per scenario")
+    ap.add_argument("--seed", type=int, default=SEED, help="generator seed")
     args = ap.parse_args(argv)
 
     start = time.monotonic()
-    rows = scenarios(args.seed)
     status = 0
-    for label, sc, ok in rows:
+    totals = dict.fromkeys(FAULTS, 0)
+    for label, sc, ok in sweep_rows(args.seed):
         clean = count_failures(sc, ok, None, args.slice)
         line = f"{label:<9} clean {clean}/{args.slice}"
         if clean:
             status = 1
         for fault in FAULTS:
             bad = count_failures(sc, ok, fault, args.slice)
+            totals[fault] += bad
             line += f"  {fault} {bad}/{args.slice}"
         print(line)
-    totals = {
-        fault: sum(count_failures(sc, ok, fault, args.slice) for _, sc, ok in rows)
-        for fault in FAULTS
-    }
     for fault, total in totals.items():
         mark = "detected" if total else "MISSED"
         print(f"{fault:<18} {total:>3} failures  {mark}")

@@ -11,45 +11,28 @@ import argparse
 import sys
 import time
 
+from quatwitt.batteries import (
+    DIVISION_BATCHES,
+    SEED,
+    SPLIT_PRIMES,
+    TRIALS,
+    conic_scenario,
+    point_scenario,
+)
 from quatwitt.cli import run_batch
-from quatwitt.scenarios import load_scenario
-
-DIVISION_BATCHES = ((3, "-1"), (5, "2"), (7, "3"), (13, "2"))
-SPLIT_PRIMES = (3, 5, 7)
-
-
-def division_scenario(p, d, trials, seed):
-    return load_scenario({
-        "field": {"kind": "function", "base": {"kind": "rationals"}, "variable": "s"},
-        "valuation": {"kind": "gauss", "inner": {"kind": "padic", "p": p}},
-        "generator": "conic",
-        "algebra": {"d": d, "t": "s"},
-        "seed": seed,
-        "trials": trials,
-    })
-
-
-def split_scenario(p, trials, seed):
-    return load_scenario({
-        "field": {"kind": "rationals"},
-        "valuation": {"kind": "padic", "p": p},
-        "generator": "point",
-        "seed": seed,
-        "trials": trials,
-    })
 
 
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--trials", type=int, default=200, help="instances per batch")
-    ap.add_argument("--seed", type=int, default=42, help="generator seed")
+    ap.add_argument("--trials", type=int, default=TRIALS, help="instances per batch")
+    ap.add_argument("--seed", type=int, default=SEED, help="generator seed")
     args = ap.parse_args(argv)
 
     batches = [
-        (f"division branch p={p:<2} d={d:>2}", division_scenario(p, d, args.trials, args.seed))
+        (f"division branch p={p:<2} d={d:>2}", conic_scenario(p, d, args.trials, args.seed))
         for p, d in DIVISION_BATCHES
     ] + [
-        (f"split branch    p={p:<2}      ", split_scenario(p, args.trials, args.seed))
+        (f"split branch    p={p:<2}      ", point_scenario(p, args.trials, args.seed))
         for p in SPLIT_PRIMES
     ]
     failures = 0

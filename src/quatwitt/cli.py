@@ -223,10 +223,11 @@ def run_batch(sc: dict, trials: int, fault_names=(), budget=None, jobs: int = 1)
     """Verify `trials` generated instances and tally the outcomes.
 
     Instances depend only on (scenario, index), so shards can run in
-    worker processes and merge in index order.
+    worker processes and merge in index order.  No more workers start
+    than there are CPUs.
     """
     if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with ProcessPoolExecutor(max_workers=min(jobs, os.cpu_count() or 1)) as pool:
             futures = [
                 pool.submit(run_instance, sc, i, fault_names, budget)
                 for i in range(trials)

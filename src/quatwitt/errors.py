@@ -25,10 +25,6 @@ class RamifiedParameters(QuatwittError, ValueError):
     """Conic valuation built over non-unit conic parameters."""
 
 
-class NonIntegralValue(QuatwittError, AssertionError):
-    """Half-norm value came out non-integral; internal inconsistency."""
-
-
 class CertificateFailed(QuatwittError, AssertionError):
     """An exact self-check (a congruence certificate, a splitting
     identity, a norm guard) failed; internal inconsistency."""
@@ -84,3 +80,7 @@ class HypothesisNotCertified(QuatwittError, ValueError):
 
 class ScenarioError(QuatwittError, ValueError):
     """Scenario file failed validation."""
+
+
+class UnsupportedField(QuatwittError, NotImplementedError):
+    """The requested decision is not implemented over this field."""

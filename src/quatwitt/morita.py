@@ -277,34 +277,31 @@ def extend_valuation(v, alg: QuaternionAlgebra):
     algebra unramified at v.
 
     Unit parameters give the half-norm valuation directly; even nonzero
-    values are transported through the unit-parameter model.  A
-    parameter of odd value leaves no unit conic model, in which case
-    the algebra splits over the completion and the reduction should run
-    through a rational point instead.
+    values are transported through the unit-parameter model.  Either way
+    the algebra has unit parameters up to squares, so it is unramified.
+    A parameter of odd value leaves no unit conic model: the algebra is
+    then ramified, or it splits over the completion and the reduction
+    should run through a rational point instead.
     """
-    report = ramification(alg, v)
-    if report.ramified:
-        raise RamifiedAlgebra(f"{alg!r} is ramified at {v!r}")
     vd = v.value(alg.d)
     vt = v.value(alg.t)
     if vd % 2 or vt % 2:
+        if ramification(alg, v).ramified:
+            raise RamifiedAlgebra(f"{alg!r} is ramified at {v!r}")
         raise RamifiedParameters(
             "a parameter has odd value; no unit conic model exists, use "
             "the rational-point reduction instead"
         )
     C = conic_field(alg)
     if vd == 0 and vt == 0:
-        inner = GaussValuation(v, C.inner)
-        return ConicValuation(inner, C, residue_split=report.split_over_residue)
+        return ConicValuation(GaussValuation(v, C.inner), C)
     alpha = vd // 2
     beta = vt // 2
     pi = v.uniformizer
     d0 = alg.d * pi ** (-2 * alpha)
     t0 = alg.t * pi ** (-2 * beta)
     C0 = ConicExtension(alg.base, d0, t0)
-    target = ConicValuation(
-        GaussValuation(v, C0.inner), C0, residue_split=report.split_over_residue
-    )
+    target = ConicValuation(GaussValuation(v, C0.inner), C0)
     return TransportedConicValuation(C, target, alpha, beta)
 
 

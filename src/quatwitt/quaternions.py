@@ -17,6 +17,7 @@ from . import faults
 from .errors import (
     AlgebraMismatch,
     RamifiedAlgebra,
+    UnsupportedField,
     ZeroElement,
 )
 from .fields import (
@@ -384,7 +385,7 @@ def residue_algebra_splits(rf, a: FieldElement, b: FieldElement) -> bool:
         return True
     if isinstance(rf, FunctionField) and isinstance(rf.base, FiniteField):
         return _splits_over_rational_function_field(rf, a, b)
-    raise NotImplementedError(f"no splitting decision over {rf!r}")
+    raise UnsupportedField(f"no splitting decision over {rf!r}")
 
 
 def _place_value(factor, num, den, base):

@@ -28,7 +28,7 @@ from .fields import (
 from .hermitian import SkewHermitianForm, good_reduction_certificate
 from .morita import VerificationReport, verify_instance
 from .quadforms import QuadraticForm
-from .quaternions import QuaternionAlgebra, ramification, residue_algebra_splits
+from .quaternions import QuaternionAlgebra, ramification
 from .valuations import (
     ConicValuation,
     GaussValuation,
@@ -127,10 +127,7 @@ def build_valuation(desc, field):
         inner_val = build_valuation(desc.get("inner", {}), field.base)
         try:
             gauss = GaussValuation(inner_val, field.inner)
-            dbar = inner_val.residue(field.base.el(field.d))
-            tbar = inner_val.residue(field.base.el(field.t))
-            split = residue_algebra_splits(inner_val.residue_field, dbar, tbar)
-            return ConicValuation(gauss, field, residue_split=split)
+            return ConicValuation(gauss, field)
         except (QuatwittError, ValueError) as e:
             raise ScenarioError(str(e)) from e
     raise ScenarioError(f"unknown valuation kind {kind!r}")

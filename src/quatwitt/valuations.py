@@ -8,12 +8,12 @@ Three kinds, mirroring the tower levels they live on:
                                  its coefficients, of a fraction the
                                  difference; residue field kbar(var)
     ConicValuation(inner, C)     on a ConicExtension C with unit parameters;
-                                 value is half the Gauss value of the norm
-                                 A^2 - B^2*theta, which equals
-                                 min(v'(A), v'(B)) when the residue conic is
-                                 nonsplit; residue field is the conic
-                                 extension of the residue field by the
-                                 parameter residues
+                                 the value of A + B*y is min(v'(A), v'(B)),
+                                 which is half the Gauss value of the norm
+                                 A^2 - B^2*theta because theta-bar is never
+                                 a square in kbar(x); residue field is the
+                                 conic extension of the residue field by
+                                 the parameter residues
 
 All values are normalized integers; v(0) is the +infinity sentinel INF.
 Residues require value >= 0 and are functorial ring maps.
@@ -28,7 +28,6 @@ from . import faults
 from .errors import (
     LevelMismatch,
     NegativeValue,
-    NonIntegralValue,
     RamifiedParameters,
 )
 from .fields import (
@@ -177,16 +176,17 @@ class GaussValuation(_ValuationBase):
 class ConicValuation(_ValuationBase):
     """Half-norm extension of a Gauss valuation to a conic extension.
 
-    Requires unit conic parameters (the unramified setting).  The norm
-    formula v(alpha) = (1/2) v'(A^2 - B^2*theta) always produces an
-    integer here; when the residue conic is nonsplit the cheaper
-    min(v'(A), v'(B)) is used instead.  residue_split selects the branch
-    and must state whether the residue conic has a rational point.
+    Requires unit conic parameters (the unramified setting).  The value
+    of alpha = A + B*y is (1/2) v'(A^2 - B^2*theta), which equals
+    min(v'(A), v'(B)) whether or not the residue algebra splits:
+    theta-bar = (1 - dbar*x^2)/tbar has simple roots, so it is never a
+    square in kbar(x), and the leading terms of A^2 and B^2*theta cannot
+    cancel.
     """
 
     kind = "conic-half-norm"
 
-    def __init__(self, inner: GaussValuation, domain: ConicExtension, residue_split: bool):
+    def __init__(self, inner: GaussValuation, domain: ConicExtension):
         if not isinstance(domain, ConicExtension):
             raise LevelMismatch("conic valuation lives on a ConicExtension level")
         if not isinstance(inner, GaussValuation) or inner.domain != domain.inner:
@@ -200,7 +200,6 @@ class ConicValuation(_ValuationBase):
             )
         self.inner = inner
         self.domain = domain
-        self.residue_split = residue_split
         dbar = base_val.residue(domain.base.el(domain.d))
         tbar = base_val.residue(domain.base.el(domain.t))
         self.residue_field = ConicExtension(base_val.residue_field, dbar, tbar)
@@ -222,8 +221,7 @@ class ConicValuation(_ValuationBase):
     def descriptor(self):
         return {"kind": "conic-half-norm", "inner": self.inner.descriptor()}
 
-    def value_min_pair(self, a):
-        """min(v'(A), v'(B)); valid whenever the residue conic is nonsplit."""
+    def value(self, a):
         self._check_domain(a)
         A, B = self.domain.pair(a.value)
         va, vb = self.inner.value(A), self.inner.value(B)
@@ -234,24 +232,6 @@ class ConicValuation(_ValuationBase):
                 return va
             return max(va, vb)
         return min(va, vb)
-
-    def value_half_norm(self, a):
-        """(1/2) v'(A^2 - B^2*theta); must be an integer for unit parameters."""
-        self._check_domain(a)
-        n = self.domain.norm(a.value)
-        vn = self.inner.value(self.domain.inner.el(n))
-        if vn is INF:
-            return INF
-        if vn % 2 != 0:
-            raise NonIntegralValue(
-                "odd norm value over unit conic parameters; internal inconsistency"
-            )
-        return vn // 2
-
-    def value(self, a):
-        if self.residue_split:
-            return self.value_half_norm(a)
-        return self.value_min_pair(a)
 
     def residue(self, a):
         self._check_domain(a)
@@ -290,7 +270,6 @@ class TransportedConicValuation(_ValuationBase):
         self.target = target
         self.alpha = alpha
         self.beta = beta
-        self.residue_split = target.residue_split
         self.residue_field = target.residue_field
         self._base_val = target.inner.inner
         self.uniformizer = domain.lift(self._base_val.uniformizer)

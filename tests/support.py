@@ -10,6 +10,7 @@ from quatwitt.fields import (
     FunctionField,
     Rationals,
 )
+from quatwitt.valuations import INF
 
 
 def fractions(max_num=60, max_den=12):
@@ -68,6 +69,18 @@ def conic_elements(conic: ConicExtension, coord=None):
         return conic.from_inner(a.value) + conic.from_inner(b.value) * conic.y_gen()
 
     return st.builds(build, coord, coord)
+
+
+def half_norm_value(vt, a):
+    """(1/2) v'(A^2 - B^2*theta) for a ConicValuation vt: the half-norm
+    formula, an independent oracle for vt.value.  Over unit conic
+    parameters the norm value is even."""
+    n = vt.domain.norm(a.value)
+    vn = vt.inner.value(vt.domain.inner.el(n))
+    if vn is INF:
+        return INF
+    assert vn % 2 == 0, f"odd norm value {vn} over unit conic parameters"
+    return vn // 2
 
 
 def quaternions(alg, coeffs=None):

@@ -15,40 +15,28 @@ from fractions import Fraction
 
 import pytest
 
+import support
 from quatwitt import faults
+from quatwitt.batteries import (
+    DIVISION_BATCHES,
+    FAULTS,
+    SPLIT_PRIMES,
+    SWEEP_SLICE,
+    TRIALS,
+    conic_scenario,
+    count_failures,
+    point_scenario,
+    sweep_rows,
+)
 from quatwitt.cli import run_batch
 from quatwitt.errors import QuatwittError
 from quatwitt.fields import ConicExtension, FunctionField, Rationals
 from quatwitt.hermitian import SkewHermitianForm
-from quatwitt.morita import extend_valuation, morita_reduce, verify_instance
+from quatwitt.morita import extend_valuation, morita_reduce
 from quatwitt.quadforms import QuadraticForm, reconstruction, residue_forms, witt_trivial
 from quatwitt.quaternions import QuaternionAlgebra, ramification
-from quatwitt.scenarios import generate_instance, load_scenario, parse_element
+from quatwitt.scenarios import parse_element
 from quatwitt.valuations import GaussValuation, PAdicValuation
-
-
-TRIALS = 200
-
-
-def conic_scenario(p, d, trials=TRIALS, seed=42):
-    return load_scenario({
-        "field": {"kind": "function", "base": {"kind": "rationals"}, "variable": "s"},
-        "valuation": {"kind": "gauss", "inner": {"kind": "padic", "p": p}},
-        "generator": "conic",
-        "algebra": {"d": d, "t": "s"},
-        "seed": seed,
-        "trials": trials,
-    })
-
-
-def point_scenario(p, trials=TRIALS, seed=42):
-    return load_scenario({
-        "field": {"kind": "rationals"},
-        "valuation": {"kind": "padic", "p": p},
-        "generator": "point",
-        "seed": seed,
-        "trials": trials,
-    })
 
 
 def test_division_branch_batches():
@@ -56,7 +44,7 @@ def test_division_branch_batches():
     algebra: every certified form verifies, every reduced entry has
     extended value exactly zero, and the second residue form is empty."""
     start = time.monotonic()
-    for p, d in ((3, "-1"), (5, "2"), (7, "3"), (13, "2")):
+    for p, d in DIVISION_BATCHES:
         records, counts, counterexample = run_batch(conic_scenario(p, d), TRIALS)
         assert counts["verified"] == TRIALS, (p, counts)
         assert counterexample is None
@@ -73,7 +61,7 @@ def test_split_branch_batches():
     """Randomized batches over p-adic valuations with unit conic points:
     the specialized residue form is Witt-trivial on every instance."""
     start = time.monotonic()
-    for p in (3, 5, 7):
+    for p in SPLIT_PRIMES:
         records, counts, counterexample = run_batch(point_scenario(p), TRIALS)
         assert counts["verified"] == TRIALS, (p, counts)
         assert counterexample is None
@@ -188,7 +176,7 @@ def test_valuation_extension_suite():
         assert (vt.value(xi) == 0) == (min(g3.value(a) for a in trip) == 0), trip
 
     # rational-function draws with general denominators make the exact
-    # norm computation blow up in the coefficient tower; the fast-path
+    # norm computation blow up in the coefficient tower; the half-norm
     # comparison therefore samples polynomial elements only
     rng = random.Random(406)
     for _ in range(1000):
@@ -198,7 +186,7 @@ def test_valuation_extension_suite():
             xi = C.from_inner(a.value) + C.from_inner(b.value) * C.y_gen()
         else:
             xi = C.from_inner(a.value)
-        assert vt.value_min_pair(xi) == vt.value_half_norm(xi)
+        assert vt.value(xi) == support.half_norm_value(vt, xi)
 
 
 def test_algebraic_invariant_suites():
@@ -287,38 +275,10 @@ def test_fault_injection_sensitivity():
     instances it would break (dropping the unit representative makes the
     generator discard twisted candidates at certification), which would
     mask the fault instead of exposing it."""
-    division_sc = conic_scenario(3, "-1", trials=30)
-    split_sc = point_scenario(3, trials=30)
-
-    def division_ok(rep):
-        return (rep.verified and all(v == 0 for v in rep.quad_values)
-                and rep.second_residue.rank == 0)
-
-    def split_ok(rep):
-        return rep.verified
-
-    def failures(sc, ok, fault):
-        bad = 0
-        for i in range(30):
-            inst = generate_instance(sc, i)
-            kwargs = {"route": "point", "point": inst.point} if inst.point else {}
-            try:
-                if fault is None:
-                    rep = verify_instance(inst.form, inst.valuation, **kwargs)
-                else:
-                    with faults.injected(fault):
-                        rep = verify_instance(inst.form, inst.valuation, **kwargs)
-                good = ok(rep)
-            except QuatwittError:
-                good = False
-            if not good:
-                bad += 1
-        return bad
-
-    assert failures(division_sc, division_ok, None) == 0
-    assert failures(split_sc, split_ok, None) == 0
-    for fault in ("negate-fast-path", "drop-unit-rep", "skip-even-scaling"):
-        hit = (failures(division_sc, division_ok, fault)
-               + failures(split_sc, split_ok, fault))
+    rows = sweep_rows()
+    for _label, sc, ok in rows:
+        assert count_failures(sc, ok, None, SWEEP_SLICE) == 0
+    for fault in FAULTS:
+        hit = sum(count_failures(sc, ok, fault, SWEEP_SLICE) for _label, sc, ok in rows)
         assert hit >= 1, fault
         assert faults.active_names() == ()

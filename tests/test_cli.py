@@ -4,10 +4,11 @@ import hashlib
 import json
 import subprocess
 import sys
+from concurrent.futures import Future
 
 import pytest
 
-from quatwitt import faults
+from quatwitt import cli, faults
 from quatwitt.cli import (
     EXIT_INDETERMINATE,
     EXIT_INPUT,
@@ -244,6 +245,28 @@ def test_bad_element_expression_is_an_input_error(tmp_path, capsys):
     assert "bad element expression '5x+'" in err
 
 
+def test_unsupported_residue_field_is_an_input_error(tmp_path, capsys):
+    # Q(s)(u) under a Gauss valuation over a Gauss valuation: the residue
+    # field F_3(s)(u) has no splitting decision
+    qs = {"kind": "function", "base": {"kind": "rationals"}, "variable": "s"}
+    sc = write_scenario(
+        tmp_path,
+        "two_var.json",
+        {
+            "field": {"kind": "function", "base": qs, "variable": "u"},
+            "valuation": {
+                "kind": "gauss",
+                "inner": {"kind": "gauss", "inner": {"kind": "padic", "p": 3}},
+            },
+            "algebra": {"d": "-1", "t": "s"},
+        },
+    )
+    assert main(["residue", "--scenario", sc, "--json"]) == EXIT_INPUT
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:")
+    assert captured.out == ""
+
+
 # ---------------------------------------------------------------------------
 # randomized batch verification
 
@@ -363,3 +386,35 @@ def test_run_batch_counts_match_records(batch_path):
     assert counts["verified"] == 6
     assert sum(counts.values()) == 6
     assert counterexample is None
+
+
+class _InlineExecutor:
+    """Stands in for ProcessPoolExecutor: records its worker count and
+    runs each task at once in this process."""
+
+    max_workers = []
+
+    def __init__(self, max_workers):
+        self.max_workers.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def submit(self, fn, *args):
+        future = Future()
+        future.set_result(fn(*args))
+        return future
+
+
+@pytest.mark.parametrize("cpus, jobs, want", [(2, 10**6, 2), (None, 8, 1), (4, 2, 2)])
+def test_run_batch_caps_workers_at_cpu_count(batch_path, monkeypatch, cpus, jobs, want):
+    sc = json.load(open(batch_path))
+    serial = run_batch(sc, 2)
+    monkeypatch.setattr(_InlineExecutor, "max_workers", [])
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", _InlineExecutor)
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
+    assert run_batch(sc, 2, jobs=jobs) == serial
+    assert _InlineExecutor.max_workers == [want]

@@ -9,12 +9,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import support
+from quatwitt import faults, morita
 from quatwitt.errors import (
     AlgebraMismatch,
     Degenerate,
     DegenerateSpecialization,
     HypothesisNotCertified,
     NotOnConic,
+    QuatwittError,
     RamifiedAlgebra,
     RamifiedParameters,
 )
@@ -31,7 +33,7 @@ from quatwitt.morita import (
     verify_instance,
 )
 from quatwitt.quadforms import witt_trivial
-from quatwitt.quaternions import QuaternionAlgebra
+from quatwitt.quaternions import QuaternionAlgebra, ramification
 from quatwitt.valuations import (
     ConicValuation,
     GaussValuation,
@@ -265,15 +267,16 @@ def test_found_points_satisfy_the_conic_equation(Q, x_num, x_den):
 def test_unit_parameters_extend_directly(g3, Am1s):
     vt = extend_valuation(g3, Am1s)
     assert isinstance(vt, ConicValuation)
-    assert vt.residue_split is False
+    assert ramification(Am1s, g3).split_over_residue is False
     y = vt.domain.y_gen()
     assert vt.value(y) == 0
 
 
 def test_finite_residue_field_forces_split_residue(Q, v3):
-    vt = extend_valuation(v3, QuaternionAlgebra(Q, 2, 1))
+    alg = QuaternionAlgebra(Q, 2, 1)
+    vt = extend_valuation(v3, alg)
     assert isinstance(vt, ConicValuation)
-    assert vt.residue_split is True
+    assert ramification(alg, v3).split_over_residue is True
 
 
 def test_odd_parameter_value_has_no_unit_model(Q, v3):
@@ -292,6 +295,55 @@ def test_even_parameter_values_are_transported(Q, v3):
 def test_ramified_algebras_are_refused(Q, v3):
     with pytest.raises(RamifiedAlgebra):
         extend_valuation(v3, QuaternionAlgebra(Q, 2, 3))
+
+
+def _extension_outcome(v, alg):
+    try:
+        return type(extend_valuation(v, alg)).__name__
+    except QuatwittError as e:
+        return type(e).__name__
+
+
+@pytest.mark.parametrize(
+    "fault_names, want",
+    [
+        ((), ["RamifiedAlgebra", "RamifiedParameters",
+              "TransportedConicValuation", "ConicValuation"]),
+        # the corrupted report takes (d, t) itself as the unit
+        # representative, whose residue is zero when a parameter has odd
+        # value; the even-value (18, 5) path reads no report, so it is
+        # transported as without the fault
+        (("drop-unit-rep",), ["ZeroElement", "ZeroElement",
+                              "TransportedConicValuation", "ConicValuation"]),
+    ],
+    ids=["clean", "drop-unit-rep"],
+)
+def test_extension_outcome_table(Q, K, v3, g3, fault_names, want):
+    cases = [
+        (v3, QuaternionAlgebra(Q, 2, 3)),
+        (v3, QuaternionAlgebra(Q, -2, 3)),
+        (v3, QuaternionAlgebra(Q, 18, 5)),
+        (g3, QuaternionAlgebra(K, K(-1), K.gen())),
+    ]
+    with faults.injected(*fault_names):
+        got = [_extension_outcome(v, alg) for v, alg in cases]
+    assert got == want
+
+
+def test_even_parameter_values_need_no_ramification_report(Q, K, v3, g3, monkeypatch):
+    def refuse(alg, v):
+        raise AssertionError("ramification called")
+
+    monkeypatch.setattr(morita, "ramification", refuse)
+    assert isinstance(extend_valuation(v3, QuaternionAlgebra(Q, 2, 1)), ConicValuation)
+    assert isinstance(
+        extend_valuation(v3, QuaternionAlgebra(Q, 18, 5)), TransportedConicValuation
+    )
+    assert isinstance(
+        extend_valuation(g3, QuaternionAlgebra(K, K(-1), K.gen())), ConicValuation
+    )
+    with pytest.raises(AssertionError, match="ramification called"):
+        extend_valuation(v3, QuaternionAlgebra(Q, -2, 3))
 
 
 # ---------------------------------------------------------------------------

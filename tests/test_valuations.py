@@ -1,5 +1,6 @@
 """Discrete valuations on the field tower and their residue maps."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -13,7 +14,7 @@ from quatwitt.errors import (
     RamifiedParameters,
 )
 from quatwitt.fields import ConicExtension, FunctionField, Rationals
-from quatwitt.quaternions import QuaternionAlgebra
+from quatwitt.quaternions import QuaternionAlgebra, ramification
 from quatwitt.morita import extend_valuation
 from quatwitt.valuations import (
     INF,
@@ -170,7 +171,7 @@ def conic_setup():
     g3 = GaussValuation(PAdicValuation(3), K)
     C = ConicExtension(K, K(-1).value, K.gen().value)
     inner = GaussValuation(g3, C.inner)
-    vt = ConicValuation(inner, C, residue_split=False)
+    vt = ConicValuation(inner, C)
     return K, C, vt
 
 
@@ -223,7 +224,7 @@ def test_conic_valuation_rejects_nonunit_parameters(K, g3):
     C_bad = ConicExtension(K, K(3).value, K.gen().value)
     inner = GaussValuation(g3, C_bad.inner)
     with pytest.raises(RamifiedParameters):
-        ConicValuation(inner, C_bad, residue_split=False)
+        ConicValuation(inner, C_bad)
 
 
 def test_conic_half_norm_matches_pair_minimum(conic_setup):
@@ -237,7 +238,65 @@ def test_conic_half_norm_matches_pair_minimum(conic_setup):
     ]
     for A, B in samples:
         el = C.from_inner(A.value) + C.from_inner(B.value) * C.y_gen()
-        assert vt.value_min_pair(el) == vt.value_half_norm(el)
+        assert vt.value(el) == support.half_norm_value(vt, el)
+
+
+def _split_residue_configurations():
+    Q = Rationals()
+    K = FunctionField(Q, "s")
+    v3, v5 = PAdicValuation(3), PAdicValuation(5)
+    g3 = GaussValuation(v3, K)
+    s = K.gen()
+    return [
+        ("(2,1) 3-adic", v3, QuaternionAlgebra(Q, 2, 1)),
+        ("(2,3) 5-adic", v5, QuaternionAlgebra(Q, 2, 3)),
+        ("(18,5) 3-adic", v3, QuaternionAlgebra(Q, 18, 5)),
+        ("(1,s) Gauss 3-adic", g3, QuaternionAlgebra(K, K(1), s)),
+        ("(s^2+1,s) Gauss 3-adic", g3, QuaternionAlgebra(K, s**2 + 1, s)),
+    ]
+
+
+@pytest.mark.parametrize(
+    "label, v, alg",
+    [pytest.param(*case, id=case[0]) for case in _split_residue_configurations()],
+)
+def test_conic_value_matches_half_norm_with_split_residue(label, v, alg):
+    """Where the residue algebra splits, the pair minimum still equals the
+    half-norm value, and the residue map is multiplicative on units."""
+    assert ramification(alg, v).split_over_residue is True
+    vt = extend_valuation(v, alg)
+    if isinstance(vt, TransportedConicValuation):
+        # the oracle reads the unit model the element is pushed into
+        unit_val, to_unit = vt.target, vt._push
+    else:
+        unit_val, to_unit = vt, lambda a: a
+    C = vt.domain
+    base = alg.base
+    p = v.uniformizer
+    rng = random.Random(sum(map(ord, label)))
+
+    def draw_coeff():
+        c = base(rng.randint(-9, 9)) * p ** rng.randint(-1, 2)
+        if isinstance(base, FunctionField) and rng.random() < 0.5:
+            c = c * base.gen() + rng.randint(-3, 3)
+        return c
+
+    def draw_poly():
+        x = C.x_gen()
+        return sum((C(draw_coeff()) * x**k for k in range(rng.randint(1, 3))), C(0))
+
+    units = []
+    while len(units) < 60:
+        xi = draw_poly() + draw_poly() * C.y_gen()
+        if xi.is_zero():
+            continue
+        val = vt.value(xi)
+        assert val == support.half_norm_value(unit_val, to_unit(xi)), (label, xi)
+        u = xi * vt.uniformizer ** (-val)
+        assert vt.value(u) == 0
+        units.append(u)
+    for u, w in zip(units, units[1:]):
+        assert vt.residue(u * w) == vt.residue(u) * vt.residue(w), (label, u, w)
 
 
 @given(st.integers(-9, 9), st.integers(-9, 9), st.integers(0, 2), st.integers(0, 2))
@@ -246,7 +305,7 @@ def test_conic_value_is_multiplicative(a1, b1, e1, e2):
     K = FunctionField(Q, "s")
     g3 = GaussValuation(PAdicValuation(3), K)
     C = ConicExtension(K, K(-1).value, K.gen().value)
-    vt = ConicValuation(GaussValuation(g3, C.inner), C, residue_split=False)
+    vt = ConicValuation(GaussValuation(g3, C.inner), C)
     assume(a1 != 0 or b1 != 0)
     x, y = C.x_gen(), C.y_gen()
     z = C(a1) * 3**e1 + y * b1 * x
