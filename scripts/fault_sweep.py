@@ -1,10 +1,10 @@
 """Measure how sharply the verifier reacts to seeded faults.
 
-Generates a slice of batch instances cleanly, then verifies each one
-with a single fault active and counts how many flip from verified to
-failing.  Instances must be generated clean: a fault active during
-generation can suppress exactly the candidates it would break, hiding
-the fault from the sweep.
+Generates a slice of batch instances once, cleanly, then verifies each
+one clean and with each single fault active and counts how many flip
+from verified to failing.  Instances must be generated clean: a fault
+active during generation can suppress exactly the candidates it would
+break, hiding the fault from the sweep.
 """
 
 import argparse
@@ -24,12 +24,13 @@ def main(argv=None):
     status = 0
     totals = dict.fromkeys(FAULTS, 0)
     for label, sc, ok in sweep_rows(args.seed):
-        clean = count_failures(sc, ok, None, args.slice)
+        counts = count_failures(sc, ok, args.slice)
+        clean = counts[None]
         line = f"{label:<9} clean {clean}/{args.slice}"
         if clean:
             status = 1
         for fault in FAULTS:
-            bad = count_failures(sc, ok, fault, args.slice)
+            bad = counts[fault]
             totals[fault] += bad
             line += f"  {fault} {bad}/{args.slice}"
         print(line)

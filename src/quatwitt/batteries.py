@@ -3,10 +3,10 @@
 Seven batches: four over Gauss valuations on Q(s) where the algebra
 (d, s) has a division residue algebra (conic generator), and three over
 p-adic valuations on Q where the conic has a unit point (point
-generator).  A fault sweep verifies clean-generated instances of the
-p = 3 batch of each kind with one seeded fault active and counts the
-instances that stop passing.  The acceptance tests and the scripts
-build their batches from here.
+generator).  A fault sweep generates the first instances of the p = 3
+batch of each kind once, verifies them clean and with each seeded fault
+active, and counts the instances that stop passing.  The acceptance
+tests and the scripts build their batches from here.
 """
 
 from __future__ import annotations
@@ -63,27 +63,26 @@ def sweep_rows(seed=SEED):
     )
 
 
-def count_failures(sc, ok, fault, slice_size):
-    """How many of the first slice_size instances fail `ok` when
-    verified with `fault` active (None for a clean run).
+def count_failures(sc, ok, slice_size):
+    """How many of the first slice_size instances fail `ok`, keyed by
+    fault: None for the clean run, then each name in FAULTS.
 
-    Instances are generated clean and only the verification runs under
-    the fault: a fault active during generation can suppress exactly the
-    candidates it would break, hiding the fault from the sweep.
+    Each instance is generated once, with no fault active, and verified
+    clean and under each fault in turn: a fault active during generation
+    can suppress exactly the candidates it would break, hiding the fault
+    from the sweep.
     """
-    bad = 0
-    for i in range(slice_size):
-        inst = generate_instance(sc, i)
-        kwargs = {"route": "point", "point": inst.point} if inst.point else {}
-        try:
-            if fault is None:
-                rep = verify_instance(inst.form, inst.valuation, **kwargs)
-            else:
-                with faults.injected(fault):
-                    rep = verify_instance(inst.form, inst.valuation, **kwargs)
-            good = ok(rep)
-        except QuatwittError:
-            good = False
-        if not good:
-            bad += 1
-    return bad
+    instances = [generate_instance(sc, i) for i in range(slice_size)]
+    return {
+        fault: sum(not _passes(inst, ok, fault) for inst in instances)
+        for fault in (None,) + FAULTS
+    }
+
+
+def _passes(inst, ok, fault):
+    kwargs = {"route": "point", "point": inst.point} if inst.point else {}
+    try:
+        with faults.injected(*((fault,) if fault else ())):
+            return ok(verify_instance(inst.form, inst.valuation, **kwargs))
+    except QuatwittError:
+        return False

@@ -12,7 +12,6 @@ model is block diagonal with determinant the product of nrd(delta_k)^2.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Tuple
@@ -282,14 +281,16 @@ class GoodReductionCertificate:
 
 
 def good_reduction_certificate(h: SkewHermitianForm, v) -> GoodReductionCertificate:
-    """Search for a central scaling pi^m making the diagonalized form a
+    """Find the central scaling pi^m making the diagonalized form a
     unimodular integral model at v.
 
     Certified needs every scaled entry to have extended value 0 with all
-    coordinates of value >= 0; the scaling window is bounded by the
-    largest entry value.  The algebra must be unramified at v; the
-    certificate carries the ramification report that establishes it.
-    NoCertificate is a failed search, not a proof of bad reduction.
+    coordinates of value >= 0.  Scaling by pi^m adds m to every extended
+    value, so only a common integral entry value e can be cleared, and
+    only by m = -e.  The algebra must be unramified at v; the certificate
+    carries the ramification report that establishes it.  NoCertificate
+    says only that this diagonalization has no such scaling; it is not a
+    proof of bad reduction.
     """
     report = ramification(h.algebra, v)
     if report.ramified:
@@ -298,23 +299,22 @@ def good_reduction_certificate(h: SkewHermitianForm, v) -> GoodReductionCertific
         )
     entries, _p = diagonalize_h(h)
     evals = tuple(extval(v, u) for u in entries)
-    window = max(math.ceil(abs(e)) for e in evals)
-    pi = v.uniformizer
-    for m in range(-window, window + 1):
-        lam = pi**m
+    e = evals[0]
+    if e.denominator == 1 and all(x == e for x in evals):
+        m = -e.numerator
         if faults.is_active(faults.DROP_UNIT_REP):
             # corrupted variant for sensitivity tests: the scaling is
             # found but never applied to the diagonal
             scaled = entries
         else:
+            lam = v.uniformizer**m
             scaled = tuple(u * lam for u in entries)
-        if any(extval(v, u) != 0 for u in scaled):
-            continue
-        if any(v.value(c) < 0 for u in scaled for c in u.coeffs):
-            continue
-        return GoodReductionCertificate(
-            CERTIFIED, m, evals, entries, scaled, report
-        )
+        if all(extval(v, u) == 0 for u in scaled) and all(
+            v.value(c) >= 0 for u in scaled for c in u.coeffs
+        ):
+            return GoodReductionCertificate(
+                CERTIFIED, m, evals, entries, scaled, report
+            )
     return GoodReductionCertificate(
         NO_CERTIFICATE, None, evals, entries, None, report
     )

@@ -152,17 +152,21 @@ def _pure_coords(u: QuaternionElement):
     return a, b, c
 
 
-def _reduce_entry(C: ConicExtension, u: QuaternionElement):
-    """The binary form <L, N/L> of one diagonal entry."""
+def _reduce_entry(field, u: QuaternionElement, x, y):
+    """The binary form <L, N/L> of one diagonal entry over `field`, with
+    L = a*y - b*x - c at the conic point (x, y) of that field."""
     if u.is_zero():
         raise ZeroEntry("zero diagonal entry has no reduction")
     n = u.nrd()
     if n.is_zero():
         raise ZeroEntry("diagonal entry with zero reduced norm has no reduction")
     a, b, c = _pure_coords(u)
-    lin = C(a) * C.y_gen() - C(b) * C.x_gen() - C(c)
-    norm = C(n)
-    return lin, norm / lin
+    lin = field(a) * y - field(b) * x - field(c)
+    if lin.is_zero():
+        raise DegenerateSpecialization(
+            "linear entry vanished at the point; choose another point"
+        )
+    return lin, field(n) / lin
 
 
 def morita_reduce(h: SkewHermitianForm) -> QuadraticForm:
@@ -180,10 +184,10 @@ def morita_reduce(h: SkewHermitianForm) -> QuadraticForm:
 
 def _reduce_diagonal(alg: QuaternionAlgebra, entries) -> QuadraticForm:
     C = conic_field(alg)
+    x, y = C.x_gen(), C.y_gen()
     out = []
     for u in entries:
-        lin, rest = _reduce_entry(C, u)
-        out.extend((lin, rest))
+        out.extend(_reduce_entry(C, u, x, y))
     return QuadraticForm(C, out)
 
 
@@ -229,18 +233,7 @@ def _split_reduce_entries(alg: QuaternionAlgebra, entries, point) -> QuadraticFo
         raise NotOnConic(f"({x0!r}, {y0!r}) does not satisfy the conic equation")
     out = []
     for u in entries:
-        if u.is_zero():
-            raise ZeroEntry("zero diagonal entry has no reduction")
-        n = u.nrd()
-        if n.is_zero():
-            raise ZeroEntry("diagonal entry with zero reduced norm has no reduction")
-        a, b, c = _pure_coords(u)
-        e = a * y0 - b * x0 - c
-        if e.is_zero():
-            raise DegenerateSpecialization(
-                "linear entry vanished at the point; choose another point"
-            )
-        out.extend((e, n / e))
+        out.extend(_reduce_entry(base, u, x0, y0))
     return QuadraticForm(base, out)
 
 

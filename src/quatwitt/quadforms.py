@@ -1,13 +1,14 @@
 """Diagonal quadratic forms, congruence diagonalization, residue forms,
 and a Witt-triviality oracle.
 
-The oracle is exact where it answers: `true` is only returned after the
-form has been fully split into hyperbolic planes, `false` only on a
-complete decision (odd rank, rank-2 discriminant test, or finite-field
-exhaustion, where isotropy of any ternary subform is guaranteed).  Over
-infinite fields a bounded isotropy search runs first through exact
-square tests on entry pairs, then through a small deterministic
-coordinate enumeration; running out of candidates yields `indeterminate`.
+The oracle is exact where it answers.  Over a finite field it decides
+outright from rank and discriminant, which classify forms there.  Over
+other fields `true` is only returned after the form has been fully split
+into hyperbolic planes, and `false` only on a complete decision (odd
+rank or the rank-2 discriminant test); a bounded isotropy search runs
+first through exact square tests on entry pairs, then through a small
+deterministic coordinate enumeration, and running out of candidates
+yields `indeterminate`.
 """
 
 from __future__ import annotations
@@ -314,30 +315,6 @@ def _pair_split(base, entries):
     return entries
 
 
-def _ternary_isotropic_vector(base: FiniteField, u1, u2, u3):
-    """A nonzero zero of u1*a^2 + u2*b^2 + u3*c^2 over a finite field.
-
-    Always exists for nonzero coefficients (every ternary form over a
-    finite field of odd order is isotropic).
-    """
-    els = list(base.elements())
-    for a in els:
-        for b in els:
-            for c in els:
-                if a == 0 and b == 0 and c == 0:
-                    continue
-                val = base.add(
-                    base.add(
-                        base.mul(u1.value, base.mul(a, a)),
-                        base.mul(u2.value, base.mul(b, b)),
-                    ),
-                    base.mul(u3.value, base.mul(c, c)),
-                )
-                if base.is_zero(val):
-                    return (base(a), base(b), base(c))
-    raise AssertionError("ternary form over a finite field had no isotropic vector")
-
-
 def _complement_gram(base, entries, vec):
     """Gram matrix of the orthogonal complement of a hyperbolic plane.
 
@@ -409,7 +386,22 @@ def _candidate_vectors(base, rank: int):
         return
 
 
+def _finite_field_witt(base: FiniteField, entries) -> str:
+    """Over a finite field of odd order a form is hyperbolic exactly when
+    its rank m is even and (-1)^(m/2) times its determinant is a square
+    (Lam, Introduction to Quadratic Forms over Fields, Ch. II)."""
+    m = len(entries)
+    if m % 2:
+        return FALSE
+    disc = base((-1) ** (m // 2))
+    for u in entries:
+        disc = disc * u
+    return TRUE if base.is_square(disc.value) else FALSE
+
+
 def _witt(base, entries, budget: int, spent: int):
+    if isinstance(base, FiniteField):
+        return _finite_field_witt(base, entries), spent
     entries = _pair_split(base, entries)
     m = len(entries)
     if m == 0:
@@ -419,13 +411,6 @@ def _witt(base, entries, budget: int, spent: int):
     if m == 2:
         # the pair scan already ruled out a square -u1*u2
         return FALSE, spent
-    if isinstance(base, FiniteField):
-        # rank >= 3 over a finite field is always isotropic; split and recurse
-        vec3 = _ternary_isotropic_vector(base, entries[0], entries[1], entries[2])
-        vec = list(vec3) + [base(0)] * (m - 3)
-        gram = _complement_gram(base, entries, vec)
-        sub, _p = diagonalize(base, gram)
-        return _witt(base, list(sub.entries), budget, spent)
     form = QuadraticForm(base, entries)
     for vec in _candidate_vectors(base, m):
         if spent >= budget:

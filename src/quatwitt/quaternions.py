@@ -16,6 +16,7 @@ from typing import Optional, Tuple
 from . import faults
 from .errors import (
     AlgebraMismatch,
+    QuatwittError,
     RamifiedAlgebra,
     UnsupportedField,
     ZeroElement,
@@ -107,7 +108,7 @@ class QuaternionElement:
             return other
         try:
             s = self.algebra.base(other)
-        except Exception:
+        except QuatwittError:
             return None
         return self.algebra.scalar(s)
 
@@ -322,11 +323,8 @@ def _unit_parameters(alg: QuaternionAlgebra, v):
 def tame_class(alg: QuaternionAlgebra, v) -> FieldElement:
     """Residue of (-1)^(v(d)v(t)) * d^v(t) * t^(-v(d)); a square in the
     residue field exactly when the algebra is unramified at v."""
-    d, t = alg.d, alg.t
-    vd, vt = v.value(d), v.value(t)
-    sign = alg.base(-1) if (vd * vt) % 2 else alg.base(1)
-    u = sign * d**vt * t ** (-vd)
-    return v.residue(u)
+    vd, vt = v.value(alg.d), v.value(alg.t)
+    return v.residue(_tame_element(alg.base, alg.d, alg.t, vd, vt))
 
 
 def ramification(alg: QuaternionAlgebra, v) -> RamificationReport:
@@ -461,6 +459,8 @@ def _splits_over_rational_function_field(rf: FunctionField, a, b) -> bool:
     return True
 
 
-def _tame_element(rf, a, b, va: int, vb: int):
-    sign = rf(-1) if (va * vb) % 2 else rf(1)
+def _tame_element(field, a, b, va: int, vb: int):
+    """(-1)^(va*vb) * a^vb * b^(-va) in `field`, for a and b of values va
+    and vb at some place."""
+    sign = field(-1) if (va * vb) % 2 else field(1)
     return sign * a**vb * b ** (-va)

@@ -137,3 +137,70 @@ def corrupted_congruence_record(setattr_):
     setattr_(scenarios, "generate_instance", lambda _sc, _index: replace(inst, form=moved))
     setattr_(hermitian, "_qmat_mul", corrupted)
     return scenarios.run_instance(sc, 0)
+
+
+def witt_by_ternary_search(q):
+    """Witt triviality over a finite field by splitting off hyperbolic
+    planes: remove pairs <u, -u> up to squares, then find a zero of the
+    first three entries by exhaustion (every ternary form over a finite
+    field of odd order is isotropic), split off its plane and recurse.
+    A reference for the rank-and-discriminant decision in witt_trivial;
+    it searches no budget, so `searched` is 0."""
+    from quatwitt.quadforms import (
+        FALSE,
+        TRUE,
+        Verdict,
+        _complement_gram,
+        _pair_split,
+        diagonalize,
+    )
+
+    base = q.base
+    entries = _pair_split(base, q.entries)
+    m = len(entries)
+    if m == 0:
+        return Verdict(TRUE)
+    if m % 2 == 1 or m == 2:
+        return Verdict(FALSE)
+    u1, u2, u3 = (u.value for u in entries[:3])
+    vec = next(
+        [base(a), base(b), base(c)] + [base(0)] * (m - 3)
+        for a in base.elements()
+        for b in base.elements()
+        for c in base.elements()
+        if (a, b, c) != (0, 0, 0) and (u1 * a * a + u2 * b * b + u3 * c * c) % base.p == 0
+    )
+    sub, _p = diagonalize(base, _complement_gram(base, entries, vec))
+    return witt_by_ternary_search(sub)
+
+
+def certificate_by_window_scan(h, v):
+    """good_reduction_certificate by scanning every central scaling pi^m
+    with |m| at most the largest entry value and keeping the first that
+    passes: a reference for the single scaling the library computes."""
+    import math
+
+    from quatwitt import faults
+    from quatwitt.hermitian import (
+        CERTIFIED,
+        NO_CERTIFICATE,
+        GoodReductionCertificate,
+        diagonalize_h,
+    )
+    from quatwitt.quaternions import extval, ramification
+
+    report = ramification(h.algebra, v)
+    entries, _p = diagonalize_h(h)
+    evals = tuple(extval(v, u) for u in entries)
+    window = max(math.ceil(abs(e)) for e in evals)
+    for m in range(-window, window + 1):
+        if faults.is_active(faults.DROP_UNIT_REP):
+            scaled = entries
+        else:
+            scaled = tuple(u * v.uniformizer**m for u in entries)
+        if any(extval(v, u) != 0 for u in scaled):
+            continue
+        if any(v.value(c) < 0 for u in scaled for c in u.coeffs):
+            continue
+        return GoodReductionCertificate(CERTIFIED, m, evals, entries, scaled, report)
+    return GoodReductionCertificate(NO_CERTIFICATE, None, evals, entries, None, report)

@@ -275,10 +275,9 @@ def test_fault_injection_sensitivity():
     instances it would break (dropping the unit representative makes the
     generator discard twisted candidates at certification), which would
     mask the fault instead of exposing it."""
-    rows = sweep_rows()
-    for _label, sc, ok in rows:
-        assert count_failures(sc, ok, None, SWEEP_SLICE) == 0
+    counts = [count_failures(sc, ok, SWEEP_SLICE) for _label, sc, ok in sweep_rows()]
+    assert faults.active_names() == ()
+    for row in counts:
+        assert row[None] == 0
     for fault in FAULTS:
-        hit = sum(count_failures(sc, ok, fault, SWEEP_SLICE) for _label, sc, ok in rows)
-        assert hit >= 1, fault
-        assert faults.active_names() == ()
+        assert sum(row[fault] for row in counts) >= 1, fault

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -12,7 +13,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import support
-from quatwitt import faults, hermitian
+from quatwitt import batteries, faults, hermitian, scenarios
 from quatwitt.errors import (
     Degenerate,
     DimensionMismatch,
@@ -269,6 +270,56 @@ def test_certificate_drop_unit_rep_fault(A_m1_1, v3):
         cert = good_reduction_certificate(h, v3)
         assert cert.status == NO_CERTIFICATE
     assert good_reduction_certificate(h, v3).certified
+
+
+THIRD = Fraction(1, 3)
+
+
+@pytest.mark.parametrize(
+    "coords, fault, scaling, extval, scaled",
+    [
+        # nrd(2i + j) = 3 has odd value: no central twist clears e = 1/2
+        ([(2, 1, 0), (2, 1, 0)], None, None, Fraction(1, 2), None),
+        ([(THIRD, 0, 0), (0, THIRD, 0)], None, 1, -1, [(1, 0, 0), (0, 1, 0)]),
+        ([(1, 0, 0), (0, 1, 0)], faults.DROP_UNIT_REP, 0, 0, [(1, 0, 0), (0, 1, 0)]),
+        ([(THIRD, 0, 0), (0, THIRD, 0)], faults.DROP_UNIT_REP, None, -1, None),
+    ],
+)
+def test_certificate_table(A_m1_1, v3, coords, fault, scaling, extval, scaled):
+    """Entries of common extended value e certify with scaling -e alone;
+    under drop-unit-rep the scaling is never applied."""
+    h = SkewHermitianForm.diagonal(A_m1_1, [A_m1_1.el(0, *c) for c in coords])
+    with faults.injected(*((fault,) if fault else ())):
+        cert = good_reduction_certificate(h, v3)
+    assert cert.extvals == (extval,) * len(coords)
+    assert cert.scaling == scaling
+    assert cert.status == (NO_CERTIFICATE if scaling is None else CERTIFIED)
+    if scaled is not None:
+        scaled = tuple(A_m1_1.el(0, *c) for c in scaled)
+    assert cert.scaled_diagonal == scaled
+
+
+@pytest.mark.parametrize("fault", [None, faults.DROP_UNIT_REP])
+def test_certificate_matches_window_scan_on_battery_instances(fault):
+    """The single scaling gives the certificate the window scan found, on
+    battery forms, on their twists by pi^-1, and with one entry twisted
+    by pi."""
+    outcomes = set()
+    for sc in (batteries.conic_scenario(3, "-1", 6), batteries.point_scenario(3, 6)):
+        for index in range(sc["trials"]):
+            inst = scenarios.generate_instance(sc, index)
+            h, v = inst.form, inst.valuation
+            pi = v.uniformizer
+            entries = list(h.diagonal_entries())
+            variants = [entries, [u / pi for u in entries], [entries[0] * pi] + entries[1:]]
+            for diag in variants:
+                form = SkewHermitianForm.diagonal(h.algebra, diag)
+                with faults.injected(*((fault,) if fault else ())):
+                    cert = good_reduction_certificate(form, v)
+                    want = support.certificate_by_window_scan(form, v)
+                assert cert == want, (sc["generator"], index)
+                outcomes.add(cert.status)
+    assert outcomes == {CERTIFIED, NO_CERTIFICATE}
 
 
 # ---------------------------------------------------------------------------

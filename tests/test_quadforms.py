@@ -1,6 +1,8 @@
 """Diagonal quadratic forms, diagonalization, residue forms, and the
 Witt-triviality oracle."""
 
+import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -253,6 +255,35 @@ def test_finite_field_verdicts_are_decided(F7):
     for entries in [(1,), (1, 2), (3, 3, 5), (1, 2, 3, 4), (2, 2, 2, 2, 2)]:
         state = witt_trivial(qform(F7, *entries)).state
         assert state in (TRUE, FALSE)
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
+def test_finite_field_decision_matches_ternary_search(p):
+    """Rank and discriminant decide Witt triviality over F_p exactly as
+    splitting off hyperbolic planes by exhaustive search does."""
+    F = FiniteField(p)
+    rng = random.Random(f"witt:{p}")
+    for rank in range(8):
+        for _ in range(12):
+            q = qform(F, *(rng.randrange(1, p) for _ in range(rank)))
+            assert witt_trivial(q) == support.witt_by_ternary_search(q), q
+
+
+@pytest.mark.parametrize(
+    "entries",
+    [(1, 1, 1, 1), tuple(random.Random("rank6").randrange(1, 1000003) for _ in range(6))],
+)
+def test_witt_decision_over_a_large_prime_is_fast(entries):
+    F = FiniteField(1000003)
+    q = qform(F, *entries)
+    start = time.perf_counter()
+    verdict = witt_trivial(q)
+    assert time.perf_counter() - start < 1.0
+    assert verdict.state in (TRUE, FALSE) and verdict.searched == 0
+    if entries == (1, 1, 1, 1):
+        # 1000003 = 3 mod 4, so no pair <1, 1> is hyperbolic, yet the
+        # discriminant of <1, 1, 1, 1> is a square
+        assert verdict.state == TRUE
 
 
 def test_is_unramified(Q, v3):

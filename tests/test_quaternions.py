@@ -42,6 +42,32 @@ def test_generator_relations(A23):
     assert (ij) * (ij) == A23.scalar(A23.base(-6))
 
 
+def test_foreign_operands_are_not_implemented(A23):
+    i = A23.i()
+    assert (i == "1/0") is False
+    with pytest.raises(TypeError):
+        i * 1.5
+    with pytest.raises(TypeError):
+        i + "s"
+
+
+def test_coercion_lets_non_package_errors_through(monkeypatch):
+    class Exploding(Rationals):
+        pass
+
+    Q = Exploding()
+    i = QuaternionAlgebra(Q, Q(2), Q(3)).i()
+
+    def boom(self, value):
+        raise RuntimeError("coercion bug")
+
+    monkeypatch.setattr(Exploding, "__call__", boom)
+    with pytest.raises(RuntimeError, match="coercion bug"):
+        i * 2
+    with pytest.raises(RuntimeError, match="coercion bug"):
+        i == 2
+
+
 def test_product_frozen(A23):
     u = (A23.one() + A23.i()) * (A23.one() + A23.j())
     assert u == A23.el(1, 1, 1, 1)
