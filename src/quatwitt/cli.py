@@ -30,6 +30,7 @@ from .scenarios import (
     build_algebra,
     build_form,
     build_quad,
+    check_trials,
     element_str,
     load_scenario,
     parse_point,
@@ -256,6 +257,7 @@ def cmd_verify_theorem(args) -> int:
     if args.seed is not None:
         sc["seed"] = args.seed
     trials = args.trials if args.trials is not None else sc.get("trials", 100)
+    check_trials(trials)
     budget = args.budget if args.budget is not None else sc.get("budget")
     fault_names = tuple(args.inject_fault or ())
     start = time.monotonic()

@@ -901,6 +901,10 @@ class ConicExtension(_FieldBase):
 # ---------------------------------------------------------------------------
 # expression parsing
 
+# largest exponent literal the parser accepts; the cost of a power grows
+# with its exponent, so an unbounded literal could stall a scenario load
+MAX_EXPONENT = 1000
+
 
 def _tokenize(text: str):
     out = []
@@ -1006,6 +1010,8 @@ class _Parser:
             kind, val = self.take()
             if kind != "int":
                 raise ParseError("exponent must be an integer literal")
+            if val > MAX_EXPONENT:
+                raise ParseError(f"exponent {val} exceeds {MAX_EXPONENT}")
             return base ** (sign * val)
         return base
 

@@ -280,7 +280,9 @@ class GoodReductionCertificate:
         return self.status == CERTIFIED
 
 
-def good_reduction_certificate(h: SkewHermitianForm, v) -> GoodReductionCertificate:
+def good_reduction_certificate(
+    h: SkewHermitianForm, v, report: Optional[RamificationReport] = None
+) -> GoodReductionCertificate:
     """Find the central scaling pi^m making the diagonalized form a
     unimodular integral model at v.
 
@@ -288,11 +290,14 @@ def good_reduction_certificate(h: SkewHermitianForm, v) -> GoodReductionCertific
     coordinates of value >= 0.  Scaling by pi^m adds m to every extended
     value, so only a common integral entry value e can be cleared, and
     only by m = -e.  The algebra must be unramified at v; the certificate
-    carries the ramification report that establishes it.  NoCertificate
-    says only that this diagonalization has no such scaling; it is not a
-    proof of bad reduction.
+    carries the ramification report that establishes it.  A caller that
+    already holds ramification(h.algebra, v), computed under the same
+    fault state, may pass it as `report`.  NoCertificate says only that
+    this diagonalization has no such scaling; it is not a proof of bad
+    reduction.
     """
-    report = ramification(h.algebra, v)
+    if report is None:
+        report = ramification(h.algebra, v)
     if report.ramified:
         raise RamifiedAlgebra(
             f"{h.algebra!r} is ramified at {v!r}; no residue data exists"

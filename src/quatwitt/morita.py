@@ -11,9 +11,16 @@ the binary quadratic form <L, N/L> over F with
     L = a*y - b*x - c          (a corner of the symmetrized Gram)
     N = nrd(delta) = -a^2*d - b^2*t + c^2*d*t
 
-whose determinant identity det = N holds exactly.  When the conic has a
-rational point the same recipe specializes to a form over the base field
-itself.
+whose determinant identity det = N holds exactly.  Over the conic, with
+
+    D(x) = (t*b^2 + a^2*d)*x^2 + 2*t*b*c*x + (t*c^2 - a^2) = t*norm(L),
+
+the second entry is N/L = -N*t*((b*x + c) + a*y)/D.  When a != 0,
+t*b^2 + a^2*d != 0 and (b = 0 or d*c^2 != b^2), D is coprime to b*x + c
+and the canonical payload is written directly; otherwise (a = 0, D of
+lower degree, or d*c^2 = b^2) the entry falls back to field division.
+When the conic has a rational point the same recipe specializes to a
+form over the base field itself.
 """
 
 from __future__ import annotations
@@ -32,7 +39,7 @@ from .errors import (
     RamifiedParameters,
     ZeroEntry,
 )
-from .fields import ConicExtension, FieldElement
+from .fields import ConicExtension, FieldElement, poly_const
 from .hermitian import SkewHermitianForm, good_reduction_certificate
 from .quadforms import (
     DEFAULT_BUDGET,
@@ -154,7 +161,19 @@ def _pure_coords(u: QuaternionElement):
 
 def _reduce_entry(field, u: QuaternionElement, x, y):
     """The binary form <L, N/L> of one diagonal entry over `field`, with
-    L = a*y - b*x - c at the conic point (x, y) of that field."""
+    L = a*y - b*x - c at the conic point (x, y) of that field.
+
+    Over the conic function field N/L has a closed form.  With
+    D(x) = (t*b^2 + a^2*d)*x^2 + 2*t*b*c*x + (t*c^2 - a^2) = t*norm(L),
+
+        N/L = -N*t*((b*x + c) + a*y) / D.
+
+    When a != 0, D2 = t*b^2 + a^2*d != 0, and b = 0 or d*c^2 != b^2, D
+    has degree 2 and no root in common with b*x + c (D(-c/b) =
+    a^2*(d*c^2 - b^2)/b^2), so the canonical payload is written directly:
+    both denominators D/D2, numerators k*(c + b*x) and k*a with
+    k = -N*t/D2.  Every other entry goes through field division.
+    """
     if u.is_zero():
         raise ZeroEntry("zero diagonal entry has no reduction")
     n = u.nrd()
@@ -166,7 +185,42 @@ def _reduce_entry(field, u: QuaternionElement, x, y):
         raise DegenerateSpecialization(
             "linear entry vanished at the point; choose another point"
         )
+    if isinstance(field, ConicExtension):
+        quotient = _conic_quotient(field, n.value, a.value, b.value, c.value)
+        if quotient is not None:
+            return lin, field.el(quotient)
     return lin, field(n) / lin
+
+
+def _conic_quotient(C: ConicExtension, n, a, b, c):
+    """The payload of N/L over the conic from its closed form (see
+    _reduce_entry), or None where the closed form does not apply."""
+    base = C.base
+    add, mul = base.add, base.mul
+    if base.is_zero(a):
+        return None
+    a2 = mul(a, a)
+    b2 = mul(b, b)
+    d2 = add(mul(C.t, b2), mul(a2, C.d))
+    if base.is_zero(d2):
+        return None
+    b_zero = base.is_zero(b)
+    if not b_zero and mul(C.d, mul(c, c)) == b2:
+        return None
+    tc = mul(C.t, c)
+    d2_inv = base.inv(d2)
+    k = base.neg(mul(mul(n, C.t), d2_inv))
+    den = (
+        mul(base.sub(mul(tc, c), a2), d2_inv),
+        mul(mul(add(tc, tc), b), d2_inv),
+        base.one(),
+    )
+    if b_zero:
+        num = poly_const(base, mul(k, c))
+    else:
+        num = (mul(k, c), mul(k, b))
+    first = (num, den) if num else ((), (base.one(),))
+    return (first, ((mul(k, a),), den))
 
 
 def morita_reduce(h: SkewHermitianForm) -> QuadraticForm:

@@ -431,8 +431,3 @@ def witt_trivial(q: QuadraticForm, budget: int = DEFAULT_BUDGET) -> Verdict:
     """
     state, spent = _witt(q.base, list(q.entries), budget, 0)
     return Verdict(state, spent)
-
-
-def is_unramified(q: QuadraticForm, v, budget: int = DEFAULT_BUDGET) -> Verdict:
-    """Witt-triviality of the second residue form at v."""
-    return witt_trivial(residue_forms(q, v).second, budget)

@@ -17,7 +17,6 @@ from . import faults
 from .errors import (
     AlgebraMismatch,
     QuatwittError,
-    RamifiedAlgebra,
     UnsupportedField,
     ZeroElement,
 )
@@ -93,13 +92,18 @@ class QuaternionAlgebra:
 
 
 class QuaternionElement:
-    """w + a*i + b*j + c*ij with coefficients in the base field."""
+    """w + a*i + b*j + c*ij with coefficients in the base field.
 
-    __slots__ = ("algebra", "coeffs")
+    Elements are immutable, so the reduced norm is computed on first use
+    and kept in `_nrd`.
+    """
+
+    __slots__ = ("algebra", "coeffs", "_nrd")
 
     def __init__(self, algebra: QuaternionAlgebra, coeffs):
         self.algebra = algebra
         self.coeffs = tuple(coeffs)
+        self._nrd = None
 
     def _coerce(self, other):
         if isinstance(other, QuaternionElement):
@@ -149,6 +153,12 @@ class QuaternionElement:
             return NotImplemented
         w1, a1, b1, c1 = self.coeffs
         w2, a2, b2, c2 = other.coeffs
+        # a central scalar scales every coordinate; the product is a new
+        # element, so its nrd is computed afresh from the scaled coordinates
+        if other.is_scalar():
+            return QuaternionElement(self.algebra, (w1 * w2, a1 * w2, b1 * w2, c1 * w2))
+        if self.is_scalar():
+            return QuaternionElement(self.algebra, (w1 * w2, w1 * a2, w1 * b2, w1 * c2))
         d = self.algebra.d
         t = self.algebra.t
         return QuaternionElement(
@@ -196,10 +206,12 @@ class QuaternionElement:
         return self.coeffs[0] + self.coeffs[0]
 
     def nrd(self) -> FieldElement:
-        w, a, b, c = self.coeffs
-        d = self.algebra.d
-        t = self.algebra.t
-        return w * w - d * a * a - t * b * b + d * t * c * c
+        if self._nrd is None:
+            w, a, b, c = self.coeffs
+            d = self.algebra.d
+            t = self.algebra.t
+            self._nrd = w * w - d * a * a - t * b * b + d * t * c * c
+        return self._nrd
 
     def inv(self) -> "QuaternionElement":
         n = self.nrd()
@@ -360,15 +372,6 @@ def ramification(alg: QuaternionAlgebra, v) -> RamificationReport:
         residue_params=(dbar, tbar),
         split_over_residue=split,
     )
-
-
-def residue_quaternion(alg: QuaternionAlgebra, v) -> QuaternionAlgebra:
-    """The residue quaternion algebra at v; RamifiedAlgebra if none exists."""
-    report = ramification(alg, v)
-    if report.ramified:
-        raise RamifiedAlgebra(f"{alg!r} is ramified at {v!r}")
-    dbar, tbar = report.residue_params
-    return QuaternionAlgebra(v.residue_field, dbar, tbar)
 
 
 # ---------------------------------------------------------------------------

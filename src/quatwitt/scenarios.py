@@ -40,6 +40,11 @@ GENERATOR_MODES = ("conic", "point")
 _COORD_BOUND = 9
 _MAX_ATTEMPTS = 400
 
+# input bounds: generation and verification cost grow with the rank, and
+# a batch runs `trials` instances
+MAX_RANK = 16
+MAX_TRIALS = 100_000
+
 
 # ---------------------------------------------------------------------------
 # field and valuation descriptors
@@ -256,12 +261,21 @@ def load_scenario(source) -> dict:
     for key in ("trials", "seed", "budget"):
         if key in sc and not isinstance(sc[key], int):
             raise ScenarioError(f"{key!r} must be an integer")
+    if "trials" in sc:
+        check_trials(sc["trials"])
     if "rank" in sc:
         if not isinstance(sc["rank"], int) or sc["rank"] < 1:
             raise ScenarioError("'rank' must be a positive integer")
+        if sc["rank"] > MAX_RANK:
+            raise ScenarioError(f"'rank' must be at most {MAX_RANK}")
     if "algebra" in sc and not isinstance(sc["algebra"], dict):
         raise ScenarioError("'algebra' must be an object with 'd' and 't'")
     return sc
+
+
+def check_trials(trials: int) -> None:
+    if trials > MAX_TRIALS:
+        raise ScenarioError(f"'trials' must be at most {MAX_TRIALS}")
 
 
 def scenario_field(sc):
@@ -372,7 +386,7 @@ def _generate_conic(sc, rng, index) -> Instance:
         pi = v.uniformizer
         twisted = [u * pi**m for u in entries]
         h = SkewHermitianForm.diagonal(alg, twisted)
-        cert = good_reduction_certificate(h, v)
+        cert = good_reduction_certificate(h, v, report=report)
         if not cert.certified:
             continue
         return Instance(

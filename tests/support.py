@@ -10,6 +10,7 @@ from quatwitt.fields import (
     FunctionField,
     Rationals,
 )
+from quatwitt.quadforms import DEFAULT_BUDGET
 from quatwitt.valuations import INF
 
 
@@ -204,3 +205,55 @@ def certificate_by_window_scan(h, v):
             continue
         return GoodReductionCertificate(CERTIFIED, m, evals, entries, scaled, report)
     return GoodReductionCertificate(NO_CERTIFICATE, None, evals, entries, None, report)
+
+
+def is_unramified(q, v, budget=DEFAULT_BUDGET):
+    """Witt-triviality of the second residue form at v."""
+    from quatwitt.quadforms import residue_forms, witt_trivial
+
+    return witt_trivial(residue_forms(q, v).second, budget)
+
+
+def residue_quaternion(alg, v):
+    """The residue quaternion algebra at v; RamifiedAlgebra if none exists."""
+    from quatwitt.errors import RamifiedAlgebra
+    from quatwitt.quaternions import QuaternionAlgebra, ramification
+
+    report = ramification(alg, v)
+    if report.ramified:
+        raise RamifiedAlgebra(f"{alg!r} is ramified at {v!r}")
+    dbar, tbar = report.residue_params
+    return QuaternionAlgebra(v.residue_field, dbar, tbar)
+
+
+def nrd_formula(u):
+    """w^2 - d*a^2 - t*b^2 + d*t*c^2 from u's coordinates, bypassing the
+    memo in QuaternionElement.nrd."""
+    w, a, b, c = u.coeffs
+    d, t = u.algebra.d, u.algebra.t
+    return w * w - d * a * a - t * b * b + d * t * c * c
+
+
+def general_product(u, w):
+    """The 16-product formula for u*w, with no scalar shortcut."""
+    from quatwitt.quaternions import QuaternionElement
+
+    w1, a1, b1, c1 = u.coeffs
+    w2, a2, b2, c2 = w.coeffs
+    d, t = u.algebra.d, u.algebra.t
+    return QuaternionElement(
+        u.algebra,
+        (
+            w1 * w2 + a1 * a2 * d + b1 * b2 * t - c1 * c2 * d * t,
+            w1 * a2 + a1 * w2 + t * (c1 * b2 - b1 * c2),
+            w1 * b2 + b1 * w2 + d * (a1 * c2 - c1 * a2),
+            w1 * c2 + c1 * w2 + (a1 * b2 - b1 * a2),
+        ),
+    )
+
+
+def reduce_entry_by_division(field, u, x, y):
+    """<L, N/L> for one pure entry with N/L taken by field division."""
+    _w, a, b, c = u.coeffs
+    lin = field(a) * y - field(b) * x - field(c)
+    return lin, field(u.nrd()) / lin

@@ -224,6 +224,29 @@ def test_missing_scenario_file_is_an_input_error(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error:")
 
 
+def test_input_caps_are_input_errors(tmp_path, batch_path, capsys):
+    code = main(["verify-theorem", "--scenario", batch_path, "--trials", "100001"])
+    assert code == EXIT_INPUT
+    assert capsys.readouterr().err.startswith("error:")
+    for extra in ({"trials": 100001}, {"rank": 17}):
+        with open(batch_path) as fp:
+            sc = dict(json.load(fp), **extra)
+        path = write_scenario(tmp_path, "capped.json", sc)
+        assert main(["verify-theorem", "--scenario", path]) == EXIT_INPUT
+        assert capsys.readouterr().err.startswith("error:")
+    path = write_scenario(
+        tmp_path,
+        "exponent.json",
+        {
+            "field": {"kind": "rationals"},
+            "valuation": {"kind": "padic", "p": 3},
+            "algebra": {"d": "2", "t": "3^1001"},
+        },
+    )
+    assert main(["residue", "--scenario", path]) == EXIT_INPUT
+    assert "exceeds 1000" in capsys.readouterr().err
+
+
 def test_missing_required_key_is_an_input_error(tmp_path, alg23_path, capsys):
     code = main(["reduce", "--scenario", alg23_path])
     assert code == EXIT_INPUT

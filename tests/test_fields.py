@@ -17,6 +17,7 @@ from quatwitt.errors import (
     ParseError,
 )
 from quatwitt.fields import (
+    MAX_EXPONENT,
     ConicExtension,
     FiniteField,
     FunctionField,
@@ -69,6 +70,14 @@ def test_rational_parse(Q):
         Q.parse("3x+")
     with pytest.raises(ParseError):
         Q.parse("s")
+
+
+def test_exponent_literals_are_capped(Q, K):
+    assert Q.parse(f"1^{MAX_EXPONENT}").value == 1
+    assert Q.parse(f"1^-{MAX_EXPONENT}").value == 1
+    for text in (f"1^{MAX_EXPONENT + 1}", f"1^-{MAX_EXPONENT + 1}", f"s^{MAX_EXPONENT + 1}"):
+        with pytest.raises(ParseError, match="exceeds"):
+            K.parse(text)
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,7 @@ and the end-to-end verification pipeline."""
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import support
@@ -20,7 +20,7 @@ from quatwitt.errors import (
     RamifiedAlgebra,
     RamifiedParameters,
 )
-from quatwitt.fields import FunctionField, Rationals
+from quatwitt.fields import FiniteField, FunctionField, Rationals
 from quatwitt.hermitian import SkewHermitianForm, diagonalize_h
 from quatwitt.morita import (
     SplittingData,
@@ -127,6 +127,77 @@ def test_reduce_two_entry_form_over_function_base(Am1s):
         "-x",
         "(s)/(x)",
     ]
+
+
+def _closed_form_bases():
+    Q = Rationals()
+    out = {"Q": (Q, st.integers(-6, 6), ("2", "-1", "3", "-5", "4"), ("3", "5", "-7"))}
+    QS = FunctionField(Q, "s")
+    out["Q(s)"] = (
+        QS,
+        support.rational_functions(QS, max_deg=1, coeffs=st.integers(-3, 3)),
+        ("-1", "2", "s", "s + 1", "-3"),
+        ("s", "3", "s^2 + 1"),
+    )
+    for p in (3, 5):
+        Fs = FunctionField(FiniteField(p), "s")
+        out[f"F{p}(s)"] = (
+            Fs,
+            support.rational_functions(Fs, max_deg=1, coeffs=st.integers(0, p - 1)),
+            ("-1", "s", "s + 1", "2"),
+            ("s", "1", "s^2 + 2"),
+        )
+    return out
+
+
+CLOSED_FORM_BASES = _closed_form_bases()
+
+
+def assert_entry_matches_division(alg, u):
+    C = conic_field(alg)
+    x, y = C.x_gen(), C.y_gen()
+    got = morita._reduce_entry(C, u, x, y)
+    want = support.reduce_entry_by_division(C, u, x, y)
+    assert [e.value for e in got] == [e.value for e in want]
+
+
+@pytest.mark.parametrize("name", sorted(CLOSED_FORM_BASES))
+@given(data=st.data())
+@settings(max_examples=30)
+def test_closed_form_entry_matches_field_division(name, data):
+    base, coords, ds, ts = CLOSED_FORM_BASES[name]
+    d = base(data.draw(st.sampled_from(ds), label="d"))
+    t = base(data.draw(st.sampled_from(ts), label="t"))
+    alg = QuaternionAlgebra(base, d, t)
+    a, b, c = (base(data.draw(coords, label=label)) for label in "abc")
+    u = alg.el(0, a, b, c)
+    assume(not u.nrd().is_zero())
+    assert_entry_matches_division(alg, u)
+
+
+@pytest.mark.parametrize(
+    "d, t, abc, closed",
+    [
+        (2, 3, (0, 1, 1), False),  # a = 0
+        (2, 3, (0, 0, 1), False),  # a = b = 0
+        (2, 3, (1, 0, 2), True),  # b = 0
+        (2, 3, (1, 0, 0), True),  # b = c = 0
+        (4, 3, (1, 2, 1), False),  # d*c^2 = b^2
+        (4, 3, (1, -2, -1), False),  # d*c^2 = b^2 again
+        (-1, 1, (1, 1, 1), False),  # t*b^2 + a^2*d = 0
+        (2, 3, (1, 1, 0), True),
+        (2, 3, (2, -3, 5), True),
+    ],
+)
+def test_closed_form_and_fallback_cases(Q, d, t, abc, closed):
+    alg = QuaternionAlgebra(Q, d, t)
+    u = alg.el(0, *abc)
+    assert not u.nrd().is_zero()
+    _w, a, b, c = u.coeffs
+    C = conic_field(alg)
+    took = morita._conic_quotient(C, u.nrd().value, a.value, b.value, c.value)
+    assert (took is not None) == closed
+    assert_entry_matches_division(alg, u)
 
 
 def test_reduce_rejects_non_diagonal_input(A23):

@@ -19,7 +19,6 @@ from quatwitt.quadforms import (
     TRUE,
     QuadraticForm,
     diagonalize,
-    is_unramified,
     mat_mul,
     mat_transpose,
     reconstruction,
@@ -287,9 +286,9 @@ def test_witt_decision_over_a_large_prime_is_fast(entries):
 
 
 def test_is_unramified(Q, v3):
-    assert is_unramified(qform(Q, 2, 15, 18, Fraction(1, 3)), v3).state == TRUE
-    assert is_unramified(qform(Q, 1, 3), v3).state == FALSE
-    assert is_unramified(qform(Q, 1, 2), v3).state == TRUE
+    assert support.is_unramified(qform(Q, 2, 15, 18, Fraction(1, 3)), v3).state == TRUE
+    assert support.is_unramified(qform(Q, 1, 3), v3).state == FALSE
+    assert support.is_unramified(qform(Q, 1, 2), v3).state == TRUE
 
 
 # ---------------------------------------------------------------------------

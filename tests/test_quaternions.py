@@ -18,7 +18,6 @@ from quatwitt.quaternions import (
     left_regular_matrix,
     ramification,
     residue_algebra_splits,
-    residue_quaternion,
 )
 from quatwitt.valuations import INF, GaussValuation, PAdicValuation
 
@@ -181,13 +180,13 @@ def test_residue_division_algebra_over_function_field(K, g3):
     rep = ramification(alg, g3)
     assert not rep.ramified
     assert rep.split_over_residue is False
-    res = residue_quaternion(alg, g3)
+    res = support.residue_quaternion(alg, g3)
     assert res.base.characteristic == 3
 
 
 def test_residue_quaternion_needs_an_unramified_algebra(Q, v3):
     with pytest.raises(RamifiedAlgebra):
-        residue_quaternion(QuaternionAlgebra(Q, Q(3), Q(3)), v3)
+        support.residue_quaternion(QuaternionAlgebra(Q, Q(3), Q(3)), v3)
 
 
 def test_ramification_of_unit_algebras_never_depends_on_twists(Q, v3):
@@ -232,3 +231,59 @@ def test_drop_unit_rep_is_observable(Q, v3):
         with pytest.raises(ZeroElement):
             ramification(alg, v3)
     assert ramification(alg, v3).unit_rep == (Q(2), Q(7))
+
+
+# ---------------------------------------------------------------------------
+# the nrd memo and the central-scalar product
+
+
+_A23 = QuaternionAlgebra(Rationals(), 2, 3)
+_QS = FunctionField(Rationals(), "s")
+_AM1S = QuaternionAlgebra(_QS, _QS(-1), _QS("s"))
+
+
+@given(
+    support.quaternions(_A23),
+    support.quaternions(_A23),
+    support.nonzero_fractions(max_num=9, max_den=4),
+)
+def test_nrd_memo_matches_the_formula_on_derived_elements(u, w, lam):
+    # fill the operands' memos first, so nothing derived can reuse them
+    u.nrd()
+    w.nrd()
+    derived = [u * w, w * u, u + w, u - w, -u, u * lam, lam * u, u * 3]
+    if not u.nrd().is_zero():
+        derived.append(u.inv())
+    for e in derived:
+        assert e.nrd() == support.nrd_formula(e)
+        assert e.nrd() is e.nrd()
+    assert u.nrd() == support.nrd_formula(u)
+
+
+@pytest.mark.parametrize("alg", [_A23, _AM1S], ids=["Q", "Q(s)"])
+@given(data=st.data())
+def test_scalar_fast_path_matches_the_general_product(alg, data):
+    if alg is _A23:
+        coeffs = support.fractions(max_num=9, max_den=3)
+    else:
+        coeffs = support.rational_functions(alg.base, max_deg=1, coeffs=st.integers(-3, 3))
+    u = data.draw(support.quaternions(alg, coeffs))
+    lam = alg.base(data.draw(coeffs))
+    s = alg.scalar(lam)
+    for left, right in ((u, s), (s, u), (s, s), (u, u)):
+        assert (left * right).coeffs == support.general_product(left, right).coeffs
+    assert (u * lam).coeffs == support.general_product(u, s).coeffs
+    assert (lam * u).coeffs == support.general_product(s, u).coeffs
+
+
+def test_scalar_product_leaves_the_nrd_memo_unset(Q, v3):
+    u = _A23.el(0, 1, 2, 3)
+    n = u.nrd()
+    assert u._nrd is not None
+    for lam in (Q(3), Q(3) ** -1, 9):
+        scaled = u * lam
+        # the certificate's recheck reads nrd from the scaled coordinates
+        assert scaled._nrd is None
+        assert scaled.nrd() == support.nrd_formula(scaled) == n * scaled.coeffs[1] ** 2
+        assert (lam * u)._nrd is None
+    assert extval(v3, u * Q(3) ** -1) == extval(v3, u) - 1

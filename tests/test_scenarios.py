@@ -5,13 +5,15 @@ import json
 
 import pytest
 
-from quatwitt import faults
+from quatwitt import faults, hermitian, morita, scenarios
 from quatwitt.errors import ScenarioError
 from quatwitt.fields import ConicExtension, FiniteField, FunctionField, Rationals
 from quatwitt.hermitian import SkewHermitianForm
 from quatwitt.quadforms import QuadraticForm
 from quatwitt.quaternions import QuaternionAlgebra
 from quatwitt.scenarios import (
+    MAX_RANK,
+    MAX_TRIALS,
     algebra_descriptor,
     build_algebra,
     build_field,
@@ -149,8 +151,42 @@ def test_load_scenario_validates_shape(tmp_path):
         load_scenario(str(notobj))
 
 
+def test_rank_and_trials_are_capped():
+    assert load_scenario(dict(CONIC_SC, rank=MAX_RANK))["rank"] == MAX_RANK
+    with pytest.raises(ScenarioError, match="'rank' must be at most"):
+        load_scenario(dict(CONIC_SC, rank=MAX_RANK + 1))
+    assert load_scenario(dict(CONIC_SC, trials=MAX_TRIALS))["trials"] == MAX_TRIALS
+    with pytest.raises(ScenarioError, match="'trials' must be at most"):
+        load_scenario(dict(CONIC_SC, trials=MAX_TRIALS + 1))
+
+
 # ---------------------------------------------------------------------------
 # instance generation
+
+
+def test_conic_generator_hands_its_report_to_the_certificate(monkeypatch):
+    calls = []
+    real = scenarios.ramification
+
+    def counted(alg, v):
+        calls.append(alg)
+        return real(alg, v)
+
+    def refuse(alg, v):
+        raise AssertionError("certificate recomputed the ramification report")
+
+    monkeypatch.setattr(scenarios, "ramification", counted)
+    monkeypatch.setattr(hermitian, "ramification", refuse)
+    inst = generate_instance(CONIC_SC, 0)
+    assert calls[-1] == inst.algebra
+    # the verifier does not trust the generator and certifies afresh
+    with pytest.raises(AssertionError, match="recomputed"):
+        morita.verify_instance(inst.form, inst.valuation)
+    monkeypatch.setattr(hermitian, "ramification", real)
+    report = real(inst.algebra, inst.valuation)
+    assert hermitian.good_reduction_certificate(
+        inst.form, inst.valuation, report=report
+    ) == hermitian.good_reduction_certificate(inst.form, inst.valuation)
 
 
 def test_conic_instances_are_deterministic():
