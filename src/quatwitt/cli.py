@@ -30,6 +30,7 @@ from .scenarios import (
     build_algebra,
     build_form,
     build_quad,
+    check_batch,
     check_trials,
     element_str,
     load_scenario,
@@ -258,6 +259,7 @@ def cmd_verify_theorem(args) -> int:
         sc["seed"] = args.seed
     trials = args.trials if args.trials is not None else sc.get("trials", 100)
     check_trials(trials)
+    check_batch(sc)
     budget = args.budget if args.budget is not None else sc.get("budget")
     fault_names = tuple(args.inject_fault or ())
     start = time.monotonic()

@@ -904,6 +904,34 @@ class ConicExtension(_FieldBase):
 # largest exponent literal the parser accepts; the cost of a power grows
 # with its exponent, so an unbounded literal could stall a scenario load
 MAX_EXPONENT = 1000
+# largest estimated cost (see _power_cost) of a parsed power; nesting,
+# as in ((s^1000)^1000)^1000, multiplies exponents past MAX_EXPONENT
+MAX_POWER_COST = 10**6
+
+
+def _power_shape(field, value, n: int):
+    """(terms, bits): upper estimates of the number of base coefficients
+    in value**n, (n*deg + 1) per polynomial level and 2 at a conic level,
+    and of their height, n times that of value over Q and fixed over F_p."""
+    if isinstance(field, Rationals):
+        return 1, n * max(1, value.numerator.bit_length(), value.denominator.bit_length())
+    if isinstance(field, FiniteField):
+        return 1, field.p.bit_length()
+    if isinstance(field, ConicExtension):
+        terms, bits = zip(*(_power_shape(field.inner, part, n) for part in value))
+        return 2 * max(terms), max(bits)
+    num, den = value
+    deg = max(len(num), len(den)) - 1
+    terms, bits = zip(*(_power_shape(field.base, c, n) for c in num + den))
+    return (n * deg + 1) * max(terms), max(bits)
+
+
+def _power_cost(field, value, n: int) -> int:
+    """terms^2 * bits of value**n (see _power_shape), which bounds both
+    its size and the schoolbook work of its last squaring.  The gcds that
+    keep quotients over Q(s)(x) reduced can cost more than this."""
+    terms, bits = _power_shape(field, value, n)
+    return terms * terms * bits
 
 
 def _tokenize(text: str):
@@ -1012,6 +1040,11 @@ class _Parser:
                 raise ParseError("exponent must be an integer literal")
             if val > MAX_EXPONENT:
                 raise ParseError(f"exponent {val} exceeds {MAX_EXPONENT}")
+            cost = _power_cost(base.field, base.value, val)
+            if cost > MAX_POWER_COST:
+                raise ParseError(
+                    f"power of estimated cost {cost} exceeds {MAX_POWER_COST}"
+                )
             return base ** (sign * val)
         return base
 

@@ -334,6 +334,28 @@ def generate_instance(sc: dict, index: int) -> Instance:
     return _generate_point(sc, rng, index)
 
 
+def pinned_algebra(sc, field, v) -> Optional[QuaternionAlgebra]:
+    """The conic generator's pinned algebra, or None; its parameters
+    must be v-units."""
+    desc = sc.get("algebra")
+    if desc is None:
+        return None
+    alg = build_algebra(desc, field)
+    if v.value(alg.d) != 0 or v.value(alg.t) != 0:
+        raise ScenarioError("pinned algebra parameters must be units")
+    return alg
+
+
+def check_batch(sc: dict) -> None:
+    """Build once what every instance of a batch builds from the scenario
+    alone (field, valuation, pinned algebra), so that a bad entry is an
+    input error rather than one error record per instance."""
+    field = scenario_field(sc)
+    v = scenario_valuation(sc, field)
+    if sc.get("generator", "conic") == "conic" and isinstance(field, FunctionField):
+        pinned_algebra(sc, field, v)
+
+
 def _generate_conic(sc, rng, index) -> Instance:
     field = scenario_field(sc)
     v = scenario_valuation(sc, field)
@@ -346,12 +368,10 @@ def _generate_conic(sc, rng, index) -> Instance:
     def spice(r):
         return r.choice((field(1), field(1), field(1), gen, gen + 1))
 
-    pinned = sc.get("algebra")
+    pinned = pinned_algebra(sc, field, v)
     for _attempt in range(_MAX_ATTEMPTS):
         if pinned is not None:
-            alg = build_algebra(pinned, field)
-            if v.value(alg.d) != 0 or v.value(alg.t) != 0:
-                raise ScenarioError("pinned algebra parameters must be units")
+            alg = pinned
         else:
             d = field(rng.choice((-1, 2, -2, 3, -3, 5, -5)))
             if v.value(d) != 0:

@@ -245,6 +245,21 @@ def test_input_caps_are_input_errors(tmp_path, batch_path, capsys):
     )
     assert main(["residue", "--scenario", path]) == EXIT_INPUT
     assert "exceeds 1000" in capsys.readouterr().err
+    # a pinned algebra is built once before the batch, so a parameter over
+    # a cap is an input error, not an error record per instance
+    with open(batch_path) as fp:
+        batch = json.load(fp)
+    for t, message in (
+        ("s^1001", "exceeds 1000"),
+        ("(s^10)^100", "exceeds 1000000"),
+        ("3", "must be units"),
+    ):
+        sc = dict(batch, algebra={"d": "-1", "t": t})
+        path = write_scenario(tmp_path, "pinned.json", sc)
+        assert main(["verify-theorem", "--scenario", path, "--json"]) == EXIT_INPUT
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error:") and message in captured.err
+        assert captured.out == ""
 
 
 def test_missing_required_key_is_an_input_error(tmp_path, alg23_path, capsys):

@@ -18,7 +18,9 @@ from quatwitt.errors import (
 )
 from quatwitt.fields import (
     MAX_EXPONENT,
+    MAX_POWER_COST,
     ConicExtension,
+    FieldElement,
     FiniteField,
     FunctionField,
     Rationals,
@@ -28,6 +30,7 @@ from quatwitt.fields import (
     poly_gcd,
     poly_mul,
     poly_trim,
+    _power_cost,
 )
 
 
@@ -78,6 +81,34 @@ def test_exponent_literals_are_capped(Q, K):
     for text in (f"1^{MAX_EXPONENT + 1}", f"1^-{MAX_EXPONENT + 1}", f"s^{MAX_EXPONENT + 1}"):
         with pytest.raises(ParseError, match="exceeds"):
             K.parse(text)
+
+
+def test_nested_powers_are_capped_by_their_cost(Q, K, monkeypatch):
+    # the boundary (2^999)^1000 and one past it, ((2^990)^10)^101
+    assert _power_cost(Q, Q.parse("2^999").value, 1000) == MAX_POWER_COST
+    assert _power_cost(Q, Q.parse("(2^990)^10").value, 101) == MAX_POWER_COST + 1
+    assert Q.parse("(2^999)^1000").value == 2**999000
+    built = []
+    pow_ = FieldElement.__pow__
+
+    def checked_pow(self, n):
+        built.append(_power_cost(self.field, self.value, abs(n)))
+        return pow_(self, n)
+
+    monkeypatch.setattr(FieldElement, "__pow__", checked_pow)
+    C = ConicExtension(K, -1, K.parse("s"))
+    for field, text in (
+        (Q, "((2^990)^10)^101"),
+        (Q, "(((2^1000)^1000)^1000)^1000"),
+        (K, "((s^1000)^1000)^1000"),
+        (K, "((s^10)^10)^10"),
+        (K, "((s + 1)^10)^-100"),
+        (C, "(x + y)^1000"),
+    ):
+        with pytest.raises(ParseError, match=f"exceeds {MAX_POWER_COST}"):
+            field.parse(text)
+    # every power that ran was within the cap; the rejected ones never ran
+    assert built and max(built) <= MAX_POWER_COST
 
 
 # ---------------------------------------------------------------------------
