@@ -20,6 +20,13 @@ are unique, so equality of payloads is equality of elements:
                      field base(x), standing for A + B*y with the rewrite
                      y^2 -> (1 - d*x^2)/t always applied
 
+Over Rationals the FunctionField payload is the same tuple of Fraction,
+but make, add and mul run on integers: they clear denominators once,
+take the gcd by the primitive pseudo-remainder sequence, divide it out
+exactly and build one Fraction per output coefficient.  Other bases,
+F_p and Q(s) among them, use the poly_* helpers below, Euclid's
+algorithm over the base field.
+
 Characteristic 2 is rejected everywhere.  Elements parse from a small
 expression grammar (integers, the tower's symbols, + - * / ^, parentheses)
 and print back in a form the parser accepts.
@@ -28,7 +35,7 @@ and print back in a form the parser accepts.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import isqrt
+from math import gcd, isqrt, lcm
 
 from .errors import (
     CertificateFailed,
@@ -530,6 +537,137 @@ def _monic_polys(base, d: int):
     yield from rec(0)
 
 
+# ---------------------------------------------------------------------------
+# integer kernel for FunctionField over Rationals (see the module docstring)
+#
+# An integer polynomial is a list of Python ints, lowest degree first,
+# with no trailing zeros.
+
+
+def _z_pair(a):
+    """A Q(s) payload (num, den) as integer lists with the same ratio:
+    both scaled by the lcm of every coefficient denominator."""
+    num, den = a
+    m = lcm(*[c.denominator for c in num], *[c.denominator for c in den])
+    if m == 1:
+        return [c.numerator for c in num], [c.numerator for c in den]
+    return ([c.numerator * (m // c.denominator) for c in num],
+            [c.numerator * (m // c.denominator) for c in den])
+
+
+def _z_trim(f):
+    while f and not f[-1]:
+        f.pop()
+    return f
+
+
+def _z_add(f, g):
+    if len(f) < len(g):
+        f, g = g, f
+    out = list(f)
+    for k, c in enumerate(g):
+        out[k] += c
+    return _z_trim(out)
+
+
+def _z_mul(f, g):
+    out = [0] * (len(f) + len(g) - 1)
+    for i, a in enumerate(f):
+        if a:
+            for j, b in enumerate(g):
+                out[i + j] += a * b
+    return out
+
+
+def _z_primitive(f):
+    c = gcd(*f)
+    return f if c == 1 else [a // c for a in f]
+
+
+def _z_prem(f, g):
+    """A nonzero integer multiple of the remainder of f by g, by
+    pseudo-division; each step scales by lc(g)/gcd(lc(g), lead) only."""
+    r = list(f)
+    n = len(g)
+    lc = g[-1]
+    while len(r) >= n:
+        c = r[-1]
+        if c:
+            h = gcd(c, lc)
+            u, w = lc // h, c // h
+            if u != 1:
+                r = [u * a for a in r]
+            k = len(r) - n
+            for i in range(n - 1):
+                r[k + i] -= w * g[i]
+        r.pop()
+    return _z_trim(r)
+
+
+def _z_gcd(f, g):
+    """The gcd over Q of two nonzero integer polynomials, as a primitive
+    integer polynomial with a positive leading coefficient, by the
+    primitive pseudo-remainder sequence (Knuth, TAOCP vol. 2, 4.6.1;
+    Brown, JACM 18, 1971)."""
+    if len(f) < len(g):
+        f, g = g, f
+    f, g = _z_primitive(f), _z_primitive(g)
+    while len(g) > 1:
+        r = _z_prem(f, g)
+        if not r:
+            return g if g[-1] > 0 else [-a for a in g]
+        f, g = g, _z_primitive(r)
+    return [1]
+
+
+def _z_exquo(f, g):
+    """f / g over the integers, where the primitive g divides f; a
+    remainder means the gcd was wrong and raises CertificateFailed."""
+    n = len(g)
+    lc = g[-1]
+    r = list(f)
+    q = [0] * (len(f) - n + 1)
+    for k in range(len(q) - 1, -1, -1):
+        c, rem = divmod(r[k + n - 1], lc)
+        if rem:
+            raise CertificateFailed("polynomial gcd does not divide exactly")
+        q[k] = c
+        if c:
+            for i in range(n - 1):
+                r[k + i] -= c * g[i]
+    if any(r[: n - 1]):
+        raise CertificateFailed("polynomial gcd does not divide exactly")
+    return q
+
+
+def _z_canonical(num, den):
+    """The canonical Q(s) payload of num/den, integer lists with num and
+    den nonzero: gcd-reduced, den monic, coefficients Fraction."""
+    if len(num) > 1 and len(den) > 1:
+        g = _z_gcd(num, den)
+        if len(g) > 1:
+            num, den = _z_exquo(num, g), _z_exquo(den, g)
+    lc = den[-1]
+    return (tuple([Fraction(c, lc) for c in num]),
+            tuple([Fraction(c, lc) for c in den]))
+
+
+_QS_ZERO = ((), (Fraction(1),))
+
+
+def _qs_add(a, b):
+    an, ad = _z_pair(a)
+    bn, bd = _z_pair(b)
+    n = _z_add(_z_mul(an, bd), _z_mul(bn, ad))
+    return _z_canonical(n, _z_mul(ad, bd)) if n else _QS_ZERO
+
+
+def _qs_mul(a, b):
+    an, ad = _z_pair(a)
+    bn, bd = _z_pair(b)
+    return _z_canonical(_z_mul(an, bn), _z_mul(ad, bd))
+
+
 def _join_terms(terms):
     out = terms[0]
     for s in terms[1:]:
@@ -588,6 +726,8 @@ class FunctionField(_FieldBase):
         self.base = base
         self.var = var
         self.characteristic = base.characteristic
+        # over Q, make, add and mul run on the integer kernel
+        self._over_q = isinstance(base, Rationals)
 
     def __eq__(self, other):
         return (
@@ -605,12 +745,16 @@ class FunctionField(_FieldBase):
     def make(self, num, den):
         """Canonicalize a numerator/denominator pair of coefficient tuples."""
         base = self.base
-        num = poly_trim(base, num)
-        den = poly_trim(base, den)
+        if self._over_q:
+            num, den = (_z_trim(f) for f in _z_pair((num, den)))
+        else:
+            num, den = poly_trim(base, num), poly_trim(base, den)
         if not den:
             raise DivisionByZero(f"zero denominator in {self.var}-fraction")
         if not num:
             return ((), (base.one(),))
+        if self._over_q:
+            return _z_canonical(num, den)
         if poly_deg(num) > 0 and poly_deg(den) > 0:
             g = poly_gcd(base, num, den)
             if poly_deg(g) > 0:
@@ -651,6 +795,8 @@ class FunctionField(_FieldBase):
             return b
         if not b[0]:
             return a
+        if self._over_q:
+            return _qs_add(a, b)
         base = self.base
         one = (base.one(),)
         if a[1] == one and b[1] == one:
@@ -663,6 +809,8 @@ class FunctionField(_FieldBase):
         return (poly_neg(self.base, a[0]), a[1])
 
     def mul(self, a, b):
+        if self._over_q:
+            return _qs_mul(a, b) if a[0] and b[0] else _QS_ZERO
         base = self.base
         one = (base.one(),)
         if not a[0] or not b[0]:
@@ -928,8 +1076,7 @@ def _power_shape(field, value, n: int):
 
 def _power_cost(field, value, n: int) -> int:
     """terms^2 * bits of value**n (see _power_shape), which bounds both
-    its size and the schoolbook work of its last squaring.  The gcds that
-    keep quotients over Q(s)(x) reduced can cost more than this."""
+    its size and the schoolbook work of its last squaring."""
     terms, bits = _power_shape(field, value, n)
     return terms * terms * bits
 

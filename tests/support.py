@@ -257,3 +257,61 @@ def reduce_entry_by_division(field, u, x, y):
     _w, a, b, c = u.coeffs
     lin = field(a) * y - field(b) * x - field(c)
     return lin, field(u.nrd()) / lin
+
+
+# ---------------------------------------------------------------------------
+# Q(s) by the generic polynomial path
+
+
+def euclid_make(num, den):
+    """FunctionField.make over Q by the generic poly_* helpers over
+    Rationals(): Euclid's gcd on Fraction coefficients.  A reference for
+    the integer kernel, which must give the same payload."""
+    from quatwitt.errors import DivisionByZero
+    from quatwitt.fields import poly_deg, poly_divmod, poly_gcd, poly_scale, poly_trim
+
+    Q = Rationals()
+    num, den = poly_trim(Q, num), poly_trim(Q, den)
+    if not den:
+        raise DivisionByZero("zero denominator")
+    if not num:
+        return ((), (Q.one(),))
+    if poly_deg(num) > 0 and poly_deg(den) > 0:
+        g = poly_gcd(Q, num, den)
+        num, den = poly_divmod(Q, num, g)[0], poly_divmod(Q, den, g)[0]
+    ilc = Q.inv(den[-1])
+    return poly_scale(Q, num, ilc), poly_scale(Q, den, ilc)
+
+
+def euclid_op(op, a, b=None):
+    """The payload of a Q(s) add, sub, mul, div or inv through
+    euclid_make."""
+    from quatwitt.fields import poly_add, poly_mul, poly_neg
+
+    Q = Rationals()
+    if op == "inv":
+        return euclid_make(a[1], a[0])
+    if op == "sub":
+        op, b = "add", (poly_neg(Q, b[0]), b[1])
+    if op == "div":
+        op, b = "mul", euclid_make(b[1], b[0])
+    if op == "add":
+        return euclid_make(
+            poly_add(Q, poly_mul(Q, a[0], b[1]), poly_mul(Q, b[0], a[1])),
+            poly_mul(Q, a[1], b[1]),
+        )
+    return euclid_make(poly_mul(Q, a[0], b[0]), poly_mul(Q, a[1], b[1]))
+
+
+def wrong_gcd_record(setattr_):
+    """run_instance on a division battery instance with the Q(s) kernel's
+    gcd replaced, through setattr_(owner, name, value), by one that
+    returns s + 1 whatever its inputs; the exact division after it must
+    fail."""
+    from quatwitt import batteries, fields, scenarios
+
+    sc = batteries.conic_scenario(3, "-1", 1)
+    inst = scenarios.generate_instance(sc, 0)
+    setattr_(scenarios, "generate_instance", lambda _sc, _index: inst)
+    setattr_(fields, "_z_gcd", lambda f, g: [1, 1])
+    return scenarios.run_instance(sc, 0)

@@ -1,15 +1,23 @@
 """Exact arithmetic in the field tower: rationals, finite fields,
 rational function fields, and conic extensions."""
 
+import json
 import math
+import os
+import subprocess
+import sys
+import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import support
+from quatwitt import fields
 from quatwitt.errors import (
+    CertificateFailed,
     DivisionByZero,
     EvenResidueChar,
     LevelMismatch,
@@ -227,6 +235,84 @@ def test_function_field_monic_denominator(K):
     assert den[-1] == Fraction(1)
 
 
+_QS = FunctionField(Rationals(), "s")
+_QSX = FunctionField(_QS, "x")
+
+# coefficients small enough to share factors, and up to 2^64 in height
+_KERNEL_COEFFS = st.one_of(
+    st.integers(-3, 3).map(Fraction),
+    st.builds(Fraction, st.integers(-(2**64), 2**64), st.integers(1, 2**64)),
+)
+_KERNEL_POLYS = st.lists(_KERNEL_COEFFS, max_size=4)
+
+
+def _times(f, h):
+    return tuple(poly_mul(Rationals(), poly_trim(Rationals(), f), poly_trim(Rationals(), h)))
+
+
+# num = f*h and den = g*h share the factor h, reach degree 6 and may have
+# negative, non-monic leads; a zero f stays as drawn, a list of zeros
+_KERNEL_PAIRS = st.builds(
+    lambda f, g, h: (_times(f, h) or tuple(f), _times(g, h) or tuple(g)),
+    _KERNEL_POLYS,
+    _KERNEL_POLYS.filter(lambda g: any(g)),
+    _KERNEL_POLYS.filter(lambda h: any(h)),
+)
+_KERNEL_PAYLOADS = _KERNEL_PAIRS.map(lambda pair: support.euclid_make(*pair))
+
+
+def _exact_payload(payload):
+    return payload, [type(c) for part in payload for c in part]
+
+
+@given(_KERNEL_PAIRS)
+def test_integer_kernel_make_matches_euclid(pair):
+    assert _exact_payload(_QS.make(*pair)) == _exact_payload(support.euclid_make(*pair))
+
+
+@settings(max_examples=80)
+@given(_KERNEL_PAYLOADS, _KERNEL_PAYLOADS)
+def test_integer_kernel_ops_match_euclid(a, b):
+    cases = [("add", a, b), ("sub", a, b), ("mul", a, b)]
+    if b[0]:
+        cases.append(("div", a, b))
+    if a[0]:
+        cases.append(("inv", a))
+    for op, *args in cases:
+        got = getattr(_QS, op)(*args)
+        assert _exact_payload(got) == _exact_payload(support.euclid_op(op, *args)), op
+
+
+def test_integer_kernel_wrong_gcd_is_a_failed_check(monkeypatch):
+    monkeypatch.setattr(fields, "_z_gcd", lambda f, g: [1, 1])
+    s = _QS.gen()
+    with pytest.raises(CertificateFailed, match="does not divide exactly"):
+        (s**2 + 2) / (s**2 + 3)
+    record = support.wrong_gcd_record(monkeypatch.setattr)
+    assert (record["status"], record["error"]) == ("error", "CertificateFailed")
+
+
+def test_integer_kernel_wrong_gcd_survives_optimized_mode():
+    tests = Path(__file__).resolve().parent
+    src = Path(fields.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(src), str(tests)]))
+    code = (
+        "import json, sys, support\n"
+        "if not sys.flags.optimize: sys.exit('not optimized')\n"
+        "print(json.dumps(support.wrong_gcd_record(setattr)))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", code],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    record = json.loads(proc.stdout)
+    assert (record["status"], record["error"]) == ("error", "CertificateFailed")
+
+
 def test_function_field_str_frozen(K):
     s = K.gen()
     assert repr(s) == "s"
@@ -284,19 +370,35 @@ def _sympy_expr(field, payload, sympy):
     """A Rationals or (nested) FunctionField payload as a sympy expression."""
     if isinstance(field, Rationals):
         return sympy.Rational(payload.numerator, payload.denominator)
+    return _sympy_poly(field, payload[0], sympy) / _sympy_poly(field, payload[1], sympy)
+
+
+def _sympy_poly(field, cs, sympy):
+    """A FunctionField coefficient tuple as a sympy expression in its
+    variable."""
     var = sympy.Symbol(field.var)
-
-    def poly(cs):
-        return sum(
-            (_sympy_expr(field.base, c, sympy) * var**k for k, c in enumerate(cs)),
-            sympy.Integer(0),
-        )
-
-    return poly(payload[0]) / poly(payload[1])
+    return sum(
+        (_sympy_expr(field.base, c, sympy) * var**k for k, c in enumerate(cs)),
+        sympy.Integer(0),
+    )
 
 
-_QS = FunctionField(Rationals(), "s")
-_QSX = FunctionField(_QS, "x")
+def _assert_reduced(field, payload, sympy):
+    """num and den coprime in base[var] by sympy's gcd, and den monic, at
+    this level and at every coefficient below it."""
+    base = field.base
+    domain = "QQ" if isinstance(base, Rationals) else f"QQ({base.var})"
+    num, den = (
+        sympy.Poly(_sympy_poly(field, cs, sympy), sympy.Symbol(field.var), domain=domain)
+        for cs in payload
+    )
+    assert sympy.gcd(num, den) == 1
+    assert payload[1][-1] == base.one()
+    if isinstance(base, FunctionField):
+        for c in payload[0] + payload[1]:
+            _assert_reduced(base, c, sympy)
+
+
 # built with `make` alone, so that the generator does not rest on the
 # add and mul under test
 _QS_PAYLOADS = st.builds(
@@ -317,18 +419,23 @@ _QSX_ELEMENTS = st.one_of(
 
 
 @settings(max_examples=25)
-@given(_QSX_ELEMENTS, _QSX_ELEMENTS)
-def test_function_field_tower_against_sympy(f, g):
+@given(_QSX_ELEMENTS, _QSX_ELEMENTS, _QS_PAYLOADS)
+def test_function_field_tower_against_sympy(f, g, c):
     sympy = pytest.importorskip("sympy")
     x = sympy.Symbol("x")
     fe, ge = (_sympy_expr(_QSX, u.value, sympy) for u in (f, g))
     cases = [(f + g, fe + ge), (f * g, fe * ge)]
     if not f.is_zero():
         cases.append((f.inv(), 1 / fe))
+    if not g.is_zero():
+        # a common factor x + c for the gcds to cancel
+        h = _QSX.gen() + _QSX.el(_QSX.constant(c))
+        cases.append(((f * h) / (g * h), fe / ge))
     for got, want in cases:
         num, den = got.value
         assert sympy.cancel(_sympy_expr(_QSX, got.value, sympy) - want) == 0
-        assert den[-1] == _QS.one()
+        # gcd-reduced with monic denominators in x over Q(s) and in s over Q
+        _assert_reduced(_QSX, got.value, sympy)
         # lowest terms in x over Q(s): same x-degrees as sympy's reduced form
         want_num, want_den = sympy.fraction(sympy.cancel(want))
         if num:
@@ -376,6 +483,32 @@ def test_power_matches_repeated_products(Q):
             for _ in range(abs(n)):
                 want = want * step
             assert (u ** n).value == want.value
+
+
+def _seconds(fn):
+    start = time.perf_counter()
+    out = fn()
+    return time.perf_counter() - start, out
+
+
+def test_conic_inverse_power_over_q_s_does_not_stall(K):
+    # the Q(s)(x) gcds behind this power once took 2 s
+    C = ConicExtension(K, K(-1).value, K.gen().value)
+    u = C("x + s*y - 1")
+    seconds, r = _seconds(lambda: u**-3)
+    assert seconds < 1.0
+    assert r * u * u * u == C(1)
+
+
+def test_parsed_conic_inverse_power_over_q_s_does_not_stall(K):
+    # within MAX_POWER_COST, but its gcds once took 29 s
+    C = ConicExtension(K, K(-1).value, K.gen().value)
+    seconds, r = _seconds(lambda: C("(x + y + s)^-3"))
+    assert seconds < 5.0
+    # one factor at a time: r * u**3 in one product takes 13 s, in the
+    # Q(s)(x) gcds of the generic path
+    u = C("x + y + s")
+    assert r * u * u * u == C(1)
 
 
 def test_level_mismatch_is_rejected(Q, K):
