@@ -280,9 +280,7 @@ class GoodReductionCertificate:
         return self.status == CERTIFIED
 
 
-def good_reduction_certificate(
-    h: SkewHermitianForm, v, report: Optional[RamificationReport] = None
-) -> GoodReductionCertificate:
+def good_reduction_certificate(h: SkewHermitianForm, v) -> GoodReductionCertificate:
     """Find the central scaling pi^m making the diagonalized form a
     unimodular integral model at v.
 
@@ -290,14 +288,14 @@ def good_reduction_certificate(
     coordinates of value >= 0.  Scaling by pi^m adds m to every extended
     value, so only a common integral entry value e can be cleared, and
     only by m = -e.  The algebra must be unramified at v; the certificate
-    carries the ramification report that establishes it.  A caller that
-    already holds ramification(h.algebra, v), computed under the same
-    fault state, may pass it as `report`.  NoCertificate says only that
-    this diagonalization has no such scaling; it is not a proof of bad
-    reduction.
+    carries the ramification report that establishes it.  That report
+    depends only on the algebra, v and the fault state, and `ramification`
+    looks it up by value once computed; the diagonalization, the extended
+    values and the integrality of the scaled entries are checked afresh
+    on every call.  NoCertificate says only that this diagonalization has
+    no such scaling; it is not a proof of bad reduction.
     """
-    if report is None:
-        report = ramification(h.algebra, v)
+    report = ramification(h.algebra, v)
     if report.ramified:
         raise RamifiedAlgebra(
             f"{h.algebra!r} is ramified at {v!r}; no residue data exists"

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Optional, Tuple
 
 from .errors import (
@@ -49,7 +50,7 @@ from .quadforms import (
     second_residue_form,
     witt_trivial,
 )
-from .quaternions import QuaternionAlgebra, QuaternionElement, ramification
+from .quaternions import MEMO_SIZE, QuaternionAlgebra, QuaternionElement, ramification
 from .valuations import (
     ConicValuation,
     GaussValuation,
@@ -57,8 +58,10 @@ from .valuations import (
 )
 
 
+@lru_cache(maxsize=MEMO_SIZE)
 def conic_field(alg: QuaternionAlgebra) -> ConicExtension:
-    """The function field of the conic d*x^2 + t*y^2 = 1."""
+    """The function field of the conic d*x^2 + t*y^2 = 1, built once
+    per algebra."""
     return ConicExtension(alg.base, alg.d, alg.t)
 
 
@@ -319,16 +322,18 @@ def conic_point_search(alg: QuaternionAlgebra, v=None, bound: int = 8):
     return None
 
 
+@lru_cache(maxsize=MEMO_SIZE)
 def extend_valuation(v, alg: QuaternionAlgebra):
     """Extension of a base valuation to the conic function field of an
-    algebra unramified at v.
+    algebra unramified at v, computed once per (v, alg).
 
     Unit parameters give the half-norm valuation directly; even nonzero
     values are transported through the unit-parameter model.  Either way
     the algebra has unit parameters up to squares, so it is unramified.
     A parameter of odd value leaves no unit conic model: the algebra is
     then ramified, or it splits over the completion and the reduction
-    should run through a rational point instead.
+    should run through a rational point instead.  Exceptions are not
+    memoized, so that branch runs, under the current faults, every time.
     """
     vd = v.value(alg.d)
     vt = v.value(alg.t)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Optional, Tuple
 
 from . import faults
@@ -33,6 +34,11 @@ from .fields import (
 from .valuations import INF
 
 _BASIS_NAMES = ("1", "i", "j", "ij")
+
+# entries kept by each per-algebra memo (ramification here, the conic
+# field and the extended valuation in morita); the bound keeps memory
+# flat when every instance draws a new algebra
+MEMO_SIZE = 64
 
 
 class QuaternionAlgebra:
@@ -345,9 +351,19 @@ def ramification(alg: QuaternionAlgebra, v) -> RamificationReport:
     Unramified means the algebra admits unit parameters up to isomorphism;
     the residue algebra is then the quaternion algebra of their residues,
     and `split_over_residue` records whether that algebra splits.
+
+    The report depends only on (alg, v) and the fault state, so it is
+    computed once per such triple and then looked up by value.
     """
+    return _ramification(alg, v, faults.active_names())
+
+
+@lru_cache(maxsize=MEMO_SIZE)
+def _ramification(alg: QuaternionAlgebra, v, fault_state) -> RamificationReport:
+    # the fault state is part of the key: drop-unit-rep is read here, and
+    # a conic valuation's values read negate-fast-path
     tc = tame_class(alg, v)
-    if faults.is_active(faults.DROP_UNIT_REP):
+    if faults.DROP_UNIT_REP in fault_state:
         # corrupted variant for sensitivity tests: the raw parameters are
         # treated as unit representatives without any scaling
         rep = (alg.d, alg.t)

@@ -406,7 +406,7 @@ def _generate_conic(sc, rng, index) -> Instance:
         pi = v.uniformizer
         twisted = [u * pi**m for u in entries]
         h = SkewHermitianForm.diagonal(alg, twisted)
-        cert = good_reduction_certificate(h, v, report=report)
+        cert = good_reduction_certificate(h, v)
         if not cert.certified:
             continue
         return Instance(
@@ -550,10 +550,7 @@ def run_instance(sc: dict, index: int, fault_names=(), budget=None) -> dict:
     try:
         for name in fault_names:
             faults.activate(name)
-        try:
-            inst = generate_instance(sc, index)
-        except ScenarioError:
-            raise
+        inst = generate_instance(sc, index)
         route = "point" if inst.point is not None else "conic"
         kwargs = {"route": route}
         if inst.point is not None:

@@ -16,7 +16,9 @@ Three kinds, mirroring the tower levels they live on:
                                  the parameter residues
 
 All values are normalized integers; v(0) is the +infinity sentinel INF.
-Residues require value >= 0 and are functorial ring maps.
+Residues require value >= 0 and are functorial ring maps.  `value`
+checks the element's level once and values its raw payload; each level
+values its coefficients' payloads directly, without wrapping them again.
 """
 
 from __future__ import annotations
@@ -44,6 +46,11 @@ INF = math.inf
 
 class _ValuationBase:
     def value(self, a: FieldElement):
+        self._check_domain(a)
+        return self._value(a.value)
+
+    def _value(self, payload):
+        """The value of a raw payload of the domain."""
         raise NotImplementedError
 
     def residue(self, a: FieldElement) -> FieldElement:
@@ -89,9 +96,7 @@ class PAdicValuation(_ValuationBase):
             out += 1
         return out
 
-    def value(self, a):
-        self._check_domain(a)
-        fr: Fraction = a.value
+    def _value(self, fr: Fraction):
         if fr == 0:
             return INF
         return self._vp(fr.numerator) - self._vp(fr.denominator)
@@ -142,13 +147,11 @@ class GaussValuation(_ValuationBase):
         return {"kind": "gauss", "inner": self.inner.descriptor()}
 
     def _poly_value(self, coeffs):
-        base = self.domain.base
-        vals = [self.inner.value(base.el(c)) for c in coeffs]
-        return min(vals, default=INF)
+        inner_value = self.inner._value
+        return min(map(inner_value, coeffs), default=INF)
 
-    def value(self, a):
-        self._check_domain(a)
-        num, den = a.value
+    def _value(self, payload):
+        num, den = payload
         if not num:
             return INF
         return self._poly_value(num) - self._poly_value(den)
@@ -221,10 +224,9 @@ class ConicValuation(_ValuationBase):
     def descriptor(self):
         return {"kind": "conic-half-norm", "inner": self.inner.descriptor()}
 
-    def value(self, a):
-        self._check_domain(a)
-        A, B = self.domain.pair(a.value)
-        va, vb = self.inner.value(A), self.inner.value(B)
+    def _value(self, payload):
+        A, B = payload
+        va, vb = self.inner._value(A), self.inner._value(B)
         if faults.is_active(faults.NEGATE_FAST_PATH):
             if va is INF:
                 return vb
@@ -283,23 +285,23 @@ class TransportedConicValuation(_ValuationBase):
         ]
         return poly_trim(base, out)
 
-    def _push(self, a: FieldElement) -> FieldElement:
-        A, B = a.value
+    def _push(self, payload):
+        """The payload in the unit model of an element given by its payload."""
+        A, B = payload
         f0 = self.target.domain.inner
 
-        def frac(payload, extra):
-            num, den = payload
+        def frac(coords, extra):
+            num, den = coords
             return f0.make(self._push_poly(num, extra), self._push_poly(den, 0))
 
-        return self.target.domain.el((frac(A, 0), frac(B, -self.beta)))
+        return (frac(A, 0), frac(B, -self.beta))
 
-    def value(self, a):
-        self._check_domain(a)
-        return self.target.value(self._push(a))
+    def _value(self, payload):
+        return self.target._value(self._push(payload))
 
     def residue(self, a):
         self._check_domain(a)
-        return self.target.residue(self._push(a))
+        return self.target.residue(self.target.domain.el(self._push(a.value)))
 
     def __repr__(self):
         return f"TransportedConicValuation({self.target!r}, {self.alpha}, {self.beta})"

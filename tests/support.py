@@ -315,3 +315,50 @@ def wrong_gcd_record(setattr_):
     setattr_(scenarios, "generate_instance", lambda _sc, _index: inst)
     setattr_(fields, "_z_gcd", lambda f, g: [1, 1])
     return scenarios.run_instance(sc, 0)
+
+
+# ---------------------------------------------------------------------------
+# valuations coefficient by coefficient
+
+
+def value_by_wrapping(v, a):
+    """v(a) taken the way the valuations took it before they valued raw
+    payloads: every coefficient is wrapped in a FieldElement of its level,
+    checked against that level, and valued there.  A reference for the
+    payload path, which must give the same value."""
+    from quatwitt.valuations import (
+        ConicValuation,
+        GaussValuation,
+        PAdicValuation,
+        TransportedConicValuation,
+    )
+
+    assert a.field == v.domain, "reference valued an element of another level"
+    if isinstance(v, PAdicValuation):
+        fr = a.value
+        if fr == 0:
+            return INF
+
+        def vp(n):
+            out = 0
+            while n % v.p == 0:
+                n, out = n // v.p, out + 1
+            return out
+
+        return vp(fr.numerator) - vp(fr.denominator)
+    if isinstance(v, GaussValuation):
+        num, den = a.value
+        if not num:
+            return INF
+        base = v.domain.base
+
+        def poly_value(coeffs):
+            return min((value_by_wrapping(v.inner, base.el(c)) for c in coeffs), default=INF)
+
+        return poly_value(num) - poly_value(den)
+    if isinstance(v, ConicValuation):
+        A, B = v.domain.pair(a.value)
+        return min(value_by_wrapping(v.inner, A), value_by_wrapping(v.inner, B))
+    if isinstance(v, TransportedConicValuation):
+        return value_by_wrapping(v.target, v.target.domain.el(v._push(a.value)))
+    raise TypeError(f"no reference for {v!r}")

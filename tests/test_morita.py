@@ -9,7 +9,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import support
-from quatwitt import faults, morita
+from quatwitt import batteries, faults, morita, quaternions
 from quatwitt.errors import (
     AlgebraMismatch,
     Degenerate,
@@ -19,6 +19,8 @@ from quatwitt.errors import (
     QuatwittError,
     RamifiedAlgebra,
     RamifiedParameters,
+    UnsupportedField,
+    ZeroElement,
 )
 from quatwitt.fields import FiniteField, FunctionField, Rationals
 from quatwitt.hermitian import SkewHermitianForm, diagonalize_h
@@ -406,15 +408,83 @@ def test_even_parameter_values_need_no_ramification_report(Q, K, v3, g3, monkeyp
         raise AssertionError("ramification called")
 
     monkeypatch.setattr(morita, "ramification", refuse)
-    assert isinstance(extend_valuation(v3, QuaternionAlgebra(Q, 2, 1)), ConicValuation)
-    assert isinstance(
-        extend_valuation(v3, QuaternionAlgebra(Q, 18, 5)), TransportedConicValuation
-    )
-    assert isinstance(
-        extend_valuation(g3, QuaternionAlgebra(K, K(-1), K.gen())), ConicValuation
-    )
+    # the uncached function, so that its body runs whatever the memo holds
+    fresh = extend_valuation.__wrapped__
+    assert isinstance(fresh(v3, QuaternionAlgebra(Q, 2, 1)), ConicValuation)
+    assert isinstance(fresh(v3, QuaternionAlgebra(Q, 18, 5)), TransportedConicValuation)
+    assert isinstance(fresh(g3, QuaternionAlgebra(K, K(-1), K.gen())), ConicValuation)
     with pytest.raises(AssertionError, match="ramification called"):
         extend_valuation(v3, QuaternionAlgebra(Q, -2, 3))
+
+
+def _memo_cases():
+    Q = Rationals()
+    K = FunctionField(Q, "s")
+    L = FunctionField(K, "u")
+    v3 = PAdicValuation(3)
+    cases = [
+        (GaussValuation(PAdicValuation(p), K), QuaternionAlgebra(K, K(d), K.gen()))
+        for p, d in batteries.DIVISION_BATCHES
+    ]
+    cases += [(v3, QuaternionAlgebra(Q, 2, 1)), (v3, QuaternionAlgebra(Q, 18, 5))]
+    gg = GaussValuation(GaussValuation(v3, K), L)
+    cases.append((gg, QuaternionAlgebra(L, L(-1), L(K.gen()) * L.gen() + 1)))
+    cases.append((gg, QuaternionAlgebra(L, L(-1), L(3) * L.gen())))
+    return cases + [_conic_level_case()]
+
+
+def _conic_level_case():
+    """(-1, 3 + y) over the conic of (-1, s) at its conic valuation: with
+    negate-fast-path active, v(3 + y) reads 1 instead of 0, so the report
+    says ramified where the clean analysis has no splitting decision."""
+    K = FunctionField(Rationals(), "s")
+    C = morita.conic_field(QuaternionAlgebra(K, K(-1), K.gen()))
+    g3 = GaussValuation(PAdicValuation(3), K)
+    vt = ConicValuation(GaussValuation(g3, C.inner), C)
+    return vt, QuaternionAlgebra(C, C(-1), C("3 + y"))
+
+
+def _outcome(fn, *args):
+    try:
+        out = fn(*args)
+    except (QuatwittError, ValueError) as e:
+        return type(e).__name__
+    return out, repr(out)
+
+
+@pytest.mark.parametrize("fault_names", [(), ("drop-unit-rep",), ("negate-fast-path",)])
+def test_memos_match_fresh_computation(fault_names):
+    fresh_ramification = quaternions._ramification.__wrapped__
+    with faults.injected(*fault_names):
+        state = faults.active_names()
+        for v, alg in _memo_cases():
+            for _twice in range(2):
+                assert _outcome(ramification, alg, v) == _outcome(
+                    fresh_ramification, alg, v, state
+                )
+                assert _outcome(conic_field, alg) == _outcome(conic_field.__wrapped__, alg)
+                assert _outcome(extend_valuation, v, alg) == _outcome(
+                    extend_valuation.__wrapped__, v, alg
+                )
+
+
+def test_ramification_memo_is_keyed_by_the_fault_state(Q, v3):
+    alg = QuaternionAlgebra(Q, 18, 5)
+    clean = ramification(alg, v3)
+    assert clean.unit_rep == (Q(2), Q(5))
+    # the corrupted report takes 18 itself as a unit, whose residue is 0;
+    # that call must not be answered from the clean entry
+    with faults.injected(faults.DROP_UNIT_REP):
+        with pytest.raises(ZeroElement):
+            ramification(alg, v3)
+    assert ramification(alg, v3) == clean
+    # a conic valuation reads negate-fast-path, so the report depends on
+    # that fault as well
+    vt, alg = _conic_level_case()
+    with faults.injected(faults.NEGATE_FAST_PATH):
+        assert ramification(alg, vt).ramified
+    with pytest.raises(UnsupportedField):
+        ramification(alg, vt)
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,12 @@
 """Scenario descriptors, deterministic instance generation, and the
 single-instance batch worker."""
 
+import functools
 import json
 
 import pytest
 
-from quatwitt import faults, hermitian, morita, scenarios
+from quatwitt import batteries, faults, morita, quaternions
 from quatwitt.errors import ScenarioError
 from quatwitt.fields import ConicExtension, FiniteField, FunctionField, Rationals
 from quatwitt.hermitian import SkewHermitianForm
@@ -164,29 +165,43 @@ def test_rank_and_trials_are_capped():
 # instance generation
 
 
-def test_conic_generator_hands_its_report_to_the_certificate(monkeypatch):
-    calls = []
-    real = scenarios.ramification
+def test_ramification_report_is_computed_once_per_algebra(monkeypatch):
+    computed = []
+    fresh = quaternions._ramification.__wrapped__
 
-    def counted(alg, v):
-        calls.append(alg)
-        return real(alg, v)
+    def counted(alg, v, fault_state):
+        computed.append(alg)
+        return fresh(alg, v, fault_state)
 
-    def refuse(alg, v):
-        raise AssertionError("certificate recomputed the ramification report")
-
-    monkeypatch.setattr(scenarios, "ramification", counted)
-    monkeypatch.setattr(hermitian, "ramification", refuse)
-    inst = generate_instance(CONIC_SC, 0)
-    assert calls[-1] == inst.algebra
-    # the verifier does not trust the generator and certifies afresh
-    with pytest.raises(AssertionError, match="recomputed"):
-        morita.verify_instance(inst.form, inst.valuation)
-    monkeypatch.setattr(hermitian, "ramification", real)
-    report = real(inst.algebra, inst.valuation)
-    assert hermitian.good_reduction_certificate(
-        inst.form, inst.valuation, report=report
-    ) == hermitian.good_reduction_certificate(inst.form, inst.valuation)
+    memo = functools.lru_cache(maxsize=quaternions.MEMO_SIZE)(counted)
+    monkeypatch.setattr(quaternions, "_ramification", memo)
+    sc = batteries.conic_scenario(3, "-1")
+    inst = generate_instance(sc, 0)
+    rep = morita.verify_instance(inst.form, inst.valuation)
+    # generator and verifier certificates share one computed report; the
+    # verifier's own certificate checks still run on its own form
+    assert computed == [inst.algebra]
+    assert rep.certified_diagonal
+    # a second instance of the same pinned battery computes nothing new
+    inst = generate_instance(sc, 1)
+    morita.verify_instance(inst.form, inst.valuation)
+    assert computed == [inst.algebra]
+    assert memo.cache_info().hits >= 3
+    # more distinct algebras than the bound leave at most the bound cached
+    Q = Rationals()
+    v = PAdicValuation(3)
+    algebras = [
+        QuaternionAlgebra(Q, 2, t)
+        for t in range(1, 4 * quaternions.MEMO_SIZE)
+        if t % 3
+    ][: quaternions.MEMO_SIZE + 8]
+    for alg in algebras:
+        quaternions.ramification(alg, v)
+        morita.extend_valuation(v, alg)
+    assert len(computed) == len(algebras) + 1
+    for cached in (memo, morita.conic_field, morita.extend_valuation):
+        assert cached.cache_info().maxsize == quaternions.MEMO_SIZE
+        assert cached.cache_info().currsize <= quaternions.MEMO_SIZE
 
 
 def test_conic_instances_are_deterministic():

@@ -4,12 +4,13 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import support
 from quatwitt.errors import (
     EvenResidueChar,
+    LevelMismatch,
     NegativeValue,
     RamifiedParameters,
 )
@@ -267,7 +268,11 @@ def test_conic_value_matches_half_norm_with_split_residue(label, v, alg):
     vt = extend_valuation(v, alg)
     if isinstance(vt, TransportedConicValuation):
         # the oracle reads the unit model the element is pushed into
-        unit_val, to_unit = vt.target, vt._push
+        unit_val = vt.target
+
+        def to_unit(a):
+            return unit_val.domain.el(vt._push(a.value))
+
     else:
         unit_val, to_unit = vt, lambda a: a
     C = vt.domain
@@ -358,3 +363,74 @@ def test_transported_value_is_multiplicative(transported_setup):
     for z in els:
         for w in els:
             assert vt.value(z * w) == vt.value(z) + vt.value(w)
+
+
+# ---------------------------------------------------------------------------
+# values read from raw payloads
+
+
+def _payload_cases():
+    Q = Rationals()
+    K = FunctionField(Q, "s")
+    L = FunctionField(K, "u")
+    v3 = PAdicValuation(3)
+    g3 = GaussValuation(v3, K)
+    conic = extend_valuation(g3, QuaternionAlgebra(K, K(-1), K.gen()))
+    over_q = extend_valuation(v3, QuaternionAlgebra(Q, 18, 5))
+    over_qs = extend_valuation(g3, QuaternionAlgebra(K, K(-9), K.gen()))
+    qs_coeffs = support.rational_functions(K, max_deg=1)
+
+    def conic_coords(C):
+        return support.rational_functions(C.inner, max_deg=2, coeffs=qs_coeffs)
+
+    return {
+        "p-adic": (v3, support.fractions().map(Q)),
+        "Gauss over Q(s)": (g3, support.rational_functions(K)),
+        "Gauss over Gauss": (
+            GaussValuation(g3, L),
+            support.rational_functions(L, max_deg=2, coeffs=qs_coeffs),
+        ),
+        "conic": (conic, support.conic_elements(conic.domain, conic_coords(conic.domain))),
+        "transported conic over Q": (over_q, support.conic_elements(over_q.domain)),
+        "transported conic over Q(s)": (
+            over_qs,
+            support.conic_elements(over_qs.domain, conic_coords(over_qs.domain)),
+        ),
+    }
+
+
+_PAYLOAD_CASES = _payload_cases()
+
+
+@pytest.mark.parametrize("case", sorted(_PAYLOAD_CASES))
+@given(data=st.data())
+@settings(max_examples=40)
+def test_payload_value_matches_coefficientwise_wrapping(case, data):
+    v, elements = _PAYLOAD_CASES[case]
+    a = data.draw(elements)
+    assert v.value(a) == support.value_by_wrapping(v, a)
+    zero = v.domain(0)
+    assert v.value(zero) is INF
+    assert support.value_by_wrapping(v, zero) is INF
+
+
+def test_value_rejects_elements_of_another_level():
+    cases = _PAYLOAD_CASES
+    v3 = cases["p-adic"][0]
+    g3 = cases["Gauss over Q(s)"][0]
+    gg = cases["Gauss over Gauss"][0]
+    Q, K = v3.domain, g3.domain
+    wrong = [
+        (v3, K.gen()),
+        (g3, Q(3)),
+        (gg, K.gen()),
+        (cases["conic"][0], K.gen()),
+        (cases["conic"][0], cases["transported conic over Q(s)"][0].domain.x_gen()),
+        (cases["transported conic over Q"][0], Q(3)),
+    ]
+    for v, a in wrong:
+        with pytest.raises(LevelMismatch):
+            v.value(a)
+    # a raw payload is not an element of any level
+    with pytest.raises(LevelMismatch):
+        g3.value(K.gen().value)
