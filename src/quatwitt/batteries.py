@@ -13,8 +13,7 @@ from __future__ import annotations
 
 from . import faults
 from .errors import QuatwittError
-from .morita import verify_instance
-from .scenarios import generate_instance, load_scenario
+from .scenarios import generate_instance, load_scenario, verify_generated
 
 TRIALS = 200
 SEED = 42
@@ -80,9 +79,8 @@ def count_failures(sc, ok, slice_size):
 
 
 def _passes(inst, ok, fault):
-    kwargs = {"route": "point", "point": inst.point} if inst.point else {}
     try:
         with faults.injected(*((fault,) if fault else ())):
-            return ok(verify_instance(inst.form, inst.valuation, **kwargs))
+            return ok(verify_generated(inst, None))
     except QuatwittError:
         return False

@@ -782,12 +782,6 @@ class FunctionField(_FieldBase):
         den = den if den is not None else (self.base.one(),)
         return self.el(self.make(num, den))
 
-    def num(self, a):
-        return a[0]
-
-    def den(self, a):
-        return a[1]
-
     def add(self, a, b):
         # payloads are canonical, so a zero operand leaves the other as
         # the canonical sum

@@ -25,7 +25,7 @@ from .errors import (
     RamifiedAlgebra,
     ZeroScalar,
 )
-from .quadforms import mat_det
+from .quadforms import mat_det, mat_mul
 from .quaternions import (
     QuaternionAlgebra,
     QuaternionElement,
@@ -132,8 +132,8 @@ class SkewHermitianForm:
             [_as_element(self.algebra, p[r][c]) for c in range(n)] for r in range(n)
         ]
         pc = [[p[r][c].conj() for r in range(n)] for c in range(n)]
-        gp = _qmat_mul(self.algebra, [list(r) for r in self.gram], p)
-        return SkewHermitianForm(self.algebra, _qmat_mul(self.algebra, pc, gp))
+        gp = mat_mul(self.gram, p)
+        return SkewHermitianForm(self.algebra, mat_mul(pc, gp))
 
     def __eq__(self, other):
         return (
@@ -155,20 +155,6 @@ def _as_element(algebra, u) -> QuaternionElement:
             raise AlgebraMismatch("element from a different algebra")
         return u
     return algebra.scalar(u)
-
-
-def _qmat_mul(algebra, m1, m2):
-    n, k, m = len(m1), len(m2), len(m2[0])
-    out = []
-    for i in range(n):
-        row = []
-        for j in range(m):
-            acc = algebra.zero()
-            for l in range(k):
-                acc = acc + m1[i][l] * m2[l][j]
-            row.append(acc)
-        out.append(row)
-    return out
 
 
 def diagonalize_h(h: SkewHermitianForm):
@@ -251,7 +237,7 @@ def diagonalize_h(h: SkewHermitianForm):
     _check_pure(entries)
     g0 = [list(row) for row in h.gram]
     pc = [[p[r][c].conj() for r in range(n)] for c in range(n)]
-    check = _qmat_mul(alg, pc, _qmat_mul(alg, g0, p))
+    check = mat_mul(pc, mat_mul(g0, p))
     for i in range(n):
         for j in range(n):
             want = entries[i] if i == j else alg.zero()

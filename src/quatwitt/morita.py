@@ -47,6 +47,7 @@ from .quadforms import (
     QuadraticForm,
     Verdict,
     diagonalize,
+    mat_mul,
     second_residue_form,
     witt_trivial,
 )
@@ -95,12 +96,12 @@ class SplittingData:
         self.field = C
         self.images = {"1": img_one, "i": img_i, "j": img_j, "ij": img_ij}
         identities = [
-            _m2_eq(_m2_mul(C, img_i, img_i), _m2_scale(C, img_one, d)),
-            _m2_eq(_m2_mul(C, img_j, img_j), _m2_scale(C, img_one, t)),
-            _m2_eq(_m2_mul(C, img_i, img_j), img_ij),
-            _m2_eq(_m2_mul(C, img_j, img_i), _m2_scale(C, img_ij, C(-1))),
+            _m2_eq(mat_mul(img_i, img_i), _m2_scale(img_one, d)),
+            _m2_eq(mat_mul(img_j, img_j), _m2_scale(img_one, t)),
+            _m2_eq(mat_mul(img_i, img_j), img_ij),
+            _m2_eq(mat_mul(img_j, img_i), _m2_scale(img_ij, C(-1))),
         ] + [
-            _m2_eq(_m2_adj(C, m), _m2_scale(C, m, C(-1)))
+            _m2_eq(_m2_adj(m), _m2_scale(m, C(-1)))
             for m in (img_i, img_j, img_ij)
         ]
         if not all(identities):
@@ -111,32 +112,23 @@ class SplittingData:
             raise AlgebraMismatch("element from a different algebra")
         C = self.field
         w, a, b, c = (C(coord) for coord in u.coeffs)
-        acc = _m2_scale(C, self.images["1"], w)
+        acc = _m2_scale(self.images["1"], w)
         for coeff, name in ((a, "i"), (b, "j"), (c, "ij")):
-            acc = _m2_add(C, acc, _m2_scale(C, self.images[name], coeff))
+            acc = _m2_add(acc, _m2_scale(self.images[name], coeff))
         return acc
 
 
-def _m2_mul(C, m1, m2):
-    return tuple(
-        tuple(
-            m1[i][0] * m2[0][j] + m1[i][1] * m2[1][j] for j in range(2)
-        )
-        for i in range(2)
-    )
-
-
-def _m2_add(C, m1, m2):
+def _m2_add(m1, m2):
     return tuple(
         tuple(m1[i][j] + m2[i][j] for j in range(2)) for i in range(2)
     )
 
 
-def _m2_scale(C, m, c):
+def _m2_scale(m, c):
     return tuple(tuple(entry * c for entry in row) for row in m)
 
 
-def _m2_adj(C, m):
+def _m2_adj(m):
     return ((m[1][1], -m[0][1]), (-m[1][0], m[0][0]))
 
 

@@ -114,14 +114,16 @@ def mat_identity(base, n):
     return [[base(1) if i == j else base(0) for j in range(n)] for i in range(n)]
 
 
-def mat_mul(base, m1, m2):
+def mat_mul(m1, m2):
+    """The product of two matrices over any ring; each sum starts from
+    its first product, so no zero of the ring is needed."""
     n, k, m = len(m1), len(m2), len(m2[0])
     out = []
     for i in range(n):
         row = []
         for j in range(m):
-            acc = base(0)
-            for l in range(k):
+            acc = m1[i][0] * m2[0][j]
+            for l in range(1, k):
                 acc = acc + m1[i][l] * m2[l][j]
             row.append(acc)
         out.append(row)
@@ -221,7 +223,7 @@ def diagonalize(base, gram):
     diag = [g[i][i] for i in range(n)]
     if any(d.is_zero() for d in diag):
         raise Degenerate("gram matrix is singular")
-    check = mat_mul(base, mat_mul(base, mat_transpose(p), g0), p)
+    check = mat_mul(mat_mul(mat_transpose(p), g0), p)
     for i in range(n):
         for j in range(n):
             want = diag[i] if i == j else base(0)

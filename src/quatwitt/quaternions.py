@@ -31,6 +31,7 @@ from .fields import (
     poly_mul,
     poly_pow_mod,
 )
+from .quadforms import _even_scaled
 from .valuations import INF
 
 _BASIS_NAMES = ("1", "i", "j", "ij")
@@ -314,8 +315,7 @@ def _square_in_residue_field(rf, a: FieldElement) -> bool:
 def _strip_even(v, a: FieldElement) -> Tuple[FieldElement, int]:
     """Scale a by an even uniformizer power into value 0 or 1."""
     m = v.value(a)
-    a0 = a * v.uniformizer ** (-2 * (m // 2))
-    return a0, m % 2
+    return _even_scaled(v, a, m), m % 2
 
 
 def _unit_parameters(alg: QuaternionAlgebra, v):

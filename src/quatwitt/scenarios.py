@@ -4,8 +4,17 @@ generation, and the batch worker behind the command-line interface.
 A scenario is a JSON object naming a field tower, a valuation, and the
 inputs of one operation.  Element expressions are strings in the
 package's expression syntax and round-trip through the field parsers.
-Randomized batches derive every instance from (seed, index) alone, so a
-batch is reproducible and can be sharded across processes.
+
+Randomized batches draw diagonal skew-hermitian forms with good
+reduction in one of two modes.  The conic generator draws (or pins) an
+algebra over a function field whose residue algebra is division; its
+forms are verified through the conic function field.  The point
+generator draws an algebra over Q whose conic has a small point; its
+forms are verified by specializing at that point.  `generator_setup`
+builds a scenario's mode and checks everything that does not depend on
+the instance; `generate_instance` runs one attempt loop for both modes.
+Every instance derives from (seed, index) alone, so a batch is
+reproducible and can be sharded across processes.
 """
 
 from __future__ import annotations
@@ -14,7 +23,7 @@ import json
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Tuple
+from typing import Callable, NamedTuple, Optional, Tuple
 
 from . import faults
 from .errors import QuatwittError, ScenarioError
@@ -304,7 +313,112 @@ class Instance:
     meta: dict
 
 
-def _draw_coords(rng, v, base, spice=None):
+class Generator(NamedTuple):
+    """What every instance of a scenario is drawn from.
+
+    `draw(rng)` proposes (algebra, point), with point None in conic mode,
+    or returns None to reject the attempt; `spice`, if any, multiplies
+    each drawn coordinate by a random field element."""
+
+    mode: str
+    field: object
+    valuation: object
+    draw: Callable
+    spice: Optional[Callable]
+
+
+def generator_setup(sc: dict) -> Generator:
+    """Build a scenario's generator and check every precondition that
+    does not depend on the instance index: the generator matches the
+    field, and a pinned algebra has unit parameters, is unramified and has
+    a division residue algebra.  Each instance runs it under its own
+    faults; `verify-theorem` also runs it once before the batch, so a bad
+    scenario is one input error rather than an error record per
+    instance."""
+    field = scenario_field(sc)
+    v = scenario_valuation(sc, field)
+    if sc.get("generator", "conic") == "conic":
+        return _conic_setup(sc, field, v)
+    return _point_setup(field, v)
+
+
+def _conic_setup(sc, field, v) -> Generator:
+    """Algebras (d, t) over a function field with v-unit parameters and a
+    division residue algebra: the scenario's pinned algebra, or d a small
+    integer and t linear in the variable s; each coordinate is multiplied
+    by 1, s or s + 1."""
+    if not isinstance(field, FunctionField):
+        raise ScenarioError(
+            "the conic generator draws algebras over a function field"
+        )
+    gen = field.gen()
+
+    def division_residue(alg):
+        report = ramification(alg, v)
+        return not (report.ramified or report.split_over_residue)
+
+    if sc.get("algebra") is not None:
+        pinned = build_algebra(sc["algebra"], field)
+        if v.value(pinned.d) != 0 or v.value(pinned.t) != 0:
+            raise ScenarioError("pinned algebra parameters must be units")
+        if not division_residue(pinned):
+            raise ScenarioError(
+                "pinned algebra must be unramified with division residue"
+            )
+
+        def draw(rng):
+            return pinned, None
+
+    else:
+
+        def draw(rng):
+            d = field(rng.choice((-1, 2, -2, 3, -3, 5, -5)))
+            if v.value(d) != 0:
+                return None
+            t = gen * rng.choice((1, 1, 1, 2)) + rng.randint(-4, 4)
+            if v.value(t) != 0:
+                return None
+            alg = QuaternionAlgebra(field, d, t)
+            return (alg, None) if division_residue(alg) else None
+
+    def spice(rng):
+        return rng.choice((field(1), field(1), field(1), gen, gen + 1))
+
+    return Generator("conic", field, v, draw, spice)
+
+
+def _point_setup(field, v) -> Generator:
+    """Algebras (d, t) over Q with unit parameters, t chosen so that the
+    conic d*x^2 + t*y^2 = 1 passes through a small point (x0, y0)."""
+    if not isinstance(field, Rationals):
+        raise ScenarioError("the point generator draws algebras over the rationals")
+
+    def small_fraction(rng, nonzero):
+        for _ in range(40):
+            num = rng.randint(-_COORD_BOUND, _COORD_BOUND)
+            den = rng.randint(1, 5)
+            if den % v.p == 0:
+                continue
+            if nonzero and num == 0:
+                continue
+            return Fraction(num, den)
+        return Fraction(1)
+
+    def draw(rng):
+        d = field(rng.randint(-_COORD_BOUND, _COORD_BOUND))
+        if d.is_zero() or v.value(d) != 0:
+            return None
+        x0 = field(small_fraction(rng, False))
+        y0 = field(small_fraction(rng, True))
+        t = (field(1) - d * x0 * x0) / (y0 * y0)
+        if t.is_zero() or v.value(t) != 0:
+            return None
+        return QuaternionAlgebra(field, d, t), (x0, y0)
+
+    return Generator("point", field, v, draw, None)
+
+
+def _draw_coords(rng, v, base, spice):
     """A nonzero coordinate triple from [-9, 9] with a unit entry."""
     while True:
         a, b, c = (
@@ -319,168 +433,58 @@ def _draw_coords(rng, v, base, spice=None):
             return coords
 
 
-def _twist(rng) -> int:
-    return rng.choice((-1, 0, 1))
+def _draw_entries(rng, gen: Generator, alg, point, n):
+    """n pure quaternions of nonzero reduced norm, each from at most 60
+    coordinate draws; with a point, the specialization a*y0 - b*x0 - c at
+    it must not vanish either.  None if some entry runs out of draws."""
+    entries = []
+    for _l in range(n):
+        for _draw in range(60):
+            a, b, c = _draw_coords(rng, gen.valuation, gen.field, gen.spice)
+            u = alg.el(0, a, b, c)
+            if u.nrd().is_zero():
+                continue
+            if point is not None and (a * point[1] - b * point[0] - c).is_zero():
+                continue
+            entries.append(u)
+            break
+        else:
+            return None
+    return entries
 
 
 def generate_instance(sc: dict, index: int) -> Instance:
     """The index-th instance of a randomized batch; depends only on
-    (seed, index) so batches shard deterministically."""
-    mode = sc.get("generator", "conic")
-    seed = sc.get("seed", 0)
-    rng = random.Random(f"{seed}:{index}")
-    if mode == "conic":
-        return _generate_conic(sc, rng, index)
-    return _generate_point(sc, rng, index)
+    (seed, index) so batches shard deterministically.
 
-
-def pinned_algebra(sc, field, v) -> Optional[QuaternionAlgebra]:
-    """The conic generator's pinned algebra, or None; its parameters
-    must be v-units."""
-    desc = sc.get("algebra")
-    if desc is None:
-        return None
-    alg = build_algebra(desc, field)
-    if v.value(alg.d) != 0 or v.value(alg.t) != 0:
-        raise ScenarioError("pinned algebra parameters must be units")
-    return alg
-
-
-def check_batch(sc: dict) -> None:
-    """Build once what every instance of a batch builds from the scenario
-    alone (field, valuation, pinned algebra), so that a bad entry is an
-    input error rather than one error record per instance."""
-    field = scenario_field(sc)
-    v = scenario_valuation(sc, field)
-    if sc.get("generator", "conic") == "conic" and isinstance(field, FunctionField):
-        pinned_algebra(sc, field, v)
-
-
-def _generate_conic(sc, rng, index) -> Instance:
-    field = scenario_field(sc)
-    v = scenario_valuation(sc, field)
-    if not isinstance(field, FunctionField):
-        raise ScenarioError(
-            "the conic generator draws algebras over a function field"
-        )
-    gen = field.gen()
-
-    def spice(r):
-        return r.choice((field(1), field(1), field(1), gen, gen + 1))
-
-    pinned = pinned_algebra(sc, field, v)
+    Each attempt draws an algebra (and a point), `rank` entries (or a
+    random rank from 1 to 3) and a twist by the uniformizer power
+    m in {-1, 0, 1}, and keeps the diagonal form if it certifies good
+    reduction."""
+    gen = generator_setup(sc)
+    rng = random.Random(f"{sc.get('seed', 0)}:{index}")
+    v = gen.valuation
     for _attempt in range(_MAX_ATTEMPTS):
-        if pinned is not None:
-            alg = pinned
-        else:
-            d = field(rng.choice((-1, 2, -2, 3, -3, 5, -5)))
-            if v.value(d) != 0:
-                continue
-            t = gen * rng.choice((1, 1, 1, 2)) + rng.randint(-4, 4)
-            if v.value(t) != 0:
-                continue
-            alg = QuaternionAlgebra(field, d, t)
-        report = ramification(alg, v)
-        if report.ramified or report.split_over_residue:
-            if pinned is not None:
-                raise ScenarioError(
-                    "pinned algebra must be unramified with division residue"
-                )
+        drawn = gen.draw(rng)
+        if drawn is None:
             continue
+        alg, point = drawn
         n = sc.get("rank") or rng.randint(1, 3)
-        entries = []
-        ok = True
-        for _l in range(n):
-            for _draw in range(60):
-                a, b, c = _draw_coords(rng, v, field, spice)
-                u = alg.el(0, a, b, c)
-                if not u.nrd().is_zero():
-                    entries.append(u)
-                    break
-            else:
-                ok = False
-                break
-        if not ok:
+        entries = _draw_entries(rng, gen, alg, point, n)
+        if entries is None:
             continue
-        m = _twist(rng)
-        pi = v.uniformizer
-        twisted = [u * pi**m for u in entries]
-        h = SkewHermitianForm.diagonal(alg, twisted)
-        cert = good_reduction_certificate(h, v)
-        if not cert.certified:
+        m = rng.choice((-1, 0, 1))
+        twist = v.uniformizer**m
+        h = SkewHermitianForm.diagonal(alg, [u * twist for u in entries])
+        if not good_reduction_certificate(h, v).certified:
             continue
         return Instance(
-            field=field,
+            field=gen.field,
             valuation=v,
             algebra=alg,
             form=h,
-            point=None,
-            meta={"index": index, "mode": "conic", "twist": m},
-        )
-    raise ScenarioError(f"no certified instance found for index {index}")
-
-
-def _generate_point(sc, rng, index) -> Instance:
-    field = scenario_field(sc)
-    v = scenario_valuation(sc, field)
-    if not isinstance(field, Rationals):
-        raise ScenarioError("the point generator draws algebras over the rationals")
-    p = v.p
-
-    def small_fraction(nonzero=False):
-        for _ in range(40):
-            num = rng.randint(-_COORD_BOUND, _COORD_BOUND)
-            den = rng.randint(1, 5)
-            if den % p == 0:
-                continue
-            if nonzero and num == 0:
-                continue
-            return Fraction(num, den)
-        return Fraction(1)
-
-    for _attempt in range(_MAX_ATTEMPTS):
-        d = field(rng.randint(-_COORD_BOUND, _COORD_BOUND))
-        if d.is_zero() or v.value(d) != 0:
-            continue
-        x0 = field(small_fraction())
-        y0 = field(small_fraction(nonzero=True))
-        t = (field(1) - d * x0 * x0) / (y0 * y0)
-        if t.is_zero() or v.value(t) != 0:
-            continue
-        alg = QuaternionAlgebra(field, d, t)
-        n = sc.get("rank") or rng.randint(1, 3)
-        entries = []
-        ok = True
-        for _l in range(n):
-            for _draw in range(60):
-                a, b, c = _draw_coords(rng, v, field)
-                u = alg.el(0, a, b, c)
-                if u.nrd().is_zero():
-                    continue
-                # the specialization at the chosen point must not vanish
-                if (a * y0 - b * x0 - c).is_zero():
-                    continue
-                entries.append(u)
-                break
-            else:
-                ok = False
-                break
-        if not ok:
-            continue
-        m = _twist(rng)
-        pi = v.uniformizer
-        twisted = [u * pi**m for u in entries]
-        h = SkewHermitianForm.diagonal(alg, twisted)
-        cert = good_reduction_certificate(h, v)
-        if not cert.certified:
-            continue
-        return Instance(
-            field=field,
-            valuation=v,
-            algebra=alg,
-            form=h,
-            point=(x0, y0),
-            meta={"index": index, "mode": "point", "twist": m},
+            point=point,
+            meta={"index": index, "mode": gen.mode, "twist": m},
         )
     raise ScenarioError(f"no certified instance found for index {index}")
 
@@ -539,6 +543,16 @@ def report_to_dict(rep: VerificationReport) -> dict:
 # batch worker
 
 
+def verify_generated(inst: Instance, budget) -> VerificationReport:
+    """Verify a generated instance by its generator's route: through the
+    conic, or at the drawn point.  A budget of None keeps the verifier's
+    default."""
+    kwargs = {"route": "conic"} if inst.point is None else {"route": "point", "point": inst.point}
+    if budget is not None:
+        kwargs["budget"] = budget
+    return verify_instance(inst.form, inst.valuation, **kwargs)
+
+
 def run_instance(sc: dict, index: int, fault_names=(), budget=None) -> dict:
     """Generate and verify one batch instance; returns a JSON-ready record.
 
@@ -551,13 +565,7 @@ def run_instance(sc: dict, index: int, fault_names=(), budget=None) -> dict:
         for name in fault_names:
             faults.activate(name)
         inst = generate_instance(sc, index)
-        route = "point" if inst.point is not None else "conic"
-        kwargs = {"route": route}
-        if inst.point is not None:
-            kwargs["point"] = inst.point
-        if budget is not None:
-            kwargs["budget"] = budget
-        rep = verify_instance(inst.form, inst.valuation, **kwargs)
+        rep = verify_generated(inst, budget)
         return {
             "index": index,
             "status": "ok",

@@ -128,15 +128,15 @@ def corrupted_congruence_record(setattr_):
     alg = inst.algebra
     moved = inst.form.transform([[alg.one(), alg.one()], [alg.zero(), alg.one()]])
     assert not moved.is_diagonal()
-    product = hermitian._qmat_mul
+    product = hermitian.mat_mul
 
-    def corrupted(algebra, m1, m2):
-        out = product(algebra, m1, m2)
-        out[0][0] = out[0][0] + algebra.i()
+    def corrupted(m1, m2):
+        out = product(m1, m2)
+        out[0][0] = out[0][0] + alg.i()
         return out
 
     setattr_(scenarios, "generate_instance", lambda _sc, _index: replace(inst, form=moved))
-    setattr_(hermitian, "_qmat_mul", corrupted)
+    setattr_(hermitian, "mat_mul", corrupted)
     return scenarios.run_instance(sc, 0)
 
 

@@ -383,18 +383,23 @@ def test_injected_fault_surfaces_a_counterexample(batch_path, capsys):
 _QS_FIELD = {"kind": "function", "base": {"kind": "rationals"}, "variable": "s"}
 
 
+_DIVISION_P3 = {
+    "field": _QS_FIELD,
+    "valuation": {"kind": "gauss", "inner": {"kind": "padic", "p": 3}},
+    "generator": "conic",
+    "algebra": {"d": "-1", "t": "s"},
+    "seed": 42,
+    "trials": 12,
+}
+
+
 @pytest.mark.parametrize(
-    "scenario, digest",
+    "scenario, extra, code, digest",
     [
         (
-            {
-                "field": _QS_FIELD,
-                "valuation": {"kind": "gauss", "inner": {"kind": "padic", "p": 3}},
-                "generator": "conic",
-                "algebra": {"d": "-1", "t": "s"},
-                "seed": 42,
-                "trials": 12,
-            },
+            _DIVISION_P3,
+            [],
+            EXIT_OK,
             "9319460112bb4da9ded01465cc775651dfaca50be3344675f88f3f03ba46244a",
         ),
         (
@@ -405,16 +410,72 @@ _QS_FIELD = {"kind": "function", "base": {"kind": "rationals"}, "variable": "s"}
                 "seed": 42,
                 "trials": 20,
             },
+            [],
+            EXIT_OK,
             "5c31f562b7e41bc9c9118bced864a26125358ed9881e1ec48b063d62bf03008c",
         ),
+        # the random (d, t) draw of the conic generator
+        (
+            {
+                "field": _QS_FIELD,
+                "valuation": {"kind": "gauss", "inner": {"kind": "padic", "p": 5}},
+                "generator": "conic",
+                "seed": 42,
+                "trials": 12,
+            },
+            [],
+            EXIT_OK,
+            "6c9b19c64c71fbd3253a489c3b1109860eaf5dcabe1180343ef3d26b67578549",
+        ),
+        # the batch pre-check runs under the injected fault too
+        (
+            _DIVISION_P3,
+            ["--inject-fault", "drop-unit-rep"],
+            EXIT_OK,
+            "63423a1deeee68a9ee310a2068fbc1f9c832318f2e2e7244220d010898048aca",
+        ),
     ],
-    ids=["conic-gauss", "point-padic"],
+    ids=["conic-gauss", "point-padic", "conic-unpinned", "conic-gauss-drop-unit-rep"],
 )
-def test_verify_theorem_json_is_pinned(tmp_path, capsys, scenario, digest):
+def test_verify_theorem_json_is_pinned(tmp_path, capsys, scenario, extra, code, digest):
     sc = write_scenario(tmp_path, "pinned.json", scenario)
-    assert main(["verify-theorem", "--scenario", sc, "--json"]) == EXIT_OK
+    assert main(["verify-theorem", "--scenario", sc, "--json"] + extra) == code
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize(
+    "scenario, message",
+    [
+        (
+            {
+                "field": {"kind": "rationals"},
+                "valuation": {"kind": "padic", "p": 3},
+                "generator": "conic",
+                "trials": 3,
+            },
+            "over a function field",
+        ),
+        (
+            dict(_DIVISION_P3, generator="point", trials=3),
+            "over the rationals",
+        ),
+        (
+            dict(_DIVISION_P3, algebra={"d": "1", "t": "s"}, trials=3),
+            "unramified with division residue",
+        ),
+    ],
+    ids=["conic-over-q", "point-over-q-s", "split-residue"],
+)
+def test_scenario_errors_exit_before_the_batch(tmp_path, capsys, scenario, message):
+    # a generator that does not match the field, or a pinned algebra
+    # without a division residue, fails every instance alike: one input
+    # error, not an error record per instance
+    path = write_scenario(tmp_path, "bad.json", scenario)
+    assert main(["verify-theorem", "--scenario", path, "--json"]) == EXIT_INPUT
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:") and message in captured.err
+    assert captured.out == ""
 
 
 def test_run_batch_counts_match_records(batch_path):
