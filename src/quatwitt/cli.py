@@ -8,7 +8,9 @@ only.
 
 Exit codes: 0 for success or a verified batch, 1 for a violated
 property (with a serialized counterexample), 2 for input errors, 3 for
-an indeterminate verdict.  A violation wins over indeterminacy.
+an indeterminate verdict.  A violation wins over indeterminacy.  A
+scenario key the subcommand does not read (SCENARIO_KEYS) is an input
+error.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ from .morita import morita_reduce, morita_reduce_general, split_reduce_at_point
 from .quadforms import DEFAULT_BUDGET, QuadraticForm, residue_forms, witt_trivial
 from .quaternions import ramification
 from .scenarios import (
+    BATCH_KEYS,
     build_algebra,
     build_form,
     build_quad,
@@ -59,8 +62,22 @@ def _angles(entries) -> str:
     return "<" + ", ".join(element_str(u) for u in entries) + ">"
 
 
+# the scenario keys each subcommand reads; the subcommands on one algebra
+# share a file, so each also takes the keys of the others
+_ALGEBRA_KEYS = frozenset(("field", "valuation", "algebra", "form", "point"))
+SCENARIO_KEYS = {
+    "residue": _ALGEBRA_KEYS,
+    "certify": _ALGEBRA_KEYS,
+    "reduce": _ALGEBRA_KEYS,
+    "split-reduce": _ALGEBRA_KEYS,
+    "residue-forms": frozenset(("field", "valuation", "quad")),
+    "witt-equal": frozenset(("field", "first", "second")),
+    "verify-theorem": BATCH_KEYS,
+}
+
+
 def _scenario(args) -> dict:
-    return load_scenario(args.scenario)
+    return load_scenario(args.scenario, SCENARIO_KEYS[args.command])
 
 
 def _need(sc: dict, key: str):

@@ -14,18 +14,26 @@ are unique, so equality of payloads is equality of elements:
 
     Rationals        Fraction in lowest terms
     FiniteField      least nonnegative residue, an int
-    FunctionField    pair (num, den) of dense coefficient tuples,
-                     gcd-reduced, den monic
+    FunctionField    over Rationals: triple (c, N, D) standing for
+                     c*N/D, c a Fraction content carrying sign and
+                     scale, N and D tuples of ints, primitive with
+                     positive leading coefficients and coprime; zero
+                     is (0, (), (1,))
+                     over other bases: pair (num, den) of dense
+                     coefficient tuples, gcd-reduced, den monic
     ConicExtension   pair (A, B) of FunctionField payloads in the inner
                      field base(x), standing for A + B*y with the rewrite
                      y^2 -> (1 - d*x^2)/t always applied
 
-Over Rationals the FunctionField payload is the same tuple of Fraction,
-but make, add and mul run on integers: they clear denominators once,
-take the gcd by the primitive pseudo-remainder sequence, divide it out
-exactly and build one Fraction per output coefficient.  Other bases,
-F_p and Q(s) among them, use the poly_* helpers below, Euclid's
-algorithm over the base field.
+Over Rationals the FunctionField arithmetic runs on integers and never
+rebuilds a Fraction per coefficient: mul multiplies the contents and
+cancels the gcds of N1 with D2 and of N2 with D1 (Henrici, JACM 3,
+1956), add brings both operands over a common denominator and cancels
+only what can still be shared, inv swaps N and D.  The gcds go by the
+primitive pseudo-remainder sequence and are divided out exactly.
+num_den gives the pair (num, den) of Fraction tuples with den monic,
+which printing reads.  Other bases, F_p and Q(s) among them, use the
+poly_* helpers below, Euclid's algorithm over the base field.
 
 Characteristic 2 is rejected everywhere.  Elements parse from a small
 expression grammar (integers, the tower's symbols, + - * / ^, parentheses)
@@ -163,11 +171,13 @@ class _FieldBase:
     def el(self, value):
         return FieldElement(self, value)
 
+    # each level builds its constants 0 and 1 once; payloads are
+    # immutable, so they are shared
     def zero(self):
-        return self.from_int(0)
+        return self._zero
 
     def one(self):
-        return self.from_int(1)
+        return self._one
 
     def sub(self, a, b):
         return self.add(a, self.neg(b))
@@ -233,6 +243,7 @@ class Rationals(_FieldBase):
     """The rational numbers with Fraction payloads."""
 
     characteristic = 0
+    _zero, _one = Fraction(0), Fraction(1)
 
     def __eq__(self, other):
         return isinstance(other, Rationals)
@@ -280,6 +291,8 @@ class Rationals(_FieldBase):
 
 class FiniteField(_FieldBase):
     """Prime field of odd order p; payloads are least nonnegative residues."""
+
+    _zero, _one = 0, 1
 
     def __init__(self, p: int):
         if p == 2:
@@ -540,19 +553,9 @@ def _monic_polys(base, d: int):
 # ---------------------------------------------------------------------------
 # integer kernel for FunctionField over Rationals (see the module docstring)
 #
-# An integer polynomial is a list of Python ints, lowest degree first,
-# with no trailing zeros.
-
-
-def _z_pair(a):
-    """A Q(s) payload (num, den) as integer lists with the same ratio:
-    both scaled by the lcm of every coefficient denominator."""
-    num, den = a
-    m = lcm(*[c.denominator for c in num], *[c.denominator for c in den])
-    if m == 1:
-        return [c.numerator for c in num], [c.numerator for c in den]
-    return ([c.numerator * (m // c.denominator) for c in num],
-            [c.numerator * (m // c.denominator) for c in den])
+# An integer polynomial is a list or tuple of Python ints, lowest degree
+# first, with no trailing zeros.  The polynomials of a (c, N, D) payload
+# are primitive with positive leads, so the only constant one is (1,).
 
 
 def _z_trim(f):
@@ -579,9 +582,31 @@ def _z_mul(f, g):
     return out
 
 
-def _z_primitive(f):
-    c = gcd(*f)
-    return f if c == 1 else [a // c for a in f]
+def _z_times(f, g):
+    """The product of two primitive polynomials with positive leads, as a
+    tuple; a constant factor is 1."""
+    if len(f) == 1:
+        return tuple(g)
+    if len(g) == 1:
+        return tuple(f)
+    return tuple(_z_mul(f, g))
+
+
+def _z_scaled(k, f, g):
+    """k*f*g for an integer k and integer polynomials f and g, g primitive
+    with a positive lead."""
+    if len(g) == 1:
+        return [k * a for a in f]
+    return [k * a for a in _z_mul(f, g)]
+
+
+def _z_content(f):
+    """(k, f/k) for a nonzero integer polynomial f, with k the gcd of its
+    coefficients signed so that f/k has a positive leading coefficient."""
+    k = gcd(*f)
+    if f[-1] < 0:
+        k = -k
+    return k, (f if k == 1 else [a // k for a in f])
 
 
 def _z_prem(f, g):
@@ -605,18 +630,16 @@ def _z_prem(f, g):
 
 
 def _z_gcd(f, g):
-    """The gcd over Q of two nonzero integer polynomials, as a primitive
-    integer polynomial with a positive leading coefficient, by the
-    primitive pseudo-remainder sequence (Knuth, TAOCP vol. 2, 4.6.1;
-    Brown, JACM 18, 1971)."""
+    """The gcd over Q of two primitive integer polynomials with positive
+    leads, as such a polynomial, by the primitive pseudo-remainder
+    sequence (Knuth, TAOCP vol. 2, 4.6.1; Brown, JACM 18, 1971)."""
     if len(f) < len(g):
         f, g = g, f
-    f, g = _z_primitive(f), _z_primitive(g)
     while len(g) > 1:
         r = _z_prem(f, g)
         if not r:
-            return g if g[-1] > 0 else [-a for a in g]
-        f, g = g, _z_primitive(r)
+            return g
+        f, g = g, _z_content(r)[1]
     return [1]
 
 
@@ -640,32 +663,15 @@ def _z_exquo(f, g):
     return q
 
 
-def _z_canonical(num, den):
-    """The canonical Q(s) payload of num/den, integer lists with num and
-    den nonzero: gcd-reduced, den monic, coefficients Fraction."""
-    if len(num) > 1 and len(den) > 1:
-        g = _z_gcd(num, den)
-        if len(g) > 1:
-            num, den = _z_exquo(num, g), _z_exquo(den, g)
-    lc = den[-1]
-    return (tuple([Fraction(c, lc) for c in num]),
-            tuple([Fraction(c, lc) for c in den]))
-
-
-_QS_ZERO = ((), (Fraction(1),))
-
-
-def _qs_add(a, b):
-    an, ad = _z_pair(a)
-    bn, bd = _z_pair(b)
-    n = _z_add(_z_mul(an, bd), _z_mul(bn, ad))
-    return _z_canonical(n, _z_mul(ad, bd)) if n else _QS_ZERO
-
-
-def _qs_mul(a, b):
-    an, ad = _z_pair(a)
-    bn, bd = _z_pair(b)
-    return _z_canonical(_z_mul(an, bn), _z_mul(ad, bd))
+def _z_cancel(f, g):
+    """f and g divided by their gcd, for primitive polynomials with
+    positive leads; the quotients are again such polynomials."""
+    if len(f) == 1 or len(g) == 1:
+        return f, g
+    h = _z_gcd(f, g)
+    if len(h) == 1:
+        return f, g
+    return _z_exquo(f, h), _z_exquo(g, h)
 
 
 def _join_terms(terms):
@@ -726,8 +732,17 @@ class FunctionField(_FieldBase):
         self.base = base
         self.var = var
         self.characteristic = base.characteristic
-        # over Q, make, add and mul run on the integer kernel
+        # over Q, payloads are (c, N, D) triples run on the integer kernel
         self._over_q = isinstance(base, Rationals)
+        if self._over_q:
+            self._zero = (Fraction(0), (), (1,))
+            self._one = (Fraction(1), (1,), (1,))
+            self._gen = (Fraction(1), (0, 1), (1,))
+        else:
+            one = (base.one(),)
+            self._zero = ((), one)
+            self._one = (one, one)
+            self._gen = ((base.zero(), base.one()), one)
 
     def __eq__(self, other):
         return (
@@ -744,17 +759,14 @@ class FunctionField(_FieldBase):
 
     def make(self, num, den):
         """Canonicalize a numerator/denominator pair of coefficient tuples."""
-        base = self.base
         if self._over_q:
-            num, den = (_z_trim(f) for f in _z_pair((num, den)))
-        else:
-            num, den = poly_trim(base, num), poly_trim(base, den)
+            return self._q_make(num, den)
+        base = self.base
+        num, den = poly_trim(base, num), poly_trim(base, den)
         if not den:
             raise DivisionByZero(f"zero denominator in {self.var}-fraction")
         if not num:
-            return ((), (base.one(),))
-        if self._over_q:
-            return _z_canonical(num, den)
+            return self._zero
         if poly_deg(num) > 0 and poly_deg(den) > 0:
             g = poly_gcd(base, num, den)
             if poly_deg(g) > 0:
@@ -767,16 +779,57 @@ class FunctionField(_FieldBase):
             den = poly_scale(base, den, ilc)
         return (num, den)
 
+    def _q_make(self, num, den):
+        # clear every coefficient denominator at once, then split off the
+        # contents and cancel the gcd
+        m = lcm(*[c.denominator for c in num], *[c.denominator for c in den])
+        n = _z_trim([c.numerator * (m // c.denominator) for c in num])
+        d = _z_trim([c.numerator * (m // c.denominator) for c in den])
+        if not d:
+            raise DivisionByZero(f"zero denominator in {self.var}-fraction")
+        if not n:
+            return self._zero
+        kn, n = _z_content(n)
+        kd, d = _z_content(d)
+        n, d = _z_cancel(n, d)
+        return (Fraction(kn, kd), tuple(n), tuple(d))
+
+    def num_den(self, a):
+        """The payload as a pair (num, den) of coefficient tuples of base
+        payloads, in lowest terms with den monic; from_reduced inverts it."""
+        if not self._over_q:
+            return a
+        c, n, d = a
+        if not n:
+            return (), (Fraction(1),)
+        lc = d[-1]
+        k = c / lc
+        return tuple([k * e for e in n]), tuple([Fraction(e, lc) for e in d])
+
+    def from_reduced(self, num, den):
+        """The payload of num/den for coefficient tuples already in lowest
+        terms with den monic, as num_den gives them."""
+        if self._over_q:
+            return self.make(num, den)
+        return (num, den) if num else self._zero
+
     def from_int(self, n: int):
-        c = self.base.from_int(n)
-        return (poly_const(self.base, c), (self.base.one(),))
+        if n == 0:
+            return self._zero
+        if n == 1:
+            return self._one
+        return self.constant(self.base.from_int(n))
 
     def constant(self, c):
         """Embed a base payload as a constant."""
-        return (poly_const(self.base, c), (self.base.one(),))
+        if self.base.is_zero(c):
+            return self._zero
+        if self._over_q:
+            return (c, (1,), (1,))
+        return ((c,), (self.base.one(),))
 
     def gen(self) -> FieldElement:
-        return self.el(((self.base.zero(), self.base.one()), (self.base.one(),)))
+        return self.el(self._gen)
 
     def from_polys(self, num, den=None) -> FieldElement:
         den = den if den is not None else (self.base.one(),)
@@ -784,31 +837,61 @@ class FunctionField(_FieldBase):
 
     def add(self, a, b):
         # payloads are canonical, so a zero operand leaves the other as
-        # the canonical sum
+        # the canonical sum; a[0] is the numerator, or the content over Q
         if not a[0]:
             return b
         if not b[0]:
             return a
         if self._over_q:
-            return _qs_add(a, b)
+            return self._q_add(a, b)
         base = self.base
         one = (base.one(),)
         if a[1] == one and b[1] == one:
             n = poly_trim(base, poly_add(base, a[0], b[0]))
-            return (n, one) if n else ((), one)
+            return (n, one) if n else self._zero
         n = poly_add(base, poly_mul(base, a[0], b[1]), poly_mul(base, b[0], a[1]))
         return self.make(n, poly_mul(base, a[1], b[1]))
 
+    def _q_add(self, a, b):
+        # over the common denominator g*a1*b1 of D_a = g*a1 and D_b = g*b1
+        # the numerator is prime to a1*b1, so only g can cancel (Henrici)
+        ca, an, ad = a
+        cb, bn, bd = b
+        qa, qb = ca.denominator, cb.denominator
+        q = lcm(qa, qb)
+        ka, kb = ca.numerator * (q // qa), cb.numerator * (q // qb)
+        if ad == bd:
+            g, a1, b1 = ad, (1,), (1,)
+        elif len(ad) == 1 or len(bd) == 1:
+            g, a1, b1 = (1,), ad, bd
+        else:
+            g = _z_gcd(ad, bd)
+            a1, b1 = (ad, bd) if len(g) == 1 else (_z_exquo(ad, g), _z_exquo(bd, g))
+        top = _z_add(_z_scaled(ka, an, b1), _z_scaled(kb, bn, a1))
+        if not top:
+            return self._zero
+        k, top = _z_content(top)
+        top, g = _z_cancel(top, g)
+        return (Fraction(k, q), tuple(top), _z_times(_z_times(g, a1), b1))
+
     def neg(self, a):
+        if self._over_q:
+            return (-a[0], a[1], a[2])
         return (poly_neg(self.base, a[0]), a[1])
 
     def mul(self, a, b):
+        if not a[0] or not b[0]:
+            return self._zero
         if self._over_q:
-            return _qs_mul(a, b) if a[0] and b[0] else _QS_ZERO
+            # each operand is reduced, so only numerators and denominators
+            # across can share a factor (Henrici)
+            ca, an, ad = a
+            cb, bn, bd = b
+            an, bd = _z_cancel(an, bd)
+            bn, ad = _z_cancel(bn, ad)
+            return (ca * cb, _z_times(an, bn), _z_times(ad, bd))
         base = self.base
         one = (base.one(),)
-        if not a[0] or not b[0]:
-            return ((), one)
         if a[1] == one and b[1] == one:
             return (poly_mul(base, a[0], b[0]), one)
         return self.make(poly_mul(base, a[0], b[0]), poly_mul(base, a[1], b[1]))
@@ -816,10 +899,12 @@ class FunctionField(_FieldBase):
     def inv(self, a):
         if not a[0]:
             raise DivisionByZero("inverse of the zero rational function")
+        if self._over_q:
+            return (1 / a[0], a[2], a[1])
         return self.make(a[1], a[0])
 
     def is_zero(self, a):
-        return a[0] == ()
+        return not a[0]
 
     def lift(self, elem):
         if isinstance(elem, FieldElement):
@@ -840,14 +925,15 @@ class FunctionField(_FieldBase):
     def sqrt(self, a):
         # reduced with monic denominator, so num and den must separately
         # be polynomial squares
-        rn = poly_sqrt(self.base, a[0])
-        rd = poly_sqrt(self.base, a[1])
+        num, den = self.num_den(a)
+        rn = poly_sqrt(self.base, num)
+        rd = poly_sqrt(self.base, den)
         if rn is None or rd is None:
             raise NotASquare(f"{self.to_str(a)} is not a square in {self}")
         return self.make(rn, rd)
 
     def to_str(self, a):
-        num, den = a
+        num, den = self.num_den(a)
         if den == (self.base.one(),):
             return poly_to_str(self.base, num, self.var)
         ns = poly_to_str(self.base, num, self.var)
@@ -885,10 +971,11 @@ class ConicExtension(_FieldBase):
         self.t = t
         self.inner = FunctionField(base, "x")
         self.characteristic = base.characteristic
-        one = base.one()
+        zero, one = self.inner.zero(), self.inner.one()
+        self._zero, self._one, self._y = (zero, zero), (one, zero), (zero, one)
         # theta = (1 - d*x^2)/t
         self.theta = self.inner.make(
-            (base.inv(t), base.zero(), base.neg(base.div(d, t))), (one,)
+            (base.inv(t), base.zero(), base.neg(base.div(d, t))), (base.one(),)
         )
 
     def __eq__(self, other):
@@ -908,16 +995,16 @@ class ConicExtension(_FieldBase):
         return f"ConicExtension({self.base!r}, {ds}, {ts})"
 
     def from_int(self, n: int):
-        return (self.inner.from_int(n), self.inner.from_int(0))
+        return (self.inner.from_int(n), self.inner.zero())
 
     def from_inner(self, a) -> FieldElement:
-        return self.el((a, self.inner.from_int(0)))
+        return self.el((a, self.inner.zero()))
 
     def x_gen(self) -> FieldElement:
         return self.from_inner(self.inner.gen().value)
 
     def y_gen(self) -> FieldElement:
-        return self.el((self.inner.from_int(0), self.inner.from_int(1)))
+        return self.el(self._y)
 
     def pair(self, a):
         """The (A, B) pair of a payload as inner FieldElements."""
@@ -991,12 +1078,12 @@ class ConicExtension(_FieldBase):
         if inner.is_zero(B):
             # either A = C^2 or A = theta*C^2 with root C*y
             try:
-                return (inner.sqrt(A), inner.from_int(0))
+                return (inner.sqrt(A), inner.zero())
             except NotASquare:
                 pass
             q = inner.div(A, self.theta)
             try:
-                return (inner.from_int(0), inner.sqrt(q))
+                return (inner.zero(), inner.sqrt(q))
             except NotASquare:
                 raise NotASquare(f"{self.to_str(a)} is not a square") from None
         n = self.norm(a)
@@ -1062,7 +1149,7 @@ def _power_shape(field, value, n: int):
     if isinstance(field, ConicExtension):
         terms, bits = zip(*(_power_shape(field.inner, part, n) for part in value))
         return 2 * max(terms), max(bits)
-    num, den = value
+    num, den = field.num_den(value)
     deg = max(len(num), len(den)) - 1
     terms, bits = zip(*(_power_shape(field.base, c, n) for c in num + den))
     return (n * deg + 1) * max(terms), max(bits)

@@ -214,8 +214,8 @@ def _conic_quotient(C: ConicExtension, n, a, b, c):
         num = poly_const(base, mul(k, c))
     else:
         num = (mul(k, c), mul(k, b))
-    first = (num, den) if num else ((), (base.one(),))
-    return (first, ((mul(k, a),), den))
+    inner = C.inner
+    return (inner.from_reduced(num, den), inner.from_reduced((mul(k, a),), den))
 
 
 def morita_reduce(h: SkewHermitianForm) -> QuadraticForm:

@@ -46,6 +46,12 @@ from .valuations import (
 
 GENERATOR_MODES = ("conic", "point")
 
+# the keys a batch scenario may carry; load_scenario refuses any other,
+# so a misspelled key is an input error rather than silently ignored
+BATCH_KEYS = frozenset(
+    ("field", "valuation", "generator", "algebra", "seed", "trials", "rank", "budget")
+)
+
 _COORD_BOUND = 9
 _MAX_ATTEMPTS = 400
 
@@ -250,7 +256,9 @@ def parse_point(desc, field):
 # scenario loading
 
 
-def load_scenario(source) -> dict:
+def load_scenario(source, keys=BATCH_KEYS) -> dict:
+    """A scenario dict, or the JSON object in the file named by source,
+    checked for shape; a key outside `keys` is refused."""
     if isinstance(source, dict):
         sc = source
     else:
@@ -263,6 +271,10 @@ def load_scenario(source) -> dict:
             raise ScenarioError(f"scenario is not valid JSON: {e}") from e
     if not isinstance(sc, dict):
         raise ScenarioError("scenario must be a JSON object")
+    unknown = sorted(set(sc) - keys)
+    if unknown:
+        expected = ", ".join(sorted(keys))
+        raise ScenarioError(f"unknown scenario key {unknown[0]!r}; expected some of {expected}")
     if "generator" in sc and sc["generator"] not in GENERATOR_MODES:
         raise ScenarioError(
             f"generator must be one of {GENERATOR_MODES}, got {sc['generator']!r}"
@@ -330,16 +342,16 @@ class Generator(NamedTuple):
 def generator_setup(sc: dict) -> Generator:
     """Build a scenario's generator and check every precondition that
     does not depend on the instance index: the generator matches the
-    field, and a pinned algebra has unit parameters, is unramified and has
-    a division residue algebra.  Each instance runs it under its own
-    faults; `verify-theorem` also runs it once before the batch, so a bad
-    scenario is one input error rather than an error record per
-    instance."""
+    field, only the conic generator takes a pinned algebra, and a pinned
+    algebra has unit parameters, is unramified and has a division residue
+    algebra.  Each instance runs it under its own faults; `verify-theorem`
+    also runs it once before the batch, so a bad scenario is one input
+    error rather than an error record per instance."""
     field = scenario_field(sc)
     v = scenario_valuation(sc, field)
     if sc.get("generator", "conic") == "conic":
         return _conic_setup(sc, field, v)
-    return _point_setup(field, v)
+    return _point_setup(sc, field, v)
 
 
 def _conic_setup(sc, field, v) -> Generator:
@@ -387,11 +399,17 @@ def _conic_setup(sc, field, v) -> Generator:
     return Generator("conic", field, v, draw, spice)
 
 
-def _point_setup(field, v) -> Generator:
+def _point_setup(sc, field, v) -> Generator:
     """Algebras (d, t) over Q with unit parameters, t chosen so that the
-    conic d*x^2 + t*y^2 = 1 passes through a small point (x0, y0)."""
+    conic d*x^2 + t*y^2 = 1 passes through a small point (x0, y0); each
+    instance draws its own, so a pinned algebra is refused."""
     if not isinstance(field, Rationals):
         raise ScenarioError("the point generator draws algebras over the rationals")
+    if sc.get("algebra") is not None:
+        raise ScenarioError(
+            "the point generator draws its own algebras; "
+            "a pinned 'algebra' needs the conic generator"
+        )
 
     def small_fraction(rng, nonzero):
         for _ in range(40):

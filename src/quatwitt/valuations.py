@@ -6,7 +6,10 @@ Three kinds, mirroring the tower levels they live on:
     GaussValuation(inner, L)     on a FunctionField L = K(var); the value of
                                  a polynomial is the minimum inner value of
                                  its coefficients, of a fraction the
-                                 difference; residue field kbar(var)
+                                 difference; over K = Q it is the p-adic
+                                 value of the payload's content, since its
+                                 primitive N and D have value 0 (Gauss's
+                                 lemma); residue field kbar(var)
     ConicValuation(inner, C)     on a ConicExtension C with unit parameters;
                                  the value of A + B*y is min(v'(A), v'(B)),
                                  which is half the Gauss value of the norm
@@ -129,6 +132,8 @@ class GaussValuation(_ValuationBase):
         self.domain = domain
         self.residue_field = FunctionField(inner.residue_field, domain.var)
         self.uniformizer = domain.lift(inner.uniformizer)
+        # over Q the payload is (c, N, D) with N and D primitive
+        self._over_q = isinstance(domain.base, Rationals)
 
     def __repr__(self):
         return f"GaussValuation({self.inner!r}, {self.domain!r})"
@@ -151,6 +156,9 @@ class GaussValuation(_ValuationBase):
         return min(map(inner_value, coeffs), default=INF)
 
     def _value(self, payload):
+        if self._over_q:
+            # Gauss's lemma: primitive N and D have value 0 at every p
+            return self.inner._value(payload[0])
         num, den = payload
         if not num:
             return INF
@@ -165,6 +173,15 @@ class GaussValuation(_ValuationBase):
         if v > 0 or v is INF:
             return rf(0)
         base = self.domain.base
+        k = rf.base
+        if self._over_q:
+            # c is a unit and D is primitive, so the residue is
+            # cbar*Nbar/Dbar with Dbar nonzero
+            c, num, den = a.value
+            cbar = self.inner.residue(base.el(c)).value
+            p = k.p
+            return rf.el(rf.make(tuple([cbar * e % p for e in num]),
+                                 tuple([e % p for e in den])))
         num, den = a.value
         m = self._poly_value(den)
         # scale so the denominator has value exactly 0, then reduce
@@ -172,7 +189,6 @@ class GaussValuation(_ValuationBase):
         scale = self.inner.uniformizer ** (-m)
         rnum = [self.inner.residue(base.el(c) * scale).value for c in num]
         rden = [self.inner.residue(base.el(c) * scale).value for c in den]
-        k = rf.base
         return rf.el(rf.make(poly_trim(k, rnum), poly_trim(k, rden)))
 
 
@@ -288,10 +304,10 @@ class TransportedConicValuation(_ValuationBase):
     def _push(self, payload):
         """The payload in the unit model of an element given by its payload."""
         A, B = payload
-        f0 = self.target.domain.inner
+        f, f0 = self.domain.inner, self.target.domain.inner
 
         def frac(coords, extra):
-            num, den = coords
+            num, den = f.num_den(coords)
             return f0.make(self._push_poly(num, extra), self._push_poly(den, 0))
 
         return (frac(A, 0), frac(B, -self.beta))

@@ -265,8 +265,9 @@ def reduce_entry_by_division(field, u, x, y):
 
 def euclid_make(num, den):
     """FunctionField.make over Q by the generic poly_* helpers over
-    Rationals(): Euclid's gcd on Fraction coefficients.  A reference for
-    the integer kernel, which must give the same payload."""
+    Rationals(): Euclid's gcd on Fraction coefficients, in the monic
+    Fraction form (num, den).  A reference for the integer kernel, whose
+    payload num_den must turn into the same pair."""
     from quatwitt.errors import DivisionByZero
     from quatwitt.fields import poly_deg, poly_divmod, poly_gcd, poly_scale, poly_trim
 
@@ -284,8 +285,8 @@ def euclid_make(num, den):
 
 
 def euclid_op(op, a, b=None):
-    """The payload of a Q(s) add, sub, mul, div or inv through
-    euclid_make."""
+    """The monic Fraction form of a Q(s) add, sub, mul, div or inv of
+    operands in that form, through euclid_make."""
     from quatwitt.fields import poly_add, poly_mul, poly_neg
 
     Q = Rationals()
@@ -303,18 +304,31 @@ def euclid_op(op, a, b=None):
     return euclid_make(poly_mul(Q, a[0], b[0]), poly_mul(Q, a[1], b[1]))
 
 
-def wrong_gcd_record(setattr_):
-    """run_instance on a division battery instance with the Q(s) kernel's
-    gcd replaced, through setattr_(owner, name, value), by one that
-    returns s + 1 whatever its inputs; the exact division after it must
-    fail."""
+def wrong_gcd_outcomes(setattr_):
+    """With the Q(s) kernel's gcd replaced, through setattr_(owner, name,
+    value), by one that returns s + 1 whatever its inputs: the error
+    raised by a quotient, whose gcd runs in mul, and by a sum over
+    different denominators, whose gcd runs in add, and the run_instance
+    record of a division battery instance.  The exact division after
+    each wrong gcd must fail."""
     from quatwitt import batteries, fields, scenarios
+    from quatwitt.errors import QuatwittError
 
+    K = fields.FunctionField(Rationals(), "s")
+    s = K.gen()
+    num, den = s**2 + 2, s**2 + 3
     sc = batteries.conic_scenario(3, "-1", 1)
     inst = scenarios.generate_instance(sc, 0)
     setattr_(scenarios, "generate_instance", lambda _sc, _index: inst)
     setattr_(fields, "_z_gcd", lambda f, g: [1, 1])
-    return scenarios.run_instance(sc, 0)
+    raised = {}
+    for op, run in (("mul", lambda: num / den), ("add", lambda: 1 / num + 1 / den)):
+        try:
+            run()
+            raised[op] = None
+        except QuatwittError as e:
+            raised[op] = [type(e).__name__, str(e)]
+    return raised, scenarios.run_instance(sc, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -347,7 +361,7 @@ def value_by_wrapping(v, a):
 
         return vp(fr.numerator) - vp(fr.denominator)
     if isinstance(v, GaussValuation):
-        num, den = a.value
+        num, den = v.domain.num_den(a.value)
         if not num:
             return INF
         base = v.domain.base

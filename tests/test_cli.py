@@ -14,9 +14,11 @@ from quatwitt.cli import (
     EXIT_INPUT,
     EXIT_OK,
     EXIT_VIOLATION,
+    SCENARIO_KEYS,
     main,
     run_batch,
 )
+from quatwitt.scenarios import load_scenario
 
 
 def write_scenario(tmp_path, name, payload):
@@ -464,8 +466,20 @@ def test_verify_theorem_json_is_pinned(tmp_path, capsys, scenario, extra, code, 
             dict(_DIVISION_P3, algebra={"d": "1", "t": "s"}, trials=3),
             "unramified with division residue",
         ),
+        # each point instance draws its own algebra, so a pin would be
+        # ignored rather than verified
+        (
+            {
+                "field": {"kind": "rationals"},
+                "valuation": {"kind": "padic", "p": 3},
+                "generator": "point",
+                "algebra": {"d": "1", "t": "3"},
+                "trials": 3,
+            },
+            "a pinned 'algebra' needs the conic generator",
+        ),
     ],
-    ids=["conic-over-q", "point-over-q-s", "split-residue"],
+    ids=["conic-over-q", "point-over-q-s", "split-residue", "point-pinned-algebra"],
 )
 def test_scenario_errors_exit_before_the_batch(tmp_path, capsys, scenario, message):
     # a generator that does not match the field, or a pinned algebra
@@ -517,3 +531,56 @@ def test_run_batch_caps_workers_at_cpu_count(batch_path, monkeypatch, cpus, jobs
     monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
     assert run_batch(sc, 2, jobs=jobs) == serial
     assert _InlineExecutor.max_workers == [want]
+
+
+@pytest.mark.parametrize(
+    "command, scenario, key",
+    [
+        ("verify-theorem", dict(_DIVISION_P3, trails=3), "trails"),
+        (
+            "witt-equal",
+            {"field": {"kind": "rationals"}, "first": {"entries": ["1", "-1"]}, "budget": 10},
+            "budget",
+        ),
+        (
+            "residue",
+            {
+                "field": {"kind": "rationals"},
+                "valuation": {"kind": "padic", "p": 3},
+                "algebra": {"d": "2", "t": "3"},
+                "quad": {"entries": ["1"]},
+            },
+            "quad",
+        ),
+        (
+            "residue-forms",
+            {
+                "field": {"kind": "rationals"},
+                "valuation": {"kind": "padic", "p": 3},
+                "quad": {"entries": ["1"]},
+                "algebra": {"d": "2", "t": "3"},
+            },
+            "algebra",
+        ),
+    ],
+    ids=["misspelled-trials", "witt-budget", "residue-quad", "residue-forms-algebra"],
+)
+def test_unknown_scenario_keys_are_input_errors(tmp_path, capsys, command, scenario, key):
+    # a key the subcommand does not read would be silently ignored
+    path = write_scenario(tmp_path, "unknown.json", scenario)
+    assert main([command, "--scenario", path, "--json"]) == EXIT_INPUT
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: unknown scenario key {key!r}")
+    assert captured.out == ""
+
+
+def test_benchmark_scenario_keys_still_load():
+    # the keys of the benchmark's one-shot verify-theorem and witt-equal
+    # scenarios
+    batch = dict(_DIVISION_P3, rank=2)
+    assert sorted(batch) == [
+        "algebra", "field", "generator", "rank", "seed", "trials", "valuation"
+    ]
+    assert load_scenario(batch, SCENARIO_KEYS["verify-theorem"]) is batch
+    witt = {"field": {"kind": "rationals"}, "first": {"entries": ["1", "-1"]}}
+    assert load_scenario(witt, SCENARIO_KEYS["witt-equal"]) is witt

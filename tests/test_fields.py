@@ -231,8 +231,10 @@ def test_function_field_cancels_common_factors(Q, K):
 def test_function_field_monic_denominator(K):
     s = K.gen()
     half = (s + 1) / (2 * s)
-    num, den = half.value
+    num, den = K.num_den(half.value)
     assert den[-1] == Fraction(1)
+    # the payload is the content 1/2 times (s + 1)/s
+    assert half.value == (Fraction(1, 2), (1, 1), (0, 1))
 
 
 _QS = FunctionField(Rationals(), "s")
@@ -258,38 +260,80 @@ _KERNEL_PAIRS = st.builds(
     _KERNEL_POLYS.filter(lambda g: any(g)),
     _KERNEL_POLYS.filter(lambda h: any(h)),
 )
-_KERNEL_PAYLOADS = _KERNEL_PAIRS.map(lambda pair: support.euclid_make(*pair))
+_KERNEL_PAYLOADS = _KERNEL_PAIRS.map(lambda pair: _QS.make(*pair))
 
 
-def _exact_payload(payload):
-    return payload, [type(c) for part in payload for c in part]
+def _typed(pair):
+    """A monic Fraction form (num, den) with the type of every
+    coefficient."""
+    return pair, [type(c) for part in pair for c in part]
 
 
 @given(_KERNEL_PAIRS)
 def test_integer_kernel_make_matches_euclid(pair):
-    assert _exact_payload(_QS.make(*pair)) == _exact_payload(support.euclid_make(*pair))
+    got = _QS.num_den(_QS.make(*pair))
+    assert _typed(got) == _typed(support.euclid_make(*pair))
+
+
+def _kernel_cases(a, b):
+    cases = [("add", a, b), ("sub", a, b), ("mul", a, b), ("neg", a)]
+    if b[0]:
+        cases.append(("div", a, b))
+    if a[0]:
+        cases.append(("inv", a))
+    return cases
 
 
 @settings(max_examples=80)
 @given(_KERNEL_PAYLOADS, _KERNEL_PAYLOADS)
 def test_integer_kernel_ops_match_euclid(a, b):
-    cases = [("add", a, b), ("sub", a, b), ("mul", a, b)]
-    if b[0]:
-        cases.append(("div", a, b))
-    if a[0]:
-        cases.append(("inv", a))
-    for op, *args in cases:
-        got = getattr(_QS, op)(*args)
-        assert _exact_payload(got) == _exact_payload(support.euclid_op(op, *args)), op
+    Q = Rationals()
+    for op, *args in _kernel_cases(a, b):
+        got = _QS.num_den(getattr(_QS, op)(*args))
+        forms = [_QS.num_den(x) for x in args]
+        if op == "neg":
+            want = (fields.poly_neg(Q, forms[0][0]), forms[0][1])
+        else:
+            want = support.euclid_op(op, *forms)
+        assert _typed(got) == _typed(want), op
+
+
+def _assert_canonical_triple(payload):
+    """(c, N, D): a Fraction content, N and D primitive int tuples with
+    positive leads and coprime (by Euclid over Q), zero as (0, (), (1,))."""
+    c, n, d = payload
+    assert type(c) is Fraction
+    assert type(n) is tuple and type(d) is tuple
+    assert all(type(e) is int for e in n + d)
+    if not c:
+        assert payload == (0, (), (1,))
+        return
+    for f in (n, d):
+        assert f and f[-1] > 0 and math.gcd(*f) == 1
+    Q = Rationals()
+    one = (Fraction(1),)
+    assert poly_gcd(Q, tuple(map(Fraction, n)), tuple(map(Fraction, d))) == one
+
+
+@settings(max_examples=80)
+@given(_KERNEL_PAIRS, _KERNEL_PAIRS)
+def test_integer_kernel_payloads_stay_canonical(p, r):
+    a, b = _QS.make(*p), _QS.make(*r)
+    _assert_canonical_triple(a)
+    _assert_canonical_triple(b)
+    for op, *args in _kernel_cases(a, b):
+        _assert_canonical_triple(getattr(_QS, op)(*args))
+
+
+def _assert_wrong_gcd_fails(outcomes):
+    raised, record = outcomes
+    want = ["CertificateFailed", "polynomial gcd does not divide exactly"]
+    assert raised == {"mul": want, "add": want}
+    assert (record["status"], record["error"]) == ("error", "CertificateFailed")
 
 
 def test_integer_kernel_wrong_gcd_is_a_failed_check(monkeypatch):
-    monkeypatch.setattr(fields, "_z_gcd", lambda f, g: [1, 1])
-    s = _QS.gen()
-    with pytest.raises(CertificateFailed, match="does not divide exactly"):
-        (s**2 + 2) / (s**2 + 3)
-    record = support.wrong_gcd_record(monkeypatch.setattr)
-    assert (record["status"], record["error"]) == ("error", "CertificateFailed")
+    _assert_wrong_gcd_fails(support.wrong_gcd_outcomes(monkeypatch.setattr))
 
 
 def test_integer_kernel_wrong_gcd_survives_optimized_mode():
@@ -299,7 +343,7 @@ def test_integer_kernel_wrong_gcd_survives_optimized_mode():
     code = (
         "import json, sys, support\n"
         "if not sys.flags.optimize: sys.exit('not optimized')\n"
-        "print(json.dumps(support.wrong_gcd_record(setattr)))\n"
+        "print(json.dumps(support.wrong_gcd_outcomes(setattr)))\n"
     )
     proc = subprocess.run(
         [sys.executable, "-O", "-c", code],
@@ -309,8 +353,7 @@ def test_integer_kernel_wrong_gcd_survives_optimized_mode():
         timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    record = json.loads(proc.stdout)
-    assert (record["status"], record["error"]) == ("error", "CertificateFailed")
+    _assert_wrong_gcd_fails(json.loads(proc.stdout))
 
 
 def test_function_field_str_frozen(K):
@@ -370,7 +413,8 @@ def _sympy_expr(field, payload, sympy):
     """A Rationals or (nested) FunctionField payload as a sympy expression."""
     if isinstance(field, Rationals):
         return sympy.Rational(payload.numerator, payload.denominator)
-    return _sympy_poly(field, payload[0], sympy) / _sympy_poly(field, payload[1], sympy)
+    num, den = field.num_den(payload)
+    return _sympy_poly(field, num, sympy) / _sympy_poly(field, den, sympy)
 
 
 def _sympy_poly(field, cs, sympy):
@@ -384,18 +428,19 @@ def _sympy_poly(field, cs, sympy):
 
 
 def _assert_reduced(field, payload, sympy):
-    """num and den coprime in base[var] by sympy's gcd, and den monic, at
-    this level and at every coefficient below it."""
+    """num and den of num_den coprime in base[var] by sympy's gcd, and
+    den monic, at this level and at every coefficient below it."""
     base = field.base
     domain = "QQ" if isinstance(base, Rationals) else f"QQ({base.var})"
+    form = field.num_den(payload)
     num, den = (
         sympy.Poly(_sympy_poly(field, cs, sympy), sympy.Symbol(field.var), domain=domain)
-        for cs in payload
+        for cs in form
     )
     assert sympy.gcd(num, den) == 1
-    assert payload[1][-1] == base.one()
+    assert form[1][-1] == base.one()
     if isinstance(base, FunctionField):
-        for c in payload[0] + payload[1]:
+        for c in form[0] + form[1]:
             _assert_reduced(base, c, sympy)
 
 
@@ -505,10 +550,13 @@ def test_parsed_conic_inverse_power_over_q_s_does_not_stall(K):
     C = ConicExtension(K, K(-1).value, K.gen().value)
     seconds, r = _seconds(lambda: C("(x + y + s)^-3"))
     assert seconds < 5.0
-    # one factor at a time: r * u**3 in one product takes 13 s, in the
-    # Q(s)(x) gcds of the generic path
+    # r * u**3 in one product took 13 s while Q(s) coefficients were
+    # Fraction tuples; on (c, N, D) payloads its Q(s)(x) gcds take
+    # well under a second
     u = C("x + y + s")
-    assert r * u * u * u == C(1)
+    seconds, one = _seconds(lambda: r * u**3)
+    assert seconds < 5.0
+    assert one == C(1)
 
 
 def test_level_mismatch_is_rejected(Q, K):

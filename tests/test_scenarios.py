@@ -2,6 +2,7 @@
 single-instance batch worker."""
 
 import functools
+import hashlib
 import json
 
 import pytest
@@ -140,6 +141,10 @@ def test_load_scenario_validates_shape(tmp_path):
         load_scenario(dict(CONIC_SC, rank=0))
     with pytest.raises(ScenarioError):
         load_scenario(dict(CONIC_SC, algebra=[2, "s"]))
+    with pytest.raises(ScenarioError, match="unknown scenario key 'trails'"):
+        load_scenario(dict(CONIC_SC, trails=10))
+    with pytest.raises(ScenarioError, match="unknown scenario key 'first'"):
+        load_scenario(dict(CONIC_SC, first={"entries": ["1"]}))
     with pytest.raises(ScenarioError):
         load_scenario(str(tmp_path / "missing.json"))
     bad = tmp_path / "bad.json"
@@ -246,6 +251,12 @@ def test_pinned_algebra_must_have_division_residue():
         generate_instance(sc, 0)
 
 
+def test_point_generator_refuses_a_pinned_algebra():
+    sc = dict(POINT_SC, algebra={"d": "1", "t": "3"})
+    with pytest.raises(ScenarioError, match="needs the conic generator"):
+        generate_instance(sc, 0)
+
+
 def test_pinned_algebra_and_rank_are_respected():
     sc = dict(CONIC_SC, algebra={"d": "2", "t": "s"}, rank=2)
     desc = instance_descriptor(generate_instance(sc, 5))
@@ -292,3 +303,72 @@ def test_run_instance_rejects_unknown_faults():
     with pytest.raises(ValueError):
         run_instance(CONIC_SC, 0, fault_names=("wrong-name",))
     assert faults.active_names() == ()
+
+
+# ---------------------------------------------------------------------------
+# pinned records
+
+# sha256 of the JSON records of run_instance over the first instances of
+# each battery at seed 42, clean and under each seeded fault; any change
+# to the arithmetic that moves a rendered string or a verdict moves one
+_BATTERY_SLICES = {
+    **{f"division-{p}": (batteries.conic_scenario, (p, d), 6)
+       for p, d in batteries.DIVISION_BATCHES},
+    **{f"split-{p}": (batteries.point_scenario, (p,), 4) for p in batteries.SPLIT_PRIMES},
+}
+_RECORD_DIGESTS = {
+    "division-13": {
+        "clean": "64fbfe74042ae4d01989bd68bc7423618fad09db8f97e99911c6d8aaa5090004",
+        "negate-fast-path": "64fbfe74042ae4d01989bd68bc7423618fad09db8f97e99911c6d8aaa5090004",
+        "skip-even-scaling": "64fbfe74042ae4d01989bd68bc7423618fad09db8f97e99911c6d8aaa5090004",
+        "drop-unit-rep": "43de96d0ad7d168fdcfd34354e142d94c6212b517b12efb992843f5b0a54c9c6",
+    },
+    "division-3": {
+        "clean": "80087f6395e4482964d0357d41a242712a3f09497926647c932e21e32a7cdc80",
+        "negate-fast-path": "6b7cc408001cec938c9e2c8830ba106ba083e919fca6ee66e87c2c2d6fd42c84",
+        "skip-even-scaling": "80087f6395e4482964d0357d41a242712a3f09497926647c932e21e32a7cdc80",
+        "drop-unit-rep": "7143dca9b29d88340a62bb17934db8623f9f6f483a099023233ae9f4b8f6fd9f",
+    },
+    "division-5": {
+        "clean": "9f51dc58dc4293fe1170ed4ecf4fe8374620317e9bb78b05c45a7a97ed40b4bd",
+        "negate-fast-path": "44b060ab6031f07c773ce20b829db3d0ca1240754ae6317a22c47fc2474712d9",
+        "skip-even-scaling": "9f51dc58dc4293fe1170ed4ecf4fe8374620317e9bb78b05c45a7a97ed40b4bd",
+        "drop-unit-rep": "6c6f53a73654af3f1b9d07663d5b07a5e450a1335a244b9726789cdcc2d6b7c6",
+    },
+    "division-7": {
+        "clean": "0cf5738e7e395b1f365e4135f3cb46f14f9ee71328ffe516d3e59478546d2d94",
+        "negate-fast-path": "91187ea61a6588d0a41cc68618116b09a3e2039a39d55139acbdcbd463a6328a",
+        "skip-even-scaling": "0cf5738e7e395b1f365e4135f3cb46f14f9ee71328ffe516d3e59478546d2d94",
+        "drop-unit-rep": "3df14ca130269fc9239a138c522f273318c1ee70f6f4f8af85bb8f000c275cb9",
+    },
+    "split-3": {
+        "clean": "c2ab75b9f0bf26d58adab96f93051288d14d60096ca39d6c626ccf93e4b7b20d",
+        "negate-fast-path": "c2ab75b9f0bf26d58adab96f93051288d14d60096ca39d6c626ccf93e4b7b20d",
+        "skip-even-scaling": "ddd5dd49fdd9cdebd510eedfc2d20a9444f4a352aa3e72ab3d788015560369a0",
+        "drop-unit-rep": "6504167b051c2356751fd5a507d02aa0451e2b8b9e5180d059ce44d37eb546e7",
+    },
+    "split-5": {
+        "clean": "50165ffa64593a3662c39e4e25dcf3292b7ab8e9d33565c2e436c4cda8d434f5",
+        "negate-fast-path": "50165ffa64593a3662c39e4e25dcf3292b7ab8e9d33565c2e436c4cda8d434f5",
+        "skip-even-scaling": "a69ea5549d4c638990b2f1b2eaf8c55dd954060e51ee54d8e9b611676a4b2592",
+        "drop-unit-rep": "33f878eac9251c938e1e6d1784b03917591a4b9cb4983c5cbe1a1611bac408d2",
+    },
+    "split-7": {
+        "clean": "79f1412a8f8fef000d99f66fef63cd3b7a719e06f0a4b6627418a54ff6b5485a",
+        "negate-fast-path": "79f1412a8f8fef000d99f66fef63cd3b7a719e06f0a4b6627418a54ff6b5485a",
+        "skip-even-scaling": "6f343c5509dabd4e6d28f72b417cf5e5041d4001dba4b66f35be94cfcfce791f",
+        "drop-unit-rep": "811387ca63768f69da7e336776de1559ebb723aa028c32c493a30d90770b1f45",
+    },
+}
+
+
+@pytest.mark.parametrize("battery", sorted(_BATTERY_SLICES))
+def test_battery_records_are_pinned(battery):
+    build, args, count = _BATTERY_SLICES[battery]
+    sc = build(*args, trials=count)
+    got = {}
+    for fault in (None,) + faults.FAULT_NAMES:
+        records = [run_instance(sc, i, (fault,) if fault else ()) for i in range(count)]
+        text = json.dumps(records, sort_keys=True)
+        got[fault or "clean"] = hashlib.sha256(text.encode()).hexdigest()
+    assert got == _RECORD_DIGESTS[battery]
