@@ -31,9 +31,11 @@ cancels the gcds of N1 with D2 and of N2 with D1 (Henrici, JACM 3,
 1956), add brings both operands over a common denominator and cancels
 only what can still be shared, inv swaps N and D.  The gcds go by the
 primitive pseudo-remainder sequence and are divided out exactly.
-num_den gives the pair (num, den) of Fraction tuples with den monic,
-which printing reads.  Other bases, F_p and Q(s) among them, use the
-poly_* helpers below, Euclid's algorithm over the base field.
+to_str prints the triple from its integers too.  num_den gives the pair
+(num, den) of Fraction tuples with den monic, for the few callers that
+need monic coefficients: sqrt, the parser's power cost and the
+transported conic valuation.  Other bases, F_p and Q(s) among them, use
+the poly_* helpers below, Euclid's algorithm over the base field.
 
 Characteristic 2 is rejected everywhere.  Elements parse from a small
 expression grammar (integers, the tower's symbols, + - * / ^, parentheses)
@@ -66,7 +68,9 @@ class FieldElement:
 
     def _coerce(self, other):
         if isinstance(other, FieldElement):
-            if other.field == self.field:
+            # fields are shared objects, so identity settles nearly every
+            # operand before the comparison by value
+            if other.field is self.field or other.field == self.field:
                 return other
             lifted = self.field.lift(other)
             if lifted is not None:
@@ -204,7 +208,7 @@ class _FieldBase:
 
     def __call__(self, v):
         if isinstance(v, FieldElement):
-            if v.field == self:
+            if v.field is self or v.field == self:
                 return v
             lifted = self.lift(v)
             if lifted is None:
@@ -697,6 +701,33 @@ def _term_safe(s: str) -> bool:
     return bool(body) and not any(ch in "+-" for ch in body)
 
 
+def _q_poly_to_str(p: int, q: int, cs, var: str) -> str:
+    """poly_to_str over Rationals of (p/q)*cs, for an integer polynomial cs
+    and q > 0, written from integers: each coefficient is reduced by one
+    gcd, and a rational is always term- and factor-safe, so none is
+    parenthesised."""
+    terms = []
+    for k in range(len(cs) - 1, -1, -1):
+        n = p * cs[k]
+        if not n:
+            continue
+        g = gcd(n, q)
+        n, m = n // g, q // g
+        if k == 0:
+            terms.append(str(n) if m == 1 else f"{n}/{m}")
+            continue
+        vp = var if k == 1 else f"{var}^{k}"
+        if m != 1:
+            terms.append(f"{n}/{m}*{vp}")
+        elif n == 1:
+            terms.append(vp)
+        elif n == -1:
+            terms.append("-" + vp)
+        else:
+            terms.append(f"{n}*{vp}")
+    return _join_terms(terms)
+
+
 def poly_to_str(base, cs, var: str) -> str:
     if not cs:
         return "0"
@@ -933,7 +964,17 @@ class FunctionField(_FieldBase):
         return self.make(rn, rd)
 
     def to_str(self, a):
-        num, den = self.num_den(a)
+        if self._over_q:
+            # num_den's pair is (c/lc(D))*N over (1/lc(D))*D
+            c, n, d = a
+            if not n:
+                return "0"
+            lc = d[-1]
+            ns = _q_poly_to_str(c.numerator, c.denominator * lc, n, self.var)
+            if len(d) == 1:
+                return ns
+            return f"({ns})/({_q_poly_to_str(1, lc, d, self.var)})"
+        num, den = a
         if den == (self.base.one(),):
             return poly_to_str(self.base, num, self.var)
         ns = poly_to_str(self.base, num, self.var)

@@ -55,14 +55,18 @@ class SkewHermitianForm:
             out = []
             for u in row:
                 if isinstance(u, QuaternionElement):
-                    if u.algebra != algebra:
+                    if u.algebra is not algebra and u.algebra != algebra:
                         raise AlgebraMismatch("gram entry from a different algebra")
                     out.append(u)
                 else:
                     out.append(algebra.scalar(u))
             rows.append(tuple(out))
+        # conj(u) = -u exactly when u is pure (char != 2), and the (l, k)
+        # condition is the conjugate of the (k, l) one
         for k in range(n):
-            for l in range(n):
+            if not rows[k][k].coeffs[0].is_zero():
+                raise ValueError("gram matrix is not skew-hermitian")
+            for l in range(k + 1, n):
                 if rows[l][k].conj() != -rows[k][l]:
                     raise ValueError("gram matrix is not skew-hermitian")
         self.algebra = algebra

@@ -114,7 +114,7 @@ class QuaternionElement:
 
     def _coerce(self, other):
         if isinstance(other, QuaternionElement):
-            if other.algebra != self.algebra:
+            if other.algebra is not self.algebra and other.algebra != self.algebra:
                 raise AlgebraMismatch("operands live in different quaternion algebras")
             return other
         try:
@@ -229,7 +229,9 @@ class QuaternionElement:
 
     def __eq__(self, other):
         other = self._coerce(other) if not isinstance(other, QuaternionElement) else other
-        if not isinstance(other, QuaternionElement) or other.algebra != self.algebra:
+        if not isinstance(other, QuaternionElement):
+            return False
+        if other.algebra is not self.algebra and other.algebra != self.algebra:
             return False
         return other.coeffs == self.coeffs
 

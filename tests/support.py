@@ -107,6 +107,13 @@ def pure_quaternions(alg, coeffs=None):
     ).filter(lambda u: not u.is_zero())
 
 
+def is_skew_by_all_pairs(gram):
+    """conj(G[l][k]) == -G[k][l] for all n^2 index pairs: the
+    skew-hermitian condition as stated."""
+    n = len(gram)
+    return all(gram[l][k].conj() == -gram[k][l] for k in range(n) for l in range(n))
+
+
 def corrupted_congruence_record(setattr_):
     """run_instance on a split battery instance made non-diagonal by a
     unimodular base change, with a corrupted quaternion matrix product
@@ -282,6 +289,19 @@ def euclid_make(num, den):
         num, den = poly_divmod(Q, num, g)[0], poly_divmod(Q, den, g)[0]
     ilc = Q.inv(den[-1])
     return poly_scale(Q, num, ilc), poly_scale(Q, den, ilc)
+
+
+def to_str_by_num_den(field, payload):
+    """A FunctionField element printed from its num_den pair of Fraction
+    coefficient tuples through poly_to_str: the printing rule the integer
+    renderer over Rationals must reproduce byte for byte."""
+    from quatwitt.fields import poly_to_str
+
+    num, den = field.num_den(payload)
+    ns = poly_to_str(field.base, num, field.var)
+    if den == (field.base.one(),):
+        return ns
+    return f"({ns})/({poly_to_str(field.base, den, field.var)})"
 
 
 def euclid_op(op, a, b=None):

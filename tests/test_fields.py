@@ -4,6 +4,7 @@ rational function fields, and conic extensions."""
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 import time
@@ -365,9 +366,67 @@ def test_function_field_str_frozen(K):
 
 
 def test_function_field_parse_round_trip(K):
-    for text in ("s", "(s^2 + 1)/(s - 3)", "2*s - 1/2"):
+    for text in ("s", "(s^2 + 1)/(s - 3)", "2*s - 1/2", "0", "-3/4", "-2/(3*s^2 + 1)"):
         el = K.parse(text)
-        assert (K.parse(repr(el)) - el).is_zero()
+        assert K.parse(repr(el)) == el
+    KX = FunctionField(K, "x")
+    for text in ("x", "(s*x - 1/2)/(2*s + 3)", "(x^2 + s/3)/(-2*s*x + 1)", "-1/(2*s)"):
+        el = KX.parse(text)
+        assert KX.parse(repr(el)) == el
+    C = ConicExtension(K, K(-1).value, K.gen().value)
+    for text in ("y", "x + s*y - 1", "(2*x + y/s)/(3*s - x)", "(x + y + s)^-2"):
+        el = C.parse(text)
+        assert C.parse(repr(el)) == el
+
+
+# zero, constants, negative contents and denominators whose primitive
+# integer form has a lead other than 1 (2*s + 3 is D = (3, 2))
+_RENDER_EXAMPLES = ("0", "1", "-3/4", "-s", "s/2", "-2/(3*s^2 + 1)", "(s - 1/2)/(2*s + 3)")
+
+
+@settings(max_examples=200)
+@given(
+    st.one_of(
+        st.sampled_from(_RENDER_EXAMPLES).map(lambda t: _QS.parse(t).value),
+        support.rational_functions(_QS).map(lambda f: f.value),
+        _KERNEL_PAYLOADS,
+    )
+)
+def test_q_s_to_str_matches_num_den_printing(payload):
+    assert _QS.to_str(payload) == support.to_str_by_num_den(_QS, payload)
+
+
+def test_q_s_printing_builds_no_fraction(monkeypatch):
+    """Q(s) elements print from their integer payloads; Q(s)(x) and the
+    conic reach the same renderer through their coefficients."""
+    rng = random.Random(12)
+
+    def poly():
+        # a nonzero lead, so the denominators are never zero
+        cs = [Fraction(rng.randint(-9, 9), rng.randint(1, 6)) for _ in range(rng.randint(0, 3))]
+        return tuple(cs) + (Fraction(rng.choice([-7, -2, -1, 1, 3, 5]), rng.randint(1, 6)),)
+
+    payloads = [_QS.zero(), _QS.one()] + [_QS.make(poly(), poly()) for _ in range(60)]
+    QSX = FunctionField(_QS, "x")
+    C = ConicExtension(_QS, _QS.from_int(-1), _QS.gen().value)
+    upper = [
+        (QSX, QSX.make(tuple(payloads[2:5]), tuple(payloads[5:7]))),
+        (C, C.parse("(x + y + s)^-2").value),
+    ]
+    built = []
+    new = Fraction.__new__
+
+    def counting_new(cls, *args, **kwargs):
+        built.append(args)
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", counting_new)
+    for p in payloads:
+        _QS.to_str(p)
+    for f, p in upper:
+        f.to_str(p)
+    monkeypatch.undo()
+    assert built == []
 
 
 def test_function_field_variable_shadowing(Q, K):

@@ -68,6 +68,38 @@ def test_rejects_non_skew_gram(A23):
         SkewHermitianForm(A23, [[i, one], [one, i]])
 
 
+@st.composite
+def _grams(draw, alg):
+    """Square gram matrices over alg of rank 1 to 3 with small entries;
+    each diagonal entry is made pure and each entry below the diagonal
+    mirrors the one above it (as -conj) with probability 3/4, so skew
+    and non-skew grams of every shape are drawn."""
+    n = draw(st.integers(1, 3))
+    q = support.quaternions(alg, coeffs=st.integers(-1, 1))
+    gram = [[draw(q) for _ in range(n)] for _ in range(n)]
+    for k in range(n):
+        if draw(st.integers(0, 3)):
+            gram[k][k] = gram[k][k] - gram[k][k].coeffs[0]
+        for l in range(k + 1, n):
+            if draw(st.integers(0, 3)):
+                gram[l][k] = -gram[k][l].conj()
+    return gram
+
+
+@given(st.data())
+def test_skew_check_agrees_with_all_pairs_rule(A23, data):
+    gram = data.draw(_grams(A23))
+    try:
+        SkewHermitianForm(A23, gram)
+        rejected = False
+    except Degenerate:
+        rejected = False
+    except ValueError as e:
+        assert str(e) == "gram matrix is not skew-hermitian"
+        rejected = True
+    assert rejected == (not support.is_skew_by_all_pairs(gram))
+
+
 def test_rejects_singular_gram(A23):
     i = A23.i()
     with pytest.raises(Degenerate):
