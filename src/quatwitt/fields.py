@@ -12,30 +12,36 @@ A field object implements a raw-value protocol (zero, one, add, mul, inv,
 the FieldElement wrapper, which overloads the operators.  Canonical forms
 are unique, so equality of payloads is equality of elements:
 
-    Rationals        Fraction in lowest terms
+    Rationals        pair (n, d) of ints in lowest terms with d > 0;
+                     zero is (0, 1)
     FiniteField      least nonnegative residue, an int
     FunctionField    over Rationals: triple (c, N, D) standing for
-                     c*N/D, c a Fraction content carrying sign and
-                     scale, N and D tuples of ints, primitive with
-                     positive leading coefficients and coprime; zero
-                     is (0, (), (1,))
+                     c*N/D, c a Rationals payload, the content carrying
+                     sign and scale, N and D tuples of ints, primitive
+                     with positive leading coefficients and coprime;
+                     zero is ((0, 1), (), (1,))
                      over other bases: pair (num, den) of dense
                      coefficient tuples, gcd-reduced, den monic
     ConicExtension   pair (A, B) of FunctionField payloads in the inner
                      field base(x), standing for A + B*y with the rewrite
                      y^2 -> (1 - d*x^2)/t always applied
 
-Over Rationals the FunctionField arithmetic runs on integers and never
-rebuilds a Fraction per coefficient: mul multiplies the contents and
-cancels the gcds of N1 with D2 and of N2 with D1 (Henrici, JACM 3,
-1956), add brings both operands over a common denominator and cancels
-only what can still be shared, inv swaps N and D.  The gcds go by the
-primitive pseudo-remainder sequence and are divided out exactly.
-to_str prints the triple from its integers too.  num_den gives the pair
-(num, den) of Fraction tuples with den monic, for the few callers that
-need monic coefficients: sqrt, the parser's power cost and the
-transported conic valuation.  Other bases, F_p and Q(s) among them, use
-the poly_* helpers below, Euclid's algorithm over the base field.
+Arithmetic over Q runs on Python ints and builds no Fraction: Rationals
+adds through the gcd of the denominators (Knuth, TAOCP vol. 2, 4.5.1)
+and multiplies by cancelling across, so every result is reduced without
+a gcd of its full numerator and denominator.  A Fraction is accepted
+only at the boundary, by from_fraction and operand coercion.  Over
+Rationals the FunctionField arithmetic runs on integers too: mul
+multiplies the contents and cancels the gcds of N1 with D2 and of N2
+with D1 (Henrici, JACM 3, 1956), add brings both operands over a common
+denominator and cancels only what can still be shared, inv swaps N and
+D.  The gcds go by the primitive pseudo-remainder sequence and are
+divided out exactly.  to_str prints the triple from its integers.
+num_den gives the pair (num, den) of Rationals payload tuples with den
+monic, for the few callers that need monic coefficients: sqrt, the
+parser's power cost and the transported conic valuation.  Other bases,
+F_p and Q(s) among them, use the poly_* helpers below, Euclid's
+algorithm over the base field.
 
 Characteristic 2 is rejected everywhere.  Elements parse from a small
 expression grammar (integers, the tower's symbols, + - * / ^, parentheses)
@@ -244,10 +250,14 @@ def _is_prime(n: int) -> bool:
 
 
 class Rationals(_FieldBase):
-    """The rational numbers with Fraction payloads."""
+    """The rational numbers.  A payload is a pair (n, d) of ints in
+    lowest terms with d > 0, zero being (0, 1).  Sums take the gcd of
+    the denominators first (Knuth, TAOCP vol. 2, 4.5.1) and products
+    cancel across (Henrici), so every result comes out reduced without
+    a gcd of its full numerator and denominator."""
 
     characteristic = 0
-    _zero, _one = Fraction(0), Fraction(1)
+    _zero, _one = (0, 1), (1, 1)
 
     def __eq__(self, other):
         return isinstance(other, Rationals)
@@ -259,38 +269,87 @@ class Rationals(_FieldBase):
         return "Rationals()"
 
     def from_int(self, n: int):
-        return Fraction(n)
+        return (n, 1)
 
     def from_fraction(self, fr: Fraction):
-        return fr
+        return (fr.numerator, fr.denominator)
 
     def add(self, a, b):
-        return a + b
+        return _q_sum(a[0], a[1], b[0], b[1])
+
+    def sub(self, a, b):
+        return _q_sum(a[0], a[1], -b[0], b[1])
 
     def neg(self, a):
-        return -a
+        return (-a[0], a[1])
 
     def mul(self, a, b):
-        return a * b
+        an, ad = a
+        bn, bd = b
+        if ad == 1 and bd == 1:
+            return (an * bn, 1)
+        # the operands are reduced, so only an with bd and bn with ad
+        # can share a factor
+        g = gcd(an, bd)
+        h = gcd(bn, ad)
+        return ((an // g) * (bn // h), (ad // h) * (bd // g))
+
+    def div(self, a, b):
+        an, ad = a
+        bn, bd = b
+        if not bn:
+            raise DivisionByZero("inverse of 0")
+        g = gcd(an, bn)
+        h = gcd(ad, bd)
+        n, d = (an // g) * (bd // h), (ad // h) * (bn // g)
+        return (-n, -d) if d < 0 else (n, d)
 
     def inv(self, a):
-        if a == 0:
+        n, d = a
+        if not n:
             raise DivisionByZero("inverse of 0")
-        return 1 / a
+        return (d, n) if n > 0 else (-d, -n)
 
     def is_zero(self, a):
-        return a == 0
+        return not a[0]
 
     def sqrt(self, a):
-        if a < 0:
-            raise NotASquare(f"{a} is negative")
-        rn, rd = isqrt(a.numerator), isqrt(a.denominator)
-        if rn * rn != a.numerator or rd * rd != a.denominator:
-            raise NotASquare(f"{a} is not a rational square")
-        return Fraction(rn, rd)
+        n, d = a
+        if n < 0:
+            raise NotASquare(f"{self.to_str(a)} is negative")
+        rn, rd = isqrt(n), isqrt(d)
+        if rn * rn != n or rd * rd != d:
+            raise NotASquare(f"{self.to_str(a)} is not a rational square")
+        return (rn, rd)
 
     def to_str(self, a):
-        return str(a)
+        n, d = a
+        return str(n) if d == 1 else f"{n}/{d}"
+
+
+def _q_frac(n: int, d: int):
+    """The payload of n/d for d > 0."""
+    g = gcd(n, d)
+    return (n // g, d // g) if g != 1 else (n, d)
+
+
+def _q_sum(an, ad, bn, bd):
+    """an/ad + bn/bd in lowest terms, for reduced operands."""
+    if ad == bd:
+        n = an + bn
+        if ad == 1:
+            return (n, 1)
+        g = gcd(n, ad)
+        return (n // g, ad // g)
+    g = gcd(ad, bd)
+    if g == 1:
+        # coprime denominators leave the sum reduced
+        return (an * bd + bn * ad, ad * bd)
+    s = ad // g
+    n = an * (bd // g) + bn * s
+    # n is prime to s and to bd/g; only the common part g can cancel
+    h = gcd(n, g)
+    return (n // h, s * (bd // h))
 
 
 class FiniteField(_FieldBase):
@@ -708,11 +767,9 @@ def _q_poly_to_str(p: int, q: int, cs, var: str) -> str:
     parenthesised."""
     terms = []
     for k in range(len(cs) - 1, -1, -1):
-        n = p * cs[k]
-        if not n:
+        if not cs[k]:
             continue
-        g = gcd(n, q)
-        n, m = n // g, q // g
+        n, m = _q_frac(p * cs[k], q)
         if k == 0:
             terms.append(str(n) if m == 1 else f"{n}/{m}")
             continue
@@ -766,9 +823,9 @@ class FunctionField(_FieldBase):
         # over Q, payloads are (c, N, D) triples run on the integer kernel
         self._over_q = isinstance(base, Rationals)
         if self._over_q:
-            self._zero = (Fraction(0), (), (1,))
-            self._one = (Fraction(1), (1,), (1,))
-            self._gen = (Fraction(1), (0, 1), (1,))
+            self._zero = ((0, 1), (), (1,))
+            self._one = ((1, 1), (1,), (1,))
+            self._gen = ((1, 1), (0, 1), (1,))
         else:
             one = (base.one(),)
             self._zero = ((), one)
@@ -813,9 +870,9 @@ class FunctionField(_FieldBase):
     def _q_make(self, num, den):
         # clear every coefficient denominator at once, then split off the
         # contents and cancel the gcd
-        m = lcm(*[c.denominator for c in num], *[c.denominator for c in den])
-        n = _z_trim([c.numerator * (m // c.denominator) for c in num])
-        d = _z_trim([c.numerator * (m // c.denominator) for c in den])
+        m = lcm(*[q for _, q in num], *[q for _, q in den])
+        n = _z_trim([p * (m // q) for p, q in num])
+        d = _z_trim([p * (m // q) for p, q in den])
         if not d:
             raise DivisionByZero(f"zero denominator in {self.var}-fraction")
         if not n:
@@ -823,19 +880,21 @@ class FunctionField(_FieldBase):
         kn, n = _z_content(n)
         kd, d = _z_content(d)
         n, d = _z_cancel(n, d)
-        return (Fraction(kn, kd), tuple(n), tuple(d))
+        if kd < 0:
+            kn, kd = -kn, -kd
+        return (_q_frac(kn, kd), tuple(n), tuple(d))
 
     def num_den(self, a):
         """The payload as a pair (num, den) of coefficient tuples of base
         payloads, in lowest terms with den monic; from_reduced inverts it."""
         if not self._over_q:
             return a
-        c, n, d = a
+        (p, q), n, d = a
         if not n:
-            return (), (Fraction(1),)
+            return (), ((1, 1),)
         lc = d[-1]
-        k = c / lc
-        return tuple([k * e for e in n]), tuple([Fraction(e, lc) for e in d])
+        q *= lc
+        return tuple([_q_frac(p * e, q) for e in n]), tuple([_q_frac(e, lc) for e in d])
 
     def from_reduced(self, num, den):
         """The payload of num/den for coefficient tuples already in lowest
@@ -867,14 +926,14 @@ class FunctionField(_FieldBase):
         return self.el(self.make(num, den))
 
     def add(self, a, b):
+        if self._over_q:
+            return self._q_add(a, b)
         # payloads are canonical, so a zero operand leaves the other as
-        # the canonical sum; a[0] is the numerator, or the content over Q
+        # the canonical sum
         if not a[0]:
             return b
         if not b[0]:
             return a
-        if self._over_q:
-            return self._q_add(a, b)
         base = self.base
         one = (base.one(),)
         if a[1] == one and b[1] == one:
@@ -885,12 +944,19 @@ class FunctionField(_FieldBase):
 
     def _q_add(self, a, b):
         # over the common denominator g*a1*b1 of D_a = g*a1 and D_b = g*b1
-        # the numerator is prime to a1*b1, so only g can cancel (Henrici)
-        ca, an, ad = a
-        cb, bn, bd = b
-        qa, qb = ca.denominator, cb.denominator
-        q = lcm(qa, qb)
-        ka, kb = ca.numerator * (q // qa), cb.numerator * (q // qb)
+        # the numerator is prime to a1*b1, so only g can cancel (Henrici);
+        # a zero, with N = (), leaves the other operand
+        (pa, qa), an, ad = a
+        (pb, qb), bn, bd = b
+        if not an:
+            return b
+        if not bn:
+            return a
+        if qa == qb:
+            q, ka, kb = qa, pa, pb
+        else:
+            q = lcm(qa, qb)
+            ka, kb = pa * (q // qa), pb * (q // qb)
         if ad == bd:
             g, a1, b1 = ad, (1,), (1,)
         elif len(ad) == 1 or len(bd) == 1:
@@ -903,24 +969,27 @@ class FunctionField(_FieldBase):
             return self._zero
         k, top = _z_content(top)
         top, g = _z_cancel(top, g)
-        return (Fraction(k, q), tuple(top), _z_times(_z_times(g, a1), b1))
+        return (_q_frac(k, q), tuple(top), _z_times(_z_times(g, a1), b1))
 
     def neg(self, a):
         if self._over_q:
-            return (-a[0], a[1], a[2])
+            (p, q), n, d = a
+            return ((-p, q), n, d)
         return (poly_neg(self.base, a[0]), a[1])
 
     def mul(self, a, b):
-        if not a[0] or not b[0]:
-            return self._zero
         if self._over_q:
             # each operand is reduced, so only numerators and denominators
             # across can share a factor (Henrici)
             ca, an, ad = a
             cb, bn, bd = b
+            if not an or not bn:
+                return self._zero
             an, bd = _z_cancel(an, bd)
             bn, ad = _z_cancel(bn, ad)
-            return (ca * cb, _z_times(an, bn), _z_times(ad, bd))
+            return (self.base.mul(ca, cb), _z_times(an, bn), _z_times(ad, bd))
+        if not a[0] or not b[0]:
+            return self._zero
         base = self.base
         one = (base.one(),)
         if a[1] == one and b[1] == one:
@@ -928,14 +997,15 @@ class FunctionField(_FieldBase):
         return self.make(poly_mul(base, a[0], b[0]), poly_mul(base, a[1], b[1]))
 
     def inv(self, a):
-        if not a[0]:
+        if self.is_zero(a):
             raise DivisionByZero("inverse of the zero rational function")
         if self._over_q:
-            return (1 / a[0], a[2], a[1])
+            return (self.base.inv(a[0]), a[2], a[1])
         return self.make(a[1], a[0])
 
     def is_zero(self, a):
-        return not a[0]
+        # the numerator is a[1] in a (c, N, D) triple and a[0] in a pair
+        return not a[1] if self._over_q else not a[0]
 
     def lift(self, elem):
         if isinstance(elem, FieldElement):
@@ -966,11 +1036,11 @@ class FunctionField(_FieldBase):
     def to_str(self, a):
         if self._over_q:
             # num_den's pair is (c/lc(D))*N over (1/lc(D))*D
-            c, n, d = a
+            (p, q), n, d = a
             if not n:
                 return "0"
             lc = d[-1]
-            ns = _q_poly_to_str(c.numerator, c.denominator * lc, n, self.var)
+            ns = _q_poly_to_str(p, q * lc, n, self.var)
             if len(d) == 1:
                 return ns
             return f"({ns})/({_q_poly_to_str(1, lc, d, self.var)})"
@@ -1184,7 +1254,7 @@ def _power_shape(field, value, n: int):
     in value**n, (n*deg + 1) per polynomial level and 2 at a conic level,
     and of their height, n times that of value over Q and fixed over F_p."""
     if isinstance(field, Rationals):
-        return 1, n * max(1, value.numerator.bit_length(), value.denominator.bit_length())
+        return 1, n * max(1, value[0].bit_length(), value[1].bit_length())
     if isinstance(field, FiniteField):
         return 1, field.p.bit_length()
     if isinstance(field, ConicExtension):

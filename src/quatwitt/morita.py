@@ -28,6 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import gcd
 from typing import Optional, Tuple
 
 from .errors import (
@@ -294,16 +295,15 @@ def conic_point_search(alg: QuaternionAlgebra, v=None, bound: int = 8):
     value >= 0 qualify.
     """
     base = alg.base
-    seen = set()
-    candidates = [Fraction(0)]
-    for den in range(1, bound + 1):
-        for num in range(-bound, bound + 1):
-            fr = Fraction(num, den)
-            if fr not in seen:
-                seen.add(fr)
-                candidates.append(fr)
-    for fr in candidates:
-        x0 = base(fr)
+    # 0, then each nonzero num/den in lowest terms, by denominator
+    candidates = [(0, 1)] + [
+        (num, den)
+        for den in range(1, bound + 1)
+        for num in range(-bound, bound + 1)
+        if num and gcd(num, den) == 1
+    ]
+    for num, den in candidates:
+        x0 = base(num) / den
         w = (base(1) - alg.d * x0 * x0) / alg.t
         if not base.is_square(w.value):
             continue

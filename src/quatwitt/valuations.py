@@ -27,7 +27,6 @@ values its coefficients' payloads directly, without wrapping them again.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 
 from . import faults
 from .errors import (
@@ -60,7 +59,9 @@ class _ValuationBase:
         raise NotImplementedError
 
     def _check_domain(self, a):
-        if not isinstance(a, FieldElement) or a.field != self.domain:
+        if not isinstance(a, FieldElement) or (
+            a.field is not self.domain and a.field != self.domain
+        ):
             raise LevelMismatch(f"element is not at the level of {self!r}")
 
     def is_unit(self, a: FieldElement) -> bool:
@@ -99,23 +100,22 @@ class PAdicValuation(_ValuationBase):
             out += 1
         return out
 
-    def _value(self, fr: Fraction):
-        if fr == 0:
+    def _value(self, payload):
+        n, d = payload
+        if not n:
             return INF
-        return self._vp(fr.numerator) - self._vp(fr.denominator)
+        return self._vp(n) - self._vp(d)
 
     def residue(self, a):
         self._check_domain(a)
         v = self.value(a)
         if v < 0:
             raise NegativeValue(f"value {v} < 0, no residue")
-        fr = a.value
+        n, d = a.value
         k = self.residue_field
-        if v > 0 or fr == 0:
+        if v > 0 or not n:
             return k(0)
-        num = k.from_int(fr.numerator)
-        den = k.from_int(fr.denominator)
-        return k.el(k.div(num, den))
+        return k.el(k.div(k.from_int(n), k.from_int(d)))
 
 
 class GaussValuation(_ValuationBase):

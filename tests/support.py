@@ -1,5 +1,6 @@
 """Shared strategies and small builders for the test suite."""
 
+import math
 from fractions import Fraction
 
 from hypothesis import strategies as st
@@ -267,18 +268,74 @@ def reduce_entry_by_division(field, u, x, y):
 
 
 # ---------------------------------------------------------------------------
-# Q(s) by the generic polynomial path
+# Q on Fraction payloads, and Q(s) by the generic polynomial path
+
+
+class FractionRationals:
+    """The raw-value protocol of Q on fractions.Fraction payloads, as far
+    as the generic poly_* helpers use it: an oracle for the integer-pair
+    Rationals that shares none of its arithmetic."""
+
+    def zero(self):
+        return Fraction(0)
+
+    def one(self):
+        return Fraction(1)
+
+    def add(self, a, b):
+        return a + b
+
+    def sub(self, a, b):
+        return a - b
+
+    def neg(self, a):
+        return -a
+
+    def mul(self, a, b):
+        return a * b
+
+    def div(self, a, b):
+        return a / b
+
+    def inv(self, a):
+        return 1 / a
+
+    def is_zero(self, a):
+        return a == 0
+
+    def to_str(self, a):
+        return str(a)
+
+
+def q_fraction(payload):
+    """The Fraction of a Rationals payload, which must be canonical: a
+    pair of ints (n, d) with d > 0 and gcd(n, d) = 1."""
+    assert type(payload) is tuple and len(payload) == 2, payload
+    n, d = payload
+    assert type(n) is int and type(d) is int, payload
+    assert d > 0 and math.gcd(n, d) == 1, payload
+    return Fraction(n, d)
+
+
+def q_payloads(fracs):
+    """A tuple of Fractions as a tuple of Rationals payloads."""
+    return tuple((fr.numerator, fr.denominator) for fr in map(Fraction, fracs))
+
+
+def q_fraction_form(pair):
+    """A num_den pair of Rationals payload tuples as Fraction tuples."""
+    return tuple(tuple(map(q_fraction, part)) for part in pair)
 
 
 def euclid_make(num, den):
     """FunctionField.make over Q by the generic poly_* helpers over
-    Rationals(): Euclid's gcd on Fraction coefficients, in the monic
-    Fraction form (num, den).  A reference for the integer kernel, whose
-    payload num_den must turn into the same pair."""
+    FractionRationals: Euclid's gcd on Fraction coefficients, in the
+    monic Fraction form (num, den).  A reference for the integer kernel,
+    whose num_den, as q_fraction_form gives it, must be the same pair."""
     from quatwitt.errors import DivisionByZero
     from quatwitt.fields import poly_deg, poly_divmod, poly_gcd, poly_scale, poly_trim
 
-    Q = Rationals()
+    Q = FractionRationals()
     num, den = poly_trim(Q, num), poly_trim(Q, den)
     if not den:
         raise DivisionByZero("zero denominator")
@@ -292,16 +349,18 @@ def euclid_make(num, den):
 
 
 def to_str_by_num_den(field, payload):
-    """A FunctionField element printed from its num_den pair of Fraction
-    coefficient tuples through poly_to_str: the printing rule the integer
-    renderer over Rationals must reproduce byte for byte."""
+    """An element of a FunctionField over Rationals printed from its
+    num_den pair, as Fraction coefficient tuples, through poly_to_str over
+    FractionRationals: the printing rule the integer renderer must
+    reproduce byte for byte."""
     from quatwitt.fields import poly_to_str
 
-    num, den = field.num_den(payload)
-    ns = poly_to_str(field.base, num, field.var)
-    if den == (field.base.one(),):
+    Q = FractionRationals()
+    num, den = q_fraction_form(field.num_den(payload))
+    ns = poly_to_str(Q, num, field.var)
+    if den == (Q.one(),):
         return ns
-    return f"({ns})/({poly_to_str(field.base, den, field.var)})"
+    return f"({ns})/({poly_to_str(Q, den, field.var)})"
 
 
 def euclid_op(op, a, b=None):
@@ -309,7 +368,7 @@ def euclid_op(op, a, b=None):
     operands in that form, through euclid_make."""
     from quatwitt.fields import poly_add, poly_mul, poly_neg
 
-    Q = Rationals()
+    Q = FractionRationals()
     if op == "inv":
         return euclid_make(a[1], a[0])
     if op == "sub":
@@ -369,7 +428,7 @@ def value_by_wrapping(v, a):
 
     assert a.field == v.domain, "reference valued an element of another level"
     if isinstance(v, PAdicValuation):
-        fr = a.value
+        fr = Fraction(*a.value)
         if fr == 0:
             return INF
 

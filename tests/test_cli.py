@@ -216,6 +216,73 @@ def test_witt_equal_compares_two_forms(tmp_path, capsys):
     assert capsys.readouterr().out == '{"equal":"true","searched":0}\n'
 
 
+_Q_FIELD = {"kind": "rationals"}
+
+
+@pytest.mark.parametrize(
+    "command, scenario, code, digest",
+    [
+        # a definite form: the search runs its whole budget over Q
+        (
+            "witt-equal",
+            {"field": _Q_FIELD, "first": {"entries": ["7/2", "5/3", "9/4", "1/4"]}},
+            EXIT_INDETERMINATE,
+            "d38ee8703e3fa3840e7386327b63e0d26e5b603f5c7cd031eff7d9798c0cf9db",
+        ),
+        # q against rec(q) at 3, which rescales u*3^m to u*3^(m mod 2)
+        (
+            "witt-equal",
+            {
+                "field": _Q_FIELD,
+                "first": {"entries": ["2/9", "5/3", "-7/27", "4"]},
+                "second": {"entries": ["2", "15", "-21", "4"]},
+            },
+            EXIT_OK,
+            "c295368ea73fa2148b155fbf855bbab45300222011d1dc232ce5cc9fab40d009",
+        ),
+        # an isotropic vector, its complement diagonalized, then a decision
+        (
+            "witt-equal",
+            {"field": _Q_FIELD, "first": {"entries": ["1/2", "1/2", "-1", "-5/3", "5/3", "-3/7"]}},
+            EXIT_VIOLATION,
+            "40d0382eab5ab6a54ea43886134cf412a7633664a4ca44b1fb49633ccffdb6fe",
+        ),
+        (
+            "residue-forms",
+            {
+                "field": _Q_FIELD,
+                "valuation": {"kind": "padic", "p": 3},
+                "quad": {"entries": ["2/3", "9/5", "-7/27", "5/4", "1/6", "-18/11"]},
+            },
+            EXIT_OK,
+            "d245de30c11c1bb9c3774e0143288f0040e3a31868303a43d5fa90cc23be1c89",
+        ),
+        (
+            "reduce",
+            {
+                "field": _Q_FIELD,
+                "algebra": {"d": "5/4", "t": "-3/2"},
+                "form": {
+                    "diag": [
+                        {"a": "1/2", "b": "2/3", "c": "-5/7"},
+                        {"a": "3/4", "c": "1/5"},
+                        {"b": "-7/3"},
+                    ]
+                },
+            },
+            EXIT_OK,
+            "a20cf0c7fae8cd8e69fb55499e397611ecff44f0fe025ef12b66e54c4db1dfef",
+        ),
+    ],
+    ids=["witt-definite", "witt-rec", "witt-isotropic", "residue-forms", "reduce"],
+)
+def test_single_shot_json_over_q_is_pinned(tmp_path, capsys, command, scenario, code, digest):
+    sc = write_scenario(tmp_path, "pinned.json", scenario)
+    assert main([command, "--scenario", sc, "--json"]) == code
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 # ---------------------------------------------------------------------------
 # input errors
 

@@ -12,7 +12,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import support
@@ -50,12 +50,12 @@ from quatwitt.fields import (
 def test_rational_arithmetic(Q):
     a = Q(Fraction(3, 4))
     b = Q(2)
-    assert (a + b).value == Fraction(11, 4)
-    assert (a * b).value == Fraction(3, 2)
-    assert (a / b).value == Fraction(3, 8)
-    assert (-a).value == Fraction(-3, 4)
-    assert (b - 1).value == 1
-    assert (1 - b).value == -1
+    assert a + b == Fraction(11, 4)
+    assert a * b == Fraction(3, 2)
+    assert a / b == Fraction(3, 8)
+    assert -a == Fraction(-3, 4)
+    assert b - 1 == 1
+    assert 1 - b == -1
 
 
 def test_rational_division_by_zero(Q):
@@ -66,7 +66,7 @@ def test_rational_division_by_zero(Q):
 
 
 def test_rational_square_root(Q):
-    assert Q(Fraction(9, 4)).field.sqrt(Q(Fraction(9, 4)).value) == Fraction(3, 2)
+    assert Q.el(Q.sqrt(Q(Fraction(9, 4)).value)) == Fraction(3, 2)
     assert Q.is_square(Q(Fraction(16, 25)).value)
     assert not Q.is_square(Q(2).value)
     assert not Q.is_square(Q(-1).value)
@@ -75,9 +75,9 @@ def test_rational_square_root(Q):
 
 
 def test_rational_parse(Q):
-    assert Q.parse("3/4 - 1").value == Fraction(-1, 4)
-    assert Q.parse("(1 + 2)^2").value == 9
-    assert Q.parse("2^-2").value == Fraction(1, 4)
+    assert Q.parse("3/4 - 1") == Fraction(-1, 4)
+    assert Q.parse("(1 + 2)^2") == 9
+    assert Q.parse("2^-2") == Fraction(1, 4)
     with pytest.raises(ParseError):
         Q.parse("3x+")
     with pytest.raises(ParseError):
@@ -85,8 +85,8 @@ def test_rational_parse(Q):
 
 
 def test_exponent_literals_are_capped(Q, K):
-    assert Q.parse(f"1^{MAX_EXPONENT}").value == 1
-    assert Q.parse(f"1^-{MAX_EXPONENT}").value == 1
+    assert Q.parse(f"1^{MAX_EXPONENT}") == 1
+    assert Q.parse(f"1^-{MAX_EXPONENT}") == 1
     for text in (f"1^{MAX_EXPONENT + 1}", f"1^-{MAX_EXPONENT + 1}", f"s^{MAX_EXPONENT + 1}"):
         with pytest.raises(ParseError, match="exceeds"):
             K.parse(text)
@@ -96,7 +96,7 @@ def test_nested_powers_are_capped_by_their_cost(Q, K, monkeypatch):
     # the boundary (2^999)^1000 and one past it, ((2^990)^10)^101
     assert _power_cost(Q, Q.parse("2^999").value, 1000) == MAX_POWER_COST
     assert _power_cost(Q, Q.parse("(2^990)^10").value, 101) == MAX_POWER_COST + 1
-    assert Q.parse("(2^999)^1000").value == 2**999000
+    assert Q.parse("(2^999)^1000") == 2**999000
     built = []
     pow_ = FieldElement.__pow__
 
@@ -118,6 +118,114 @@ def test_nested_powers_are_capped_by_their_cost(Q, K, monkeypatch):
             field.parse(text)
     # every power that ran was within the cap; the rejected ones never ran
     assert built and max(built) <= MAX_POWER_COST
+
+
+_BIG = st.integers(-(2**64), 2**64)
+_Q_VALUES = st.one_of(
+    st.sampled_from([Fraction(0), Fraction(1), Fraction(-1)]),
+    support.fractions(),
+    st.builds(Fraction, _BIG, st.integers(1, 2**64)),
+)
+# operand pairs with equal reduced denominators 2^k, with coprime ones
+# 2^k and 3^j, and drawn independently
+_Q_PAIRS = st.one_of(
+    st.builds(
+        lambda a, b, k: (Fraction(2 * a + 1, 2**k), Fraction(2 * b + 1, 2**k)),
+        _BIG, _BIG, st.integers(0, 64),
+    ),
+    st.builds(
+        lambda a, b, k, j: (Fraction(2 * a + 1, 2**k), Fraction(3 * b + 1, 3**j)),
+        _BIG, _BIG, st.integers(0, 64), st.integers(0, 40),
+    ),
+    st.tuples(_Q_VALUES, _Q_VALUES),
+)
+
+
+@settings(max_examples=300)
+@given(_Q_PAIRS)
+# sums that cancel to zero, and one whose numerator shares the factor 2
+# of gcd(6, 10)
+@example((Fraction(1, 6), Fraction(-1, 6)))
+@example((Fraction(-3, 4), Fraction(3, 4)))
+@example((Fraction(1, 6), Fraction(1, 10)))
+def test_q_kernel_matches_the_fraction_oracle(pair):
+    """Rationals arithmetic on (n, d) payloads against fractions.Fraction;
+    support.q_fraction also requires every result to be canonical."""
+    Q = Rationals()
+    x, y = pair
+    a, b = (Q.from_fraction(v) for v in pair)
+    out = support.q_fraction
+    assert out(a) == x and Q.to_str(a) == str(x)
+    assert out(Q.add(a, b)) == x + y
+    assert out(Q.sub(a, b)) == x - y
+    assert out(Q.mul(a, b)) == x * y
+    assert out(Q.neg(a)) == -x
+    assert Q.is_zero(a) == (x == 0)
+    if y:
+        assert out(Q.div(a, b)) == x / y
+        assert out(Q.inv(b)) == 1 / y
+    else:
+        with pytest.raises(DivisionByZero):
+            Q.div(a, b)
+        with pytest.raises(DivisionByZero):
+            Q.inv(b)
+    assert out(Q.sqrt(Q.mul(a, a))) == abs(x)
+    root = Fraction(math.isqrt(abs(x.numerator)), math.isqrt(x.denominator))
+    if x >= 0 and root * root == x:
+        assert out(Q.sqrt(a)) == root
+    else:
+        with pytest.raises(NotASquare):
+            Q.sqrt(a)
+
+
+def test_q_inverse_of_zero_raises_in_optimized_mode():
+    src = Path(fields.__file__).resolve().parents[1]
+    code = (
+        "import sys\n"
+        "from quatwitt.errors import DivisionByZero\n"
+        "from quatwitt.fields import Rationals\n"
+        "if not sys.flags.optimize: sys.exit('not optimized')\n"
+        "Q = Rationals()\n"
+        "for op in (Q.inv, lambda z: Q.div(Q.one(), z)):\n"
+        "    try:\n"
+        "        op(Q.zero())\n"
+        "    except DivisionByZero:\n"
+        "        continue\n"
+        "    sys.exit('no DivisionByZero')\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", code],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=str(src)),
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_q_arithmetic_builds_no_fraction(monkeypatch):
+    """Q and Q(s) add, mul and inv run on ints; a Fraction is only
+    built at the API boundary."""
+    Q = Rationals()
+    qs = [Q.from_fraction(Fraction(*nd)) for nd in ((0, 1), (1, 1), (3, 4), (-22, 7), (355, 113))]
+    ks = [_QS.parse(t).value for t in _RENDER_EXAMPLES + ("(s^2 + 3*s - 1)/(2*s + 5)",)]
+    built = []
+    new = Fraction.__new__
+
+    def counting_new(cls, *args, **kwargs):
+        built.append(args)
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", counting_new)
+    for field, payloads in ((Q, qs), (_QS, ks)):
+        for a in payloads:
+            for b in payloads:
+                field.add(a, b)
+                field.mul(a, b)
+            if not field.is_zero(a):
+                field.inv(a)
+    monkeypatch.undo()
+    assert built == []
 
 
 # ---------------------------------------------------------------------------
@@ -233,9 +341,9 @@ def test_function_field_monic_denominator(K):
     s = K.gen()
     half = (s + 1) / (2 * s)
     num, den = K.num_den(half.value)
-    assert den[-1] == Fraction(1)
+    assert K.base.el(den[-1]) == 1
     # the payload is the content 1/2 times (s + 1)/s
-    assert half.value == (Fraction(1, 2), (1, 1), (0, 1))
+    assert half.value == ((1, 2), (1, 1), (0, 1))
 
 
 _QS = FunctionField(Rationals(), "s")
@@ -250,7 +358,13 @@ _KERNEL_POLYS = st.lists(_KERNEL_COEFFS, max_size=4)
 
 
 def _times(f, h):
-    return tuple(poly_mul(Rationals(), poly_trim(Rationals(), f), poly_trim(Rationals(), h)))
+    Q = support.FractionRationals()
+    return tuple(poly_mul(Q, poly_trim(Q, f), poly_trim(Q, h)))
+
+
+def _make(pair):
+    """The Q(s) payload of a pair of Fraction tuples."""
+    return _QS.make(*map(support.q_payloads, pair))
 
 
 # num = f*h and den = g*h share the factor h, reach degree 6 and may have
@@ -261,26 +375,25 @@ _KERNEL_PAIRS = st.builds(
     _KERNEL_POLYS.filter(lambda g: any(g)),
     _KERNEL_POLYS.filter(lambda h: any(h)),
 )
-_KERNEL_PAYLOADS = _KERNEL_PAIRS.map(lambda pair: _QS.make(*pair))
+_KERNEL_PAYLOADS = _KERNEL_PAIRS.map(_make)
 
 
-def _typed(pair):
-    """A monic Fraction form (num, den) with the type of every
-    coefficient."""
-    return pair, [type(c) for part in pair for c in part]
+def _fraction_form(payload):
+    """num_den of a Q(s) payload as Fraction tuples; every coefficient
+    must be a canonical Rationals payload."""
+    return support.q_fraction_form(_QS.num_den(payload))
 
 
 @given(_KERNEL_PAIRS)
 def test_integer_kernel_make_matches_euclid(pair):
-    got = _QS.num_den(_QS.make(*pair))
-    assert _typed(got) == _typed(support.euclid_make(*pair))
+    assert _fraction_form(_make(pair)) == support.euclid_make(*pair)
 
 
 def _kernel_cases(a, b):
     cases = [("add", a, b), ("sub", a, b), ("mul", a, b), ("neg", a)]
-    if b[0]:
+    if not _QS.is_zero(b):
         cases.append(("div", a, b))
-    if a[0]:
+    if not _QS.is_zero(a):
         cases.append(("inv", a))
     return cases
 
@@ -288,30 +401,31 @@ def _kernel_cases(a, b):
 @settings(max_examples=80)
 @given(_KERNEL_PAYLOADS, _KERNEL_PAYLOADS)
 def test_integer_kernel_ops_match_euclid(a, b):
-    Q = Rationals()
     for op, *args in _kernel_cases(a, b):
-        got = _QS.num_den(getattr(_QS, op)(*args))
-        forms = [_QS.num_den(x) for x in args]
+        got = _fraction_form(getattr(_QS, op)(*args))
+        forms = [_fraction_form(x) for x in args]
         if op == "neg":
-            want = (fields.poly_neg(Q, forms[0][0]), forms[0][1])
+            want = (tuple(-c for c in forms[0][0]), forms[0][1])
         else:
             want = support.euclid_op(op, *forms)
-        assert _typed(got) == _typed(want), op
+        assert got == want, op
 
 
 def _assert_canonical_triple(payload):
-    """(c, N, D): a Fraction content, N and D primitive int tuples with
-    positive leads and coprime (by Euclid over Q), zero as (0, (), (1,))."""
+    """(c, N, D): a canonical Rationals content, N and D primitive int
+    tuples with positive leads and coprime (by Euclid over Q), zero as
+    ((0, 1), (), (1,))."""
     c, n, d = payload
-    assert type(c) is Fraction
+    support.q_fraction(c)
     assert type(n) is tuple and type(d) is tuple
     assert all(type(e) is int for e in n + d)
-    if not c:
-        assert payload == (0, (), (1,))
+    if not n:
+        assert payload == ((0, 1), (), (1,))
         return
+    assert c[0]
     for f in (n, d):
         assert f and f[-1] > 0 and math.gcd(*f) == 1
-    Q = Rationals()
+    Q = support.FractionRationals()
     one = (Fraction(1),)
     assert poly_gcd(Q, tuple(map(Fraction, n)), tuple(map(Fraction, d))) == one
 
@@ -319,7 +433,7 @@ def _assert_canonical_triple(payload):
 @settings(max_examples=80)
 @given(_KERNEL_PAIRS, _KERNEL_PAIRS)
 def test_integer_kernel_payloads_stay_canonical(p, r):
-    a, b = _QS.make(*p), _QS.make(*r)
+    a, b = _make(p), _make(r)
     _assert_canonical_triple(a)
     _assert_canonical_triple(b)
     for op, *args in _kernel_cases(a, b):
@@ -406,7 +520,7 @@ def test_q_s_printing_builds_no_fraction(monkeypatch):
         cs = [Fraction(rng.randint(-9, 9), rng.randint(1, 6)) for _ in range(rng.randint(0, 3))]
         return tuple(cs) + (Fraction(rng.choice([-7, -2, -1, 1, 3, 5]), rng.randint(1, 6)),)
 
-    payloads = [_QS.zero(), _QS.one()] + [_QS.make(poly(), poly()) for _ in range(60)]
+    payloads = [_QS.zero(), _QS.one()] + [_make((poly(), poly())) for _ in range(60)]
     QSX = FunctionField(_QS, "x")
     C = ConicExtension(_QS, _QS.from_int(-1), _QS.gen().value)
     upper = [
@@ -471,7 +585,7 @@ def test_tower_of_function_fields(Q):
 def _sympy_expr(field, payload, sympy):
     """A Rationals or (nested) FunctionField payload as a sympy expression."""
     if isinstance(field, Rationals):
-        return sympy.Rational(payload.numerator, payload.denominator)
+        return sympy.Rational(*payload)
     num, den = field.num_den(payload)
     return _sympy_poly(field, num, sympy) / _sympy_poly(field, den, sympy)
 
@@ -506,7 +620,7 @@ def _assert_reduced(field, payload, sympy):
 # built with `make` alone, so that the generator does not rest on the
 # add and mul under test
 _QS_PAYLOADS = st.builds(
-    lambda num, den: _QS.make(tuple(num), tuple(den)),
+    lambda num, den: _make((num, den)),
     st.lists(support.fractions(max_num=9, max_den=4), max_size=2),
     st.lists(support.fractions(max_num=9, max_den=4), min_size=1, max_size=2).filter(any),
 )
@@ -516,7 +630,7 @@ _QSX_ELEMENTS = st.one_of(
         _QSX.from_polys,
         st.lists(_QS_PAYLOADS, max_size=3),
         st.lists(_QS_PAYLOADS, min_size=1, max_size=3).filter(
-            lambda cs: any(c[0] for c in cs)
+            lambda cs: not all(map(_QS.is_zero, cs))
         ),
     ),
 )

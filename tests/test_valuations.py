@@ -434,3 +434,25 @@ def test_value_rejects_elements_of_another_level():
     # a raw payload is not an element of any level
     with pytest.raises(LevelMismatch):
         g3.value(K.gen().value)
+
+
+def test_valuing_an_element_of_the_domain_compares_no_fields(monkeypatch):
+    """An element of the valuation's own domain object passes the level
+    check by identity, with no FunctionField comparison by value."""
+    g3 = _PAYLOAD_CASES["Gauss over Q(s)"][0]
+    conic = _PAYLOAD_CASES["conic"][0]
+    K, C = g3.domain, conic.domain
+    elements = [(g3, K.parse("(3*s + 1)/(s^2 - 9)")), (conic, C.parse("(x + s*y)/(3*s)"))]
+    calls = []
+    eq = FunctionField.__eq__
+
+    def counting_eq(self, other):
+        calls.append(other)
+        return eq(self, other)
+
+    monkeypatch.setattr(FunctionField, "__eq__", counting_eq)
+    for v, a in elements:
+        v.value(a)
+        v.residue(a * v.uniformizer ** -v.value(a))
+    monkeypatch.undo()
+    assert calls == []
