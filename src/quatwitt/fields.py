@@ -259,6 +259,17 @@ class Rationals(_FieldBase):
     characteristic = 0
     _zero, _one = (0, 1), (1, 1)
 
+    # one instance per class and process, so that fields over Q, elements
+    # and valuations find their common Q by identity; unpickling returns
+    # the receiving process's instance
+    def __new__(cls):
+        if "_shared" not in cls.__dict__:
+            cls._shared = super().__new__(cls)
+        return cls._shared
+
+    def __reduce__(self):
+        return type(self), ()
+
     def __eq__(self, other):
         return isinstance(other, Rationals)
 

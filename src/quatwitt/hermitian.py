@@ -8,6 +8,7 @@ Nondegeneracy is checked on the 4n x 4n base-field model built from
 left-regular blocks, which detects singular Gram matrices over split
 algebras as well.  A diagonal Gram matrix skips building the model: its
 model is block diagonal with determinant the product of nrd(delta_k)^2.
+Whether the matrix is diagonal is found by the skew check and recorded.
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ NO_CERTIFICATE = "no-certificate"
 class SkewHermitianForm:
     """A nondegenerate skew-hermitian Gram matrix over a quaternion algebra."""
 
-    __slots__ = ("algebra", "gram")
+    __slots__ = ("algebra", "gram", "_diagonal")
 
     def __init__(self, algebra: QuaternionAlgebra, gram):
         n = len(gram)
@@ -62,16 +63,20 @@ class SkewHermitianForm:
                     out.append(algebra.scalar(u))
             rows.append(tuple(out))
         # conj(u) = -u exactly when u is pure (char != 2), and the (l, k)
-        # condition is the conjugate of the (k, l) one
+        # condition is the conjugate of the (k, l) one, so the form is
+        # diagonal exactly when every entry above the diagonal is zero
+        diagonal = True
         for k in range(n):
             if not rows[k][k].coeffs[0].is_zero():
                 raise ValueError("gram matrix is not skew-hermitian")
             for l in range(k + 1, n):
                 if rows[l][k].conj() != -rows[k][l]:
                     raise ValueError("gram matrix is not skew-hermitian")
+                diagonal = diagonal and rows[k][l].is_zero()
         self.algebra = algebra
         self.gram = tuple(rows)
-        if self.is_diagonal():
+        self._diagonal = diagonal
+        if diagonal:
             singular = any(rows[k][k].nrd().is_zero() for k in range(n))
         else:
             big = []
@@ -98,12 +103,7 @@ class SkewHermitianForm:
         return len(self.gram)
 
     def is_diagonal(self) -> bool:
-        return all(
-            self.gram[k][l].is_zero()
-            for k in range(self.rank)
-            for l in range(self.rank)
-            if k != l
-        )
+        return self._diagonal
 
     def diagonal_entries(self) -> Tuple[QuaternionElement, ...]:
         return tuple(self.gram[k][k] for k in range(self.rank))
@@ -172,9 +172,8 @@ def diagonalize_h(h: SkewHermitianForm):
     """
     alg = h.algebra
     n = h.rank
-    p = [
-        [alg.one() if r == c else alg.zero() for c in range(n)] for r in range(n)
-    ]
+    one, zero = alg.one(), alg.zero()
+    p = [[one if r == c else zero for c in range(n)] for r in range(n)]
     if h.is_diagonal():
         entries = h.diagonal_entries()
         _check_pure(entries)
@@ -208,7 +207,7 @@ def diagonalize_h(h: SkewHermitianForm):
                 repaired = False
                 for k in range(r, n):
                     for l in range(k + 1, n):
-                        for mu in (alg.one(), alg.i(), alg.j(), alg.ij()):
+                        for mu in (one, alg.i(), alg.j(), alg.ij()):
                             for m in (1, 2, 3):
                                 lam = mu * m
                                 lc = lam.conj()
@@ -244,7 +243,7 @@ def diagonalize_h(h: SkewHermitianForm):
     check = mat_mul(pc, mat_mul(g0, p))
     for i in range(n):
         for j in range(n):
-            want = entries[i] if i == j else alg.zero()
+            want = entries[i] if i == j else zero
             if check[i][j] != want:
                 raise CertificateFailed("congruence certificate failed")
     return entries, tuple(tuple(row) for row in p)

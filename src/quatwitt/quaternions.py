@@ -5,6 +5,19 @@ valuation of the base field.
 Basis 1, i, j, ij with i^2 = d, j^2 = t, ij = -ji.  The base field must
 have characteristic different from 2, which every tower field satisfies
 by construction.
+
+Element arithmetic runs on the base field's raw payloads: add, sub, neg,
+conj, is_zero, is_scalar, nrd, inv and mul read each coordinate's
+`.value`, call the base field's add, sub, mul, neg and is_zero, and wrap
+only the result coordinates (or the one nrd) as FieldElements.  A
+central scalar operand, a scalar quaternion or a bare element of the
+base, scales the coordinates.  The field methods are looked up on every
+operation, so a rebound field method sees every call.  `coeffs` stays a
+tuple of FieldElements.
+
+Nothing is cached on a QuaternionAlgebra: an element points back to its
+algebra, so an element kept on the algebra would make every drawn
+algebra cyclic garbage, freed only by the cycle collector.
 """
 
 from __future__ import annotations
@@ -57,9 +70,13 @@ class QuaternionAlgebra:
         self.t = t
 
     def el(self, w=0, a=0, b=0, c=0) -> "QuaternionElement":
-        return QuaternionElement(
-            self, (self.base(w), self.base(a), self.base(b), self.base(c))
-        )
+        base = self.base
+        return QuaternionElement(self, (
+            _coordinate(base, w),
+            _coordinate(base, a),
+            _coordinate(base, b),
+            _coordinate(base, c),
+        ))
 
     def zero(self) -> "QuaternionElement":
         return self.el()
@@ -86,7 +103,7 @@ class QuaternionAlgebra:
     def __eq__(self, other):
         return (
             isinstance(other, QuaternionAlgebra)
-            and other.base == self.base
+            and (other.base is self.base or other.base == self.base)
             and other.d == self.d
             and other.t == self.t
         )
@@ -98,11 +115,29 @@ class QuaternionAlgebra:
         return f"({self.d!r}, {self.t!r}) over {self.base!r}"
 
 
+def _coordinate(base, x) -> FieldElement:
+    """x as an element of `base`: an element of `base` itself, tested by
+    identity, passes through; anything else is coerced by the field."""
+    return x if isinstance(x, FieldElement) and x.field is base else base(x)
+
+
+def _wrap(alg, w, a, b, c) -> "QuaternionElement":
+    """The element of `alg` with coordinate payloads w, a, b, c."""
+    base = alg.base
+    return QuaternionElement(alg, (
+        FieldElement(base, w),
+        FieldElement(base, a),
+        FieldElement(base, b),
+        FieldElement(base, c),
+    ))
+
+
 class QuaternionElement:
     """w + a*i + b*j + c*ij with coefficients in the base field.
 
     Elements are immutable, so the reduced norm is computed on first use
-    and kept in `_nrd`.
+    and kept in `_nrd`.  Arithmetic reads the coordinates' payloads and
+    wraps only the results.
     """
 
     __slots__ = ("algebra", "coeffs", "_nrd")
@@ -112,82 +147,148 @@ class QuaternionElement:
         self.coeffs = tuple(coeffs)
         self._nrd = None
 
-    def _coerce(self, other):
-        if isinstance(other, QuaternionElement):
-            if other.algebra is not self.algebra and other.algebra != self.algebra:
-                raise AlgebraMismatch("operands live in different quaternion algebras")
-            return other
+    def _same_algebra(self, other) -> bool:
+        return other.algebra is self.algebra or other.algebra == self.algebra
+
+    def _check_algebra(self, other):
+        if not self._same_algebra(other):
+            raise AlgebraMismatch("operands live in different quaternion algebras")
+
+    def _scalar(self, other):
+        """A non-quaternion operand as an element of the base field, or
+        None when the base field cannot read it."""
         try:
-            s = self.algebra.base(other)
+            return _coordinate(self.algebra.base, other)
         except QuatwittError:
             return None
-        return self.algebra.scalar(s)
+
+    def _scaled(self, s) -> "QuaternionElement":
+        # a central scalar scales every coordinate; the product is a new
+        # element, so its nrd is computed afresh from the scaled coordinates
+        mul = self.algebra.base.mul
+        w, a, b, c = self.coeffs
+        return _wrap(
+            self.algebra, mul(w.value, s), mul(a.value, s), mul(b.value, s), mul(c.value, s)
+        )
 
     def is_zero(self) -> bool:
-        return all(c.is_zero() for c in self.coeffs)
+        iz = self.algebra.base.is_zero
+        w, a, b, c = self.coeffs
+        return iz(w.value) and iz(a.value) and iz(b.value) and iz(c.value)
 
     def is_scalar(self) -> bool:
-        return all(c.is_zero() for c in self.coeffs[1:])
+        iz = self.algebra.base.is_zero
+        _w, a, b, c = self.coeffs
+        return iz(a.value) and iz(b.value) and iz(c.value)
 
     def __add__(self, other):
-        other = self._coerce(other)
-        if other is None:
+        base = self.algebra.base
+        add = base.add
+        w, a, b, c = self.coeffs
+        if isinstance(other, QuaternionElement):
+            self._check_algebra(other)
+            w2, a2, b2, c2 = other.coeffs
+            return _wrap(
+                self.algebra,
+                add(w.value, w2.value),
+                add(a.value, a2.value),
+                add(b.value, b2.value),
+                add(c.value, c2.value),
+            )
+        s = self._scalar(other)
+        if s is None:
             return NotImplemented
+        # a scalar moves only the real coordinate
         return QuaternionElement(
-            self.algebra, tuple(x + y for x, y in zip(self.coeffs, other.coeffs))
+            self.algebra, (FieldElement(base, add(w.value, s.value)), a, b, c)
         )
 
     __radd__ = __add__
 
     def __neg__(self):
-        return QuaternionElement(self.algebra, tuple(-x for x in self.coeffs))
+        neg = self.algebra.base.neg
+        w, a, b, c = self.coeffs
+        return _wrap(self.algebra, neg(w.value), neg(a.value), neg(b.value), neg(c.value))
 
     def __sub__(self, other):
-        other = self._coerce(other)
-        if other is None:
+        base = self.algebra.base
+        sub = base.sub
+        w, a, b, c = self.coeffs
+        if isinstance(other, QuaternionElement):
+            self._check_algebra(other)
+            w2, a2, b2, c2 = other.coeffs
+            return _wrap(
+                self.algebra,
+                sub(w.value, w2.value),
+                sub(a.value, a2.value),
+                sub(b.value, b2.value),
+                sub(c.value, c2.value),
+            )
+        s = self._scalar(other)
+        if s is None:
             return NotImplemented
-        return self + (-other)
+        return QuaternionElement(
+            self.algebra, (FieldElement(base, sub(w.value, s.value)), a, b, c)
+        )
 
     def __rsub__(self, other):
-        other = self._coerce(other)
-        if other is None:
+        s = self._scalar(other)
+        if s is None:
             return NotImplemented
-        return other + (-self)
+        base = self.algebra.base
+        neg = base.neg
+        w, a, b, c = self.coeffs
+        return _wrap(
+            self.algebra, base.sub(s.value, w.value), neg(a.value), neg(b.value), neg(c.value)
+        )
 
     def __mul__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
+        if not isinstance(other, QuaternionElement):
+            s = self._scalar(other)
+            if s is None:
+                return NotImplemented
+            return self._scaled(s.value)
+        self._check_algebra(other)
+        alg = self.algebra
+        base = alg.base
+        iz = base.is_zero
         w1, a1, b1, c1 = self.coeffs
+        w1, a1, b1, c1 = w1.value, a1.value, b1.value, c1.value
         w2, a2, b2, c2 = other.coeffs
-        # a central scalar scales every coordinate; the product is a new
-        # element, so its nrd is computed afresh from the scaled coordinates
-        if other.is_scalar():
-            return QuaternionElement(self.algebra, (w1 * w2, a1 * w2, b1 * w2, c1 * w2))
-        if self.is_scalar():
-            return QuaternionElement(self.algebra, (w1 * w2, w1 * a2, w1 * b2, w1 * c2))
-        d = self.algebra.d
-        t = self.algebra.t
-        return QuaternionElement(
-            self.algebra,
-            (
-                w1 * w2 + a1 * a2 * d + b1 * b2 * t - c1 * c2 * d * t,
-                w1 * a2 + a1 * w2 + t * (c1 * b2 - b1 * c2),
-                w1 * b2 + b1 * w2 + d * (a1 * c2 - c1 * a2),
-                w1 * c2 + c1 * w2 + (a1 * b2 - b1 * a2),
+        w2, a2, b2, c2 = w2.value, a2.value, b2.value, c2.value
+        if iz(a2) and iz(b2) and iz(c2):
+            return self._scaled(w2)
+        if iz(a1) and iz(b1) and iz(c1):
+            return other._scaled(w1)
+        add, sub, mul = base.add, base.sub, base.mul
+        d = alg.d.value
+        t = alg.t.value
+        # (w1 + a1 i + b1 j + c1 ij)(w2 + a2 i + b2 j + c2 ij) with
+        # i^2 = d, j^2 = t, ij = -ji
+        return _wrap(
+            alg,
+            add(
+                add(mul(w1, w2), mul(d, sub(mul(a1, a2), mul(t, mul(c1, c2))))),
+                mul(t, mul(b1, b2)),
             ),
+            add(add(mul(w1, a2), mul(a1, w2)), mul(t, sub(mul(c1, b2), mul(b1, c2)))),
+            add(add(mul(w1, b2), mul(b1, w2)), mul(d, sub(mul(a1, c2), mul(c1, a2)))),
+            add(add(mul(w1, c2), mul(c1, w2)), sub(mul(a1, b2), mul(b1, a2))),
         )
 
     def __rmul__(self, other):
-        other = self._coerce(other)
-        if other is None:
+        # only a non-quaternion operand reaches here, and it is central
+        s = self._scalar(other)
+        if s is None:
             return NotImplemented
-        return other * self
+        return self._scaled(s.value)
 
     def __truediv__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
+        if not isinstance(other, QuaternionElement):
+            s = self._scalar(other)
+            if s is None:
+                return NotImplemented
+            other = self.algebra.scalar(s)
         return self * other.inv()
 
     def __pow__(self, n: int):
@@ -206,34 +307,57 @@ class QuaternionElement:
         return out
 
     def conj(self) -> "QuaternionElement":
+        base = self.algebra.base
+        neg = base.neg
         w, a, b, c = self.coeffs
-        return QuaternionElement(self.algebra, (w, -a, -b, -c))
+        return QuaternionElement(self.algebra, (
+            w,
+            FieldElement(base, neg(a.value)),
+            FieldElement(base, neg(b.value)),
+            FieldElement(base, neg(c.value)),
+        ))
 
     def trd(self) -> FieldElement:
         return self.coeffs[0] + self.coeffs[0]
 
     def nrd(self) -> FieldElement:
         if self._nrd is None:
+            alg = self.algebra
+            base = alg.base
+            sub, mul = base.sub, base.mul
             w, a, b, c = self.coeffs
-            d = self.algebra.d
-            t = self.algebra.t
-            self._nrd = w * w - d * a * a - t * b * b + d * t * c * c
+            w, a, b, c = w.value, a.value, b.value, c.value
+            t = alg.t.value
+            # w^2 - d*a^2 - t*b^2 + d*t*c^2
+            self._nrd = FieldElement(base, sub(
+                sub(mul(w, w), mul(alg.d.value, sub(mul(a, a), mul(t, mul(c, c))))),
+                mul(t, mul(b, b)),
+            ))
         return self._nrd
 
     def inv(self) -> "QuaternionElement":
         n = self.nrd()
-        if n.is_zero():
+        base = self.algebra.base
+        if base.is_zero(n.value):
             raise ZeroElement("element with zero reduced norm is not invertible")
-        ninv = n.inv()
-        return QuaternionElement(self.algebra, tuple(c * ninv for c in self.conj().coeffs))
+        mul = base.mul
+        ninv = base.inv(n.value)
+        minus = base.neg(ninv)
+        w, a, b, c = self.coeffs
+        # conj(u) / nrd(u)
+        return _wrap(
+            self.algebra,
+            mul(w.value, ninv),
+            mul(a.value, minus),
+            mul(b.value, minus),
+            mul(c.value, minus),
+        )
 
     def __eq__(self, other):
-        other = self._coerce(other) if not isinstance(other, QuaternionElement) else other
-        if not isinstance(other, QuaternionElement):
-            return False
-        if other.algebra is not self.algebra and other.algebra != self.algebra:
-            return False
-        return other.coeffs == self.coeffs
+        if isinstance(other, QuaternionElement):
+            return self._same_algebra(other) and other.coeffs == self.coeffs
+        s = self._scalar(other)
+        return s is not None and self.is_scalar() and self.coeffs[0].value == s.value
 
     def __hash__(self):
         return hash((self.algebra, self.coeffs))

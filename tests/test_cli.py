@@ -2,9 +2,11 @@
 
 import hashlib
 import json
+import os
 import subprocess
 import sys
 from concurrent.futures import Future
+from pathlib import Path
 
 import pytest
 
@@ -81,10 +83,12 @@ def batch_path(tmp_path):
 
 
 def test_module_entry_point(alg23_path):
+    src = Path(cli.__file__).resolve().parents[1]
     proc = subprocess.run(
         [sys.executable, "-m", "quatwitt", "residue", "--scenario", alg23_path],
         capture_output=True,
         text=True,
+        env=dict(os.environ, PYTHONPATH=str(src)),
     )
     assert proc.returncode == EXIT_OK
     assert proc.stdout == "Ramified; tame residue class 2\n"

@@ -4,6 +4,7 @@ rational function fields, and conic extensions."""
 import json
 import math
 import os
+import pickle
 import random
 import subprocess
 import sys
@@ -226,6 +227,17 @@ def test_q_arithmetic_builds_no_fraction(monkeypatch):
                 field.inv(a)
     monkeypatch.undo()
     assert built == []
+
+
+def test_rationals_is_one_object_per_process():
+    """Fields over Q, elements and valuations share one Rationals, so
+    they find it by identity; pickling (as --jobs does) keeps that."""
+    Q = Rationals()
+    assert Rationals() is Q
+    assert FunctionField(Rationals(), "s").base is Q
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        assert pickle.loads(pickle.dumps(Q, protocol)) is Q
+    assert pickle.loads(pickle.dumps(Q(3))).field is Q
 
 
 # ---------------------------------------------------------------------------

@@ -29,7 +29,7 @@ from quatwitt.hermitian import (
     good_reduction_certificate,
 )
 from quatwitt.quadforms import mat_det
-from quatwitt.quaternions import QuaternionAlgebra, left_regular_matrix
+from quatwitt.quaternions import QuaternionAlgebra, QuaternionElement, left_regular_matrix
 from quatwitt.valuations import PAdicValuation
 
 
@@ -160,6 +160,22 @@ def test_off_diagonal_gram_is_accepted(A23):
     assert h.rank == 2
 
 
+def test_diagonal_flag_is_recorded_at_construction(A23, monkeypatch):
+    i, zero = A23.i(), A23.zero()
+    diag = SkewHermitianForm.diagonal(A23, [i, A23.j(), i])
+    full = SkewHermitianForm(A23, [[zero, i], [i, zero]])
+    calls = []
+    is_zero = QuaternionElement.is_zero
+
+    def counting(self):
+        calls.append(self)
+        return is_zero(self)
+
+    monkeypatch.setattr(QuaternionElement, "is_zero", counting)
+    assert diag.is_diagonal() and not full.is_diagonal()
+    assert calls == []
+
+
 # ---------------------------------------------------------------------------
 # evaluation
 
@@ -235,6 +251,21 @@ def test_diagonalize_h_leaves_diagonals_alone(A23):
     assert entries == (A23.i(), A23.j())
     one, zero = A23.one(), A23.zero()
     assert p == ((one, zero), (zero, one))
+
+
+def test_diagonalize_h_builds_one_and_zero_once(A23, monkeypatch):
+    h = SkewHermitianForm.diagonal(A23, [A23.i(), A23.j(), A23.ij()])
+    built = []
+    el = QuaternionAlgebra.el
+
+    def counting(self, *coords):
+        built.append(coords)
+        return el(self, *coords)
+
+    monkeypatch.setattr(QuaternionAlgebra, "el", counting)
+    _entries, p = diagonalize_h(h)
+    assert built == [(1,), ()]
+    assert len({id(u) for row in p for u in row}) == 2
 
 
 @given(st.integers(-3, 3), st.integers(-3, 3), st.integers(-3, 3))

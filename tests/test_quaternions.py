@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 import support
 from quatwitt import faults
 from quatwitt.errors import RamifiedAlgebra, ZeroElement
-from quatwitt.fields import FiniteField, FunctionField, Rationals
+from quatwitt.fields import FieldElement, FiniteField, FunctionField, Rationals
 from quatwitt.quadforms import mat_det
 from quatwitt.quaternions import (
     QuaternionAlgebra,
@@ -234,46 +234,102 @@ def test_drop_unit_rep_is_observable(Q, v3):
 
 
 # ---------------------------------------------------------------------------
-# the nrd memo and the central-scalar product
+# the payload kernel: the nrd memo, the central-scalar product and the
+# coordinatewise operations, against the operator formulas in `support`
 
 
 _A23 = QuaternionAlgebra(Rationals(), 2, 3)
 _QS = FunctionField(Rationals(), "s")
 _AM1S = QuaternionAlgebra(_QS, _QS(-1), _QS("s"))
+_F7 = FiniteField(7)
+_AF7 = QuaternionAlgebra(_F7, 3, 5)
+# each algebra with a strategy for its coordinates; over F_7 every
+# quaternion algebra splits, so zero divisors turn up too
+_KERNEL_ALGEBRAS = {
+    "Q": (_A23, support.fractions(max_num=9, max_den=3)),
+    "Q(s)": (_AM1S, support.rational_functions(_QS, max_deg=1, coeffs=st.integers(-3, 3))),
+    "F_p": (_AF7, st.integers(0, 6)),
+}
 
 
-@given(
-    support.quaternions(_A23),
-    support.quaternions(_A23),
-    support.nonzero_fractions(max_num=9, max_den=4),
-)
-def test_nrd_memo_matches_the_formula_on_derived_elements(u, w, lam):
-    # fill the operands' memos first, so nothing derived can reuse them
-    u.nrd()
-    w.nrd()
-    derived = [u * w, w * u, u + w, u - w, -u, u * lam, lam * u, u * 3]
-    if not u.nrd().is_zero():
-        derived.append(u.inv())
-    for e in derived:
-        assert e.nrd() == support.nrd_formula(e)
-        assert e.nrd() is e.nrd()
-    assert u.nrd() == support.nrd_formula(u)
-
-
-@pytest.mark.parametrize("alg", [_A23, _AM1S], ids=["Q", "Q(s)"])
-@given(data=st.data())
-def test_scalar_fast_path_matches_the_general_product(alg, data):
-    if alg is _A23:
-        coeffs = support.fractions(max_num=9, max_den=3)
-    else:
-        coeffs = support.rational_functions(alg.base, max_deg=1, coeffs=st.integers(-3, 3))
+def _draw_operands(data, name):
+    alg, coeffs = _KERNEL_ALGEBRAS[name]
     u = data.draw(support.quaternions(alg, coeffs))
-    lam = alg.base(data.draw(coeffs))
-    s = alg.scalar(lam)
-    for left, right in ((u, s), (s, u), (s, s), (u, u)):
+    w = data.draw(support.quaternions(alg, coeffs))
+    return u, w, alg.base(data.draw(coeffs))
+
+
+@given(data=st.data())
+def test_nrd_memo_matches_the_formula_on_derived_elements(data):
+    for name in _KERNEL_ALGEBRAS:
+        u, w, lam = _draw_operands(data, name)
+        # fill the operands' memos first, so nothing derived can reuse them
+        u.nrd()
+        w.nrd()
+        derived = [u * w, w * u, u + w, u - w, -u, u.conj(), u * lam, lam * u, u * 3,
+                   u + lam, lam - u]
+        if not u.nrd().is_zero():
+            derived.append(u.inv())
+        for e in derived:
+            assert e.nrd() == support.nrd_formula(e)
+            assert e.nrd() is e.nrd()
+        assert u.nrd() == support.nrd_formula(u)
+
+
+@pytest.mark.parametrize("name", list(_KERNEL_ALGEBRAS))
+@given(data=st.data())
+def test_scalar_fast_path_matches_the_general_product(name, data):
+    u, w, lam = _draw_operands(data, name)
+    s = u.algebra.scalar(lam)
+    for left, right in ((u, s), (s, u), (s, s), (u, u), (u, w)):
         assert (left * right).coeffs == support.general_product(left, right).coeffs
     assert (u * lam).coeffs == support.general_product(u, s).coeffs
     assert (lam * u).coeffs == support.general_product(s, u).coeffs
+
+
+@pytest.mark.parametrize("name", list(_KERNEL_ALGEBRAS))
+@given(data=st.data())
+def test_coordinatewise_kernel_matches_the_field_operators(name, data):
+    u, w, lam = _draw_operands(data, name)
+    (w1, a1, b1, c1), uc, wc = u.coeffs, u.coeffs, w.coeffs
+    assert (u + w).coeffs == tuple(x + y for x, y in zip(uc, wc))
+    assert (u - w).coeffs == tuple(x - y for x, y in zip(uc, wc))
+    assert (-u).coeffs == tuple(-x for x in uc)
+    assert u.conj().coeffs == (w1, -a1, -b1, -c1)
+    assert (u + lam).coeffs == (lam + u).coeffs == (w1 + lam, a1, b1, c1)
+    assert (u - lam).coeffs == (w1 - lam, a1, b1, c1)
+    assert (lam - u).coeffs == (lam - w1, -a1, -b1, -c1)
+    assert u.is_zero() == all(x.is_zero() for x in uc)
+    assert u.is_scalar() == all(x.is_zero() for x in uc[1:])
+    assert (u == lam) == (u.is_scalar() and w1 == lam)
+    n = support.nrd_formula(u)
+    if n.is_zero():
+        with pytest.raises(ZeroElement):
+            u.inv()
+        return
+    inv = u.inv()
+    assert inv.coeffs == (w1 / n, -a1 / n, -b1 / n, -c1 / n)
+    assert support.general_product(u, inv) == u.algebra.one()
+
+
+@pytest.mark.parametrize("name", list(_KERNEL_ALGEBRAS))
+def test_kernel_wraps_only_its_results(name, monkeypatch):
+    alg = _KERNEL_ALGEBRAS[name][0]
+    u, w = alg.el(1, 2, 3, 4), alg.el(0, 1, 5, 6)
+    lam = alg.base(3)
+    built = []
+    init = FieldElement.__init__
+
+    def counting(self, field, value):
+        built.append(value)
+        init(self, field, value)
+
+    monkeypatch.setattr(FieldElement, "__init__", counting)
+    for op, wraps in ((lambda: u * w, 4), (lambda: u * lam, 4), (lambda: lam * u, 4),
+                      (lambda: u.nrd(), 1), (lambda: u + lam, 1), (lambda: u.conj(), 3)):
+        built.clear()
+        op()
+        assert len(built) == wraps
 
 
 def test_scalar_product_leaves_the_nrd_memo_unset(Q, v3):

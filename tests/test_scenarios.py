@@ -2,6 +2,7 @@
 single-instance batch worker."""
 
 import functools
+import gc
 import hashlib
 import json
 
@@ -372,3 +373,47 @@ def test_battery_records_are_pinned(battery):
         text = json.dumps(records, sort_keys=True)
         got[fault or "clean"] = hashlib.sha256(text.encode()).hexdigest()
     assert got == _RECORD_DIGESTS[battery]
+
+
+# ---------------------------------------------------------------------------
+# what a batch instance leaves behind
+
+
+def test_split_instances_compare_no_rationals_by_value(monkeypatch):
+    # every field over Q shares one Rationals, so identity settles each
+    # field comparison before __eq__
+    scs = [batteries.point_scenario(p, trials=4) for p in batteries.SPLIT_PRIMES]
+    calls = []
+    eq = Rationals.__eq__
+
+    def counting(self, other):
+        calls.append(other)
+        return eq(self, other)
+
+    monkeypatch.setattr(Rationals, "__eq__", counting)
+    for sc in scs:
+        for i in range(4):
+            assert run_instance(sc, i)["status"] == "ok"
+    assert calls == []
+
+
+def test_battery_instances_leave_no_cyclic_garbage():
+    # an element points back to its algebra, so anything kept on an
+    # algebra would turn every drawn algebra into cyclic garbage, which
+    # only the collector frees and which grows the peak memory of a batch
+    scs = [batteries.conic_scenario(p, d, trials=3) for p, d in batteries.DIVISION_BATCHES]
+    scs += [batteries.point_scenario(p, trials=3) for p in batteries.SPLIT_PRIMES]
+    gc.collect()
+    gc.disable()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        for sc in scs:
+            for i in range(3):
+                run_instance(sc, i)
+        found = gc.collect()
+        garbage = [type(o).__name__ for o in gc.garbage]
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+        gc.enable()
+    assert (found, garbage) == (0, [])
