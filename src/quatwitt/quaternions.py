@@ -181,55 +181,40 @@ class QuaternionElement:
         _w, a, b, c = self.coeffs
         return iz(a.value) and iz(b.value) and iz(c.value)
 
-    def __add__(self, other):
-        base = self.algebra.base
-        add = base.add
+    def _coordinatewise(self, other, op):
+        """self + other or self - other, for op the base field's add or
+        sub."""
         w, a, b, c = self.coeffs
         if isinstance(other, QuaternionElement):
             self._check_algebra(other)
             w2, a2, b2, c2 = other.coeffs
             return _wrap(
                 self.algebra,
-                add(w.value, w2.value),
-                add(a.value, a2.value),
-                add(b.value, b2.value),
-                add(c.value, c2.value),
+                op(w.value, w2.value),
+                op(a.value, a2.value),
+                op(b.value, b2.value),
+                op(c.value, c2.value),
             )
         s = self._scalar(other)
         if s is None:
             return NotImplemented
         # a scalar moves only the real coordinate
         return QuaternionElement(
-            self.algebra, (FieldElement(base, add(w.value, s.value)), a, b, c)
+            self.algebra, (FieldElement(self.algebra.base, op(w.value, s.value)), a, b, c)
         )
 
+    def __add__(self, other):
+        return self._coordinatewise(other, self.algebra.base.add)
+
     __radd__ = __add__
+
+    def __sub__(self, other):
+        return self._coordinatewise(other, self.algebra.base.sub)
 
     def __neg__(self):
         neg = self.algebra.base.neg
         w, a, b, c = self.coeffs
         return _wrap(self.algebra, neg(w.value), neg(a.value), neg(b.value), neg(c.value))
-
-    def __sub__(self, other):
-        base = self.algebra.base
-        sub = base.sub
-        w, a, b, c = self.coeffs
-        if isinstance(other, QuaternionElement):
-            self._check_algebra(other)
-            w2, a2, b2, c2 = other.coeffs
-            return _wrap(
-                self.algebra,
-                sub(w.value, w2.value),
-                sub(a.value, a2.value),
-                sub(b.value, b2.value),
-                sub(c.value, c2.value),
-            )
-        s = self._scalar(other)
-        if s is None:
-            return NotImplemented
-        return QuaternionElement(
-            self.algebra, (FieldElement(base, sub(w.value, s.value)), a, b, c)
-        )
 
     def __rsub__(self, other):
         s = self._scalar(other)
