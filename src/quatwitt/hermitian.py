@@ -8,7 +8,8 @@ Nondegeneracy is checked on the 4n x 4n base-field model built from
 left-regular blocks, which detects singular Gram matrices over split
 algebras as well.  A diagonal Gram matrix skips building the model: its
 model is block diagonal with determinant the product of nrd(delta_k)^2.
-Whether the matrix is diagonal is found by the skew check and recorded.
+Whether the matrix is diagonal is found by the skew check, which reads
+the entries' payloads and builds no field element, and is recorded.
 """
 
 from __future__ import annotations
@@ -64,13 +65,24 @@ class SkewHermitianForm:
             rows.append(tuple(out))
         # conj(u) = -u exactly when u is pure (char != 2), and the (l, k)
         # condition is the conjugate of the (k, l) one, so the form is
-        # diagonal exactly when every entry above the diagonal is zero
+        # diagonal exactly when every entry above the diagonal is zero;
+        # conj(w' + a'i + b'j + c'ij) = -(w + ai + bj + cij) reads
+        # w' + w = 0 and (a', b', c') = (a, b, c), checked on the payloads
+        base = algebra.base
+        iz, add = base.is_zero, base.add
         diagonal = True
         for k in range(n):
-            if not rows[k][k].coeffs[0].is_zero():
+            if not iz(rows[k][k].coeffs[0].value):
                 raise ValueError("gram matrix is not skew-hermitian")
             for l in range(k + 1, n):
-                if rows[l][k].conj() != -rows[k][l]:
+                w, a, b, c = rows[k][l].coeffs
+                w2, a2, b2, c2 = rows[l][k].coeffs
+                if not (
+                    iz(add(w.value, w2.value))
+                    and a.value == a2.value
+                    and b.value == b2.value
+                    and c.value == c2.value
+                ):
                     raise ValueError("gram matrix is not skew-hermitian")
                 diagonal = diagonal and rows[k][l].is_zero()
         self.algebra = algebra
@@ -269,6 +281,18 @@ class GoodReductionCertificate:
         return self.status == CERTIFIED
 
 
+def common_integral_value(evals) -> Optional[int]:
+    """The extended value e shared by every entry, when the entries share
+    one and it is an integer; None otherwise.  Scaling by pi^m adds m to
+    every extended value, so only such an e can be cleared, and only by
+    m = -e: this is the value test of `good_reduction_certificate`, and
+    it gives the same answer before and after a central twist."""
+    e = evals[0]
+    if e.denominator == 1 and all(x == e for x in evals):
+        return e.numerator
+    return None
+
+
 def good_reduction_certificate(h: SkewHermitianForm, v) -> GoodReductionCertificate:
     """Find the central scaling pi^m making the diagonalized form a
     unimodular integral model at v.
@@ -276,12 +300,12 @@ def good_reduction_certificate(h: SkewHermitianForm, v) -> GoodReductionCertific
     Certified needs every scaled entry to have extended value 0 with all
     coordinates of value >= 0.  Scaling by pi^m adds m to every extended
     value, so only a common integral entry value e can be cleared, and
-    only by m = -e.  The algebra must be unramified at v; the certificate
-    carries the ramification report that establishes it.  That report
-    depends only on the algebra, v and the fault state, and `ramification`
-    looks it up by value once computed; the diagonalization, the extended
-    values and the integrality of the scaled entries are checked afresh
-    on every call.  NoCertificate says only that this diagonalization has
+    only by m = -e (`common_integral_value`).  The algebra must be
+    unramified at v; the certificate carries the ramification report that
+    establishes it.  That report depends only on the algebra, v and the
+    fault state, and `ramification` looks it up by value once computed;
+    the diagonalization, the extended values and the integrality of the
+    scaled entries are checked afresh on every call.  NoCertificate says only that this diagonalization has
     no such scaling; it is not a proof of bad reduction.
     """
     report = ramification(h.algebra, v)
@@ -291,9 +315,9 @@ def good_reduction_certificate(h: SkewHermitianForm, v) -> GoodReductionCertific
         )
     entries, _p = diagonalize_h(h)
     evals = tuple(extval(v, u) for u in entries)
-    e = evals[0]
-    if e.denominator == 1 and all(x == e for x in evals):
-        m = -e.numerator
+    e = common_integral_value(evals)
+    if e is not None:
+        m = -e
         if faults.is_active(faults.DROP_UNIT_REP):
             # corrupted variant for sensitivity tests: the scaling is
             # found but never applied to the diagonal

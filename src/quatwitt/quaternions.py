@@ -13,7 +13,9 @@ only the result coordinates (or the one nrd) as FieldElements.  A
 central scalar operand, a scalar quaternion or a bare element of the
 base, scales the coordinates.  The field methods are looked up on every
 operation, so a rebound field method sees every call.  `coeffs` stays a
-tuple of FieldElements.
+tuple of FieldElements.  The coordinates 0 and 1 of `el`, and so of
+zero(), one() and the basis elements, wrap the base field's shared
+payloads.
 
 Nothing is cached on a QuaternionAlgebra: an element points back to its
 algebra, so an element kept on the algebra would make every drawn
@@ -117,8 +119,14 @@ class QuaternionAlgebra:
 
 def _coordinate(base, x) -> FieldElement:
     """x as an element of `base`: an element of `base` itself, tested by
-    identity, passes through; anything else is coerced by the field."""
-    return x if isinstance(x, FieldElement) and x.field is base else base(x)
+    identity, passes through, and the ints 0 and 1 wrap the field's shared
+    payloads; anything else is coerced by the field."""
+    if isinstance(x, FieldElement):
+        if x.field is base:
+            return x
+    elif type(x) is int and (x == 0 or x == 1):
+        return FieldElement(base, base.one() if x else base.zero())
+    return base(x)
 
 
 def _wrap(alg, w, a, b, c) -> "QuaternionElement":

@@ -34,10 +34,14 @@ from .fields import (
     FunctionField,
     Rationals,
 )
-from .hermitian import SkewHermitianForm, good_reduction_certificate
+from .hermitian import (
+    SkewHermitianForm,
+    common_integral_value,
+    good_reduction_certificate,
+)
 from .morita import VerificationReport, verify_instance
 from .quadforms import QuadraticForm
-from .quaternions import QuaternionAlgebra, ramification
+from .quaternions import QuaternionAlgebra, _wrap, extval, ramification
 from .valuations import (
     ConicValuation,
     GaussValuation,
@@ -330,7 +334,7 @@ class Generator(NamedTuple):
 
     `draw(rng)` proposes (algebra, point), with point None in conic mode,
     or returns None to reject the attempt; `spice`, if any, multiplies
-    each drawn coordinate by a random field element."""
+    each drawn coordinate by the payload of a random field element."""
 
     mode: str
     field: object
@@ -393,8 +397,10 @@ def _conic_setup(sc, field, v) -> Generator:
             alg = QuaternionAlgebra(field, d, t)
             return (alg, None) if division_residue(alg) else None
 
+    one, s, s1 = field.one(), gen.value, (gen + 1).value
+
     def spice(rng):
-        return rng.choice((field(1), field(1), field(1), gen, gen + 1))
+        return rng.choice((one, one, one, s, s1))
 
     return Generator("conic", field, v, draw, spice)
 
@@ -402,7 +408,8 @@ def _conic_setup(sc, field, v) -> Generator:
 def _point_setup(sc, field, v) -> Generator:
     """Algebras (d, t) over Q with unit parameters, t chosen so that the
     conic d*x^2 + t*y^2 = 1 passes through a small point (x0, y0); each
-    instance draws its own, so a pinned algebra is refused."""
+    instance draws its own, so a pinned algebra is refused.  The draw
+    runs on payloads and wraps only the algebra and point it proposes."""
     if not isinstance(field, Rationals):
         raise ScenarioError("the point generator draws algebras over the rationals")
     if sc.get("algebra") is not None:
@@ -422,47 +429,59 @@ def _point_setup(sc, field, v) -> Generator:
             return Fraction(num, den)
         return Fraction(1)
 
+    mul, iz = field.mul, field.is_zero
+
     def draw(rng):
-        d = field(rng.randint(-_COORD_BOUND, _COORD_BOUND))
-        if d.is_zero() or v.value(d) != 0:
+        d = field.from_int(rng.randint(-_COORD_BOUND, _COORD_BOUND))
+        if iz(d) or v._value(d) != 0:
             return None
-        x0 = field(small_fraction(rng, False))
-        y0 = field(small_fraction(rng, True))
-        t = (field(1) - d * x0 * x0) / (y0 * y0)
-        if t.is_zero() or v.value(t) != 0:
+        x0 = field.from_fraction(small_fraction(rng, False))
+        y0 = field.from_fraction(small_fraction(rng, True))
+        t = field.div(field.sub(field.one(), mul(mul(d, x0), x0)), mul(y0, y0))
+        if iz(t) or v._value(t) != 0:
             return None
-        return QuaternionAlgebra(field, d, t), (x0, y0)
+        alg = QuaternionAlgebra(field, field.el(d), field.el(t))
+        return alg, (field.el(x0), field.el(y0))
 
     return Generator("point", field, v, draw, None)
 
 
 def _draw_coords(rng, v, base, spice):
-    """A nonzero coordinate triple from [-9, 9] with a unit entry."""
+    """The payloads of a nonzero coordinate triple from [-9, 9] with a
+    unit entry."""
+    mul, iz = base.mul, base.is_zero
     while True:
         a, b, c = (
             rng.randint(-_COORD_BOUND, _COORD_BOUND) for _ in range(3)
         )
         if a == 0 and b == 0 and c == 0:
             continue
-        coords = [base(x) for x in (a, b, c)]
+        coords = [base.from_int(x) for x in (a, b, c)]
         if spice is not None:
-            coords = [x * spice(rng) for x in coords]
-        if min(v.value(x) for x in coords if not x.is_zero()) == 0:
+            coords = [mul(x, spice(rng)) for x in coords]
+        if min(v._value(x) for x in coords if not iz(x)) == 0:
             return coords
 
 
 def _draw_entries(rng, gen: Generator, alg, point, n):
     """n pure quaternions of nonzero reduced norm, each from at most 60
     coordinate draws; with a point, the specialization a*y0 - b*x0 - c at
-    it must not vanish either.  None if some entry runs out of draws."""
+    it must not vanish either.  None if some entry runs out of draws.
+    The draws run on payloads; a candidate is wrapped for its reduced
+    norm, which stays memoized on the entries kept."""
+    base = gen.field
+    zero = base.zero()
+    mul, sub = base.mul, base.sub
     entries = []
     for _l in range(n):
         for _draw in range(60):
-            a, b, c = _draw_coords(rng, gen.valuation, gen.field, gen.spice)
-            u = alg.el(0, a, b, c)
-            if u.nrd().is_zero():
+            a, b, c = _draw_coords(rng, gen.valuation, base, gen.spice)
+            if point is not None and base.is_zero(
+                sub(sub(mul(a, point[1].value), mul(b, point[0].value)), c)
+            ):
                 continue
-            if point is not None and (a * point[1] - b * point[0] - c).is_zero():
+            u = _wrap(alg, zero, a, b, c)
+            if u.nrd().is_zero():
                 continue
             entries.append(u)
             break
@@ -477,8 +496,13 @@ def generate_instance(sc: dict, index: int) -> Instance:
 
     Each attempt draws an algebra (and a point), `rank` entries (or a
     random rank from 1 to 3) and a twist by the uniformizer power
-    m in {-1, 0, 1}, and keeps the diagonal form if it certifies good
-    reduction."""
+    m in {-1, 0, 1}, then tests in this order: the extended values of
+    the untwisted entries, then the twisted diagonal form, then its
+    certificate.  A central twist moves every extended value by m, so
+    the certificate's value test (`common_integral_value`) gives the same
+    answer on the untwisted entries; an attempt whose entries share no
+    integral value is dropped before any form is built.  Only a form
+    that certifies good reduction is kept."""
     gen = generator_setup(sc)
     rng = random.Random(f"{sc.get('seed', 0)}:{index}")
     v = gen.valuation
@@ -492,6 +516,8 @@ def generate_instance(sc: dict, index: int) -> Instance:
         if entries is None:
             continue
         m = rng.choice((-1, 0, 1))
+        if common_integral_value([extval(v, u) for u in entries]) is None:
+            continue
         twist = v.uniformizer**m
         h = SkewHermitianForm.diagonal(alg, [u * twist for u in entries])
         if not good_reduction_certificate(h, v).certified:

@@ -20,17 +20,23 @@ from quatwitt.errors import (
     RamifiedAlgebra,
     ZeroScalar,
 )
-from quatwitt.fields import Rationals
+from quatwitt.fields import FieldElement, FiniteField, FunctionField, Rationals
 from quatwitt.hermitian import (
     CERTIFIED,
     NO_CERTIFICATE,
     SkewHermitianForm,
+    common_integral_value,
     diagonalize_h,
     good_reduction_certificate,
 )
 from quatwitt.quadforms import mat_det
-from quatwitt.quaternions import QuaternionAlgebra, QuaternionElement, left_regular_matrix
-from quatwitt.valuations import PAdicValuation
+from quatwitt.quaternions import (
+    QuaternionAlgebra,
+    QuaternionElement,
+    extval,
+    left_regular_matrix,
+)
+from quatwitt.valuations import GaussValuation, PAdicValuation
 
 
 @pytest.fixture(scope="module")
@@ -86,18 +92,53 @@ def _grams(draw, alg):
     return gram
 
 
+_QS = FunctionField(Rationals(), "s")
+_SKEW_ALGEBRAS = (
+    QuaternionAlgebra(_QS, -1, _QS.gen()),
+    QuaternionAlgebra(FiniteField(7), 3, 5),
+)
+
+
 @given(st.data())
 def test_skew_check_agrees_with_all_pairs_rule(A23, data):
-    gram = data.draw(_grams(A23))
+    # the payload check against the rule as stated, over Q, Q(s) and F_7;
+    # an accepted form is diagonal exactly when its off-diagonal entries
+    # all vanish
+    alg = data.draw(st.sampled_from((A23,) + _SKEW_ALGEBRAS))
+    gram = data.draw(_grams(alg))
+    n = len(gram)
     try:
-        SkewHermitianForm(A23, gram)
+        h = SkewHermitianForm(alg, gram)
         rejected = False
+        off_diagonal = [gram[k][l] for k in range(n) for l in range(n) if k != l]
+        assert h.is_diagonal() == all(u.is_zero() for u in off_diagonal)
     except Degenerate:
         rejected = False
     except ValueError as e:
         assert str(e) == "gram matrix is not skew-hermitian"
         rejected = True
     assert rejected == (not support.is_skew_by_all_pairs(gram))
+
+
+def test_skew_check_builds_no_field_element_on_a_diagonal_form(A23, monkeypatch):
+    entries = [A23.i(), A23.j(), A23.el(0, 1, 2, 3)]
+    zero = A23.zero()
+    gram = [[entries[k] if k == l else zero for l in range(3)] for k in range(3)]
+    for u in entries:
+        u.nrd()
+    built = []
+    init = FieldElement.__init__
+
+    def counting(self, field, value):
+        built.append(value)
+        init(self, field, value)
+
+    monkeypatch.setattr(FieldElement, "__init__", counting)
+    # the entries' reduced norms are memoized, so the nondegeneracy test
+    # builds nothing either; the skew check reads payloads only
+    h = SkewHermitianForm(A23, gram)
+    assert h.is_diagonal()
+    assert built == []
 
 
 def test_rejects_singular_gram(A23):
@@ -383,6 +424,50 @@ def test_certificate_matches_window_scan_on_battery_instances(fault):
                 assert cert == want, (sc["generator"], index)
                 outcomes.add(cert.status)
     assert outcomes == {CERTIFIED, NO_CERTIFICATE}
+
+
+# a point-mode algebra over Q and the division battery algebra over Q(s),
+# both with unit parameters at their valuation, and entry coordinates
+# with denominators and numerators divisible by 3
+_PRECHECK_CASES = (
+    (
+        QuaternionAlgebra(Rationals(), 2, 5),
+        PAdicValuation(3),
+        support.fractions(max_num=9, max_den=9),
+    ),
+    (
+        QuaternionAlgebra(_QS, -1, _QS.gen()),
+        GaussValuation(PAdicValuation(3), _QS),
+        support.rational_functions(_QS, max_deg=1, coeffs=support.fractions(9, 9)),
+    ),
+)
+
+
+@pytest.mark.parametrize("fault", (None,) + faults.FAULT_NAMES)
+@given(st.data())
+def test_value_precheck_agrees_with_the_certificate(fault, data):
+    """The generator's test on the untwisted entries gives the answer of
+    the certificate's value test on the twisted form: an attempt it drops
+    certifies neither in the library nor by the window scan, and one it
+    keeps reaches a certificate whose entries share the value e + m."""
+    alg, v, coeffs = data.draw(st.sampled_from(_PRECHECK_CASES))
+    n = data.draw(st.integers(1, 3))
+    pure = support.pure_quaternions(alg, coeffs).filter(lambda u: not u.nrd().is_zero())
+    entries = data.draw(st.lists(pure, min_size=n, max_size=n))
+    m = data.draw(st.sampled_from((-1, 0, 1)))
+    with faults.injected(*((fault,) if fault else ())):
+        e = common_integral_value([extval(v, u) for u in entries])
+        twist = v.uniformizer**m
+        h = SkewHermitianForm.diagonal(alg, [u * twist for u in entries])
+        cert = good_reduction_certificate(h, v)
+        scan = support.certificate_by_window_scan(h, v)
+    assert cert == scan
+    if e is None:
+        assert common_integral_value(cert.extvals) is None
+        assert not cert.certified
+    else:
+        assert cert.extvals == (e + m,) * n
+        assert cert.scaling in (None, -(e + m))
 
 
 # ---------------------------------------------------------------------------
