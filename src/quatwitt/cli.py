@@ -25,7 +25,7 @@ from concurrent.futures import ProcessPoolExecutor
 from . import faults
 from .errors import QuatwittError, ScenarioError
 from .hermitian import good_reduction_certificate
-from .morita import morita_reduce, morita_reduce_general, split_reduce_at_point
+from .morita import morita_reduce, split_reduce_at_point
 from .quadforms import DEFAULT_BUDGET, QuadraticForm, residue_forms, witt_trivial
 from .quaternions import ramification
 from .scenarios import (
@@ -157,10 +157,7 @@ def cmd_certify(args) -> int:
 def cmd_reduce(args) -> int:
     sc = _scenario(args)
     field, alg, h = _scenario_form(sc)
-    if h.is_diagonal():
-        q = morita_reduce(h)
-    else:
-        q, _change = morita_reduce_general(h)
+    q = morita_reduce(h)
     if args.json:
         _emit_json({"entries": [element_str(u) for u in q.entries]})
     else:

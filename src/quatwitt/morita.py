@@ -3,10 +3,14 @@ quadratic forms over the function field of the associated conic, with a
 split-case shortcut through a rational point, valuation extension to the
 conic function field, and the end-to-end verification pipeline.
 
-The algebra (d, t) acts on the conic d*x^2 + t*y^2 = 1; over its
-function field F the algebra splits, and an explicit pair of 2x2 images
-turns any diagonal skew-hermitian entry delta = a*i + b*j + c*ij into
-the binary quadratic form <L, N/L> over F with
+Both reductions first diagonalize the form with
+hermitian.diagonalize_h (a diagonal form comes back as its own
+entries): Morita equivalence maps isometry classes to isometry classes,
+so any diagonalization serves.  The algebra (d, t) acts on the conic
+d*x^2 + t*y^2 = 1; over its function field F the algebra splits, and an
+explicit pair of 2x2 images turns each diagonal skew-hermitian entry
+delta = a*i + b*j + c*ij into the binary quadratic form <L, N/L> over F
+with
 
     L = a*y - b*x - c          (a corner of the symmetrized Gram)
     N = nrd(delta) = -a^2*d - b^2*t + c^2*d*t
@@ -32,8 +36,6 @@ from math import gcd
 from typing import Optional, Tuple
 
 from .errors import (
-    AlgebraMismatch,
-    CertificateFailed,
     DegenerateSpecialization,
     HypothesisNotCertified,
     NotOnConic,
@@ -42,13 +44,11 @@ from .errors import (
     ZeroEntry,
 )
 from .fields import ConicExtension, FieldElement, poly_const
-from .hermitian import SkewHermitianForm, good_reduction_certificate
+from .hermitian import SkewHermitianForm, diagonalize_h, good_reduction_certificate
 from .quadforms import (
     DEFAULT_BUDGET,
     QuadraticForm,
     Verdict,
-    diagonalize,
-    mat_mul,
     second_residue_form,
     witt_trivial,
 )
@@ -65,83 +65,6 @@ def conic_field(alg: QuaternionAlgebra) -> ConicExtension:
     """The function field of the conic d*x^2 + t*y^2 = 1, built once
     per algebra."""
     return ConicExtension(alg.base, alg.d, alg.t)
-
-
-# ---------------------------------------------------------------------------
-# explicit splitting over the conic function field
-
-
-class SplittingData:
-    """2x2 images of the quaternion basis over the conic function field.
-
-    All defining identities (squares of generators, anticommutation, the
-    product i*j = ij, and compatibility of conjugation with the adjugate)
-    are checked exactly at construction time.
-    """
-
-    __slots__ = ("algebra", "field", "images")
-
-    def __init__(self, alg: QuaternionAlgebra):
-        C = conic_field(alg)
-        d = C(alg.d)
-        t = C(alg.t)
-        x = C.x_gen()
-        y = C.y_gen()
-        one = C(1)
-        zero = C(0)
-        img_one = ((one, zero), (zero, one))
-        img_i = ((d * x, -y), (-d * t * y, -d * x))
-        img_j = ((t * y, x), (d * t * x, -t * y))
-        img_ij = ((zero, one), (-d * t, zero))
-        self.algebra = alg
-        self.field = C
-        self.images = {"1": img_one, "i": img_i, "j": img_j, "ij": img_ij}
-        identities = [
-            _m2_eq(mat_mul(img_i, img_i), _m2_scale(img_one, d)),
-            _m2_eq(mat_mul(img_j, img_j), _m2_scale(img_one, t)),
-            _m2_eq(mat_mul(img_i, img_j), img_ij),
-            _m2_eq(mat_mul(img_j, img_i), _m2_scale(img_ij, C(-1))),
-        ] + [
-            _m2_eq(_m2_adj(m), _m2_scale(m, C(-1)))
-            for m in (img_i, img_j, img_ij)
-        ]
-        if not all(identities):
-            raise CertificateFailed("splitting identity failed")
-
-    def image(self, u: QuaternionElement):
-        if u.algebra != self.algebra:
-            raise AlgebraMismatch("element from a different algebra")
-        C = self.field
-        w, a, b, c = (C(coord) for coord in u.coeffs)
-        acc = _m2_scale(self.images["1"], w)
-        for coeff, name in ((a, "i"), (b, "j"), (c, "ij")):
-            acc = _m2_add(acc, _m2_scale(self.images[name], coeff))
-        return acc
-
-
-def _m2_add(m1, m2):
-    return tuple(
-        tuple(m1[i][j] + m2[i][j] for j in range(2)) for i in range(2)
-    )
-
-
-def _m2_scale(m, c):
-    return tuple(tuple(entry * c for entry in row) for row in m)
-
-
-def _m2_adj(m):
-    return ((m[1][1], -m[0][1]), (-m[1][0], m[0][0]))
-
-
-def _m2_eq(m1, m2):
-    return all(m1[i][j] == m2[i][j] for i in range(2) for j in range(2))
-
-
-def _sym_gram(C, m):
-    """The symmetric matrix S * m, S = [[0,1],[-1,0]], conjugated by the
-    coordinate swap so the (0,0) corner carries the linear entry L."""
-    s_m = ((m[1][0], m[1][1]), (-m[0][0], -m[0][1]))
-    return ((s_m[1][1], s_m[1][0]), (s_m[0][1], s_m[0][0]))
 
 
 # ---------------------------------------------------------------------------
@@ -221,15 +144,15 @@ def _conic_quotient(C: ConicExtension, n, a, b, c):
 
 def morita_reduce(h: SkewHermitianForm) -> QuadraticForm:
     """Quadratic form over the conic function field attached to a
-    diagonal skew-hermitian form; entry delta contributes <L, N/L>.
+    skew-hermitian form.  The form is diagonalized with diagonalize_h
+    first; each diagonal entry delta then contributes <L, N/L>.
 
     The pair multiplies to N = nrd(delta) exactly, and <L, N/L>
     is exactly the first-pivot diagonalization of the symmetrized Gram
     of the 2x2 image of delta.
     """
-    if not h.is_diagonal():
-        raise ValueError("reduce a diagonal form; diagonalize first")
-    return _reduce_diagonal(h.algebra, h.diagonal_entries())
+    entries, _p = diagonalize_h(h)
+    return _reduce_diagonal(h.algebra, entries)
 
 
 def _reduce_diagonal(alg: QuaternionAlgebra, entries) -> QuadraticForm:
@@ -241,38 +164,17 @@ def _reduce_diagonal(alg: QuaternionAlgebra, entries) -> QuadraticForm:
     return QuadraticForm(C, out)
 
 
-def morita_reduce_general(h: SkewHermitianForm):
-    """Reduction of an arbitrary (not necessarily diagonal) form.
-
-    Builds the full 2n x 2n symmetrized Gram from the 2x2 images and
-    congruence-diagonalizes it over the conic function field.  On a
-    diagonal form this reproduces morita_reduce entry for entry.
-    Returns (QuadraticForm, change-of-basis certificate).
-    """
-    split = SplittingData(h.algebra)
-    C = split.field
-    n = h.rank
-    big = [[None] * (2 * n) for _ in range(2 * n)]
-    for k in range(n):
-        for l in range(n):
-            block = _sym_gram(C, split.image(h.gram[k][l]))
-            for r in range(2):
-                for c in range(2):
-                    big[2 * k + r][2 * l + c] = block[r][c]
-    return diagonalize(C, big)
-
-
 def split_reduce_at_point(h: SkewHermitianForm, point) -> QuadraticForm:
     """Specialize the reduction at a rational point of the conic.
 
-    The point (x0, y0) must satisfy d*x0^2 + t*y0^2 = 1; entry delta
+    The form is diagonalized with diagonalize_h first.  The point
+    (x0, y0) must satisfy d*x0^2 + t*y0^2 = 1; each diagonal entry delta
     contributes <e, N/e> over the base field with e = a*y0 - b*x0 - c.
     A vanishing e is a degenerate specialization: the form itself is
     fine, the point is not, so another point must be chosen.
     """
-    if not h.is_diagonal():
-        raise ValueError("reduce a diagonal form; diagonalize first")
-    return _split_reduce_entries(h.algebra, h.diagonal_entries(), point)
+    entries, _p = diagonalize_h(h)
+    return _split_reduce_entries(h.algebra, entries, point)
 
 
 def _split_reduce_entries(alg: QuaternionAlgebra, entries, point) -> QuadraticForm:

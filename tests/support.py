@@ -5,13 +5,15 @@ from fractions import Fraction
 
 from hypothesis import strategies as st
 
+from quatwitt.errors import AlgebraMismatch, CertificateFailed
 from quatwitt.fields import (
     ConicExtension,
     FiniteField,
     FunctionField,
     Rationals,
 )
-from quatwitt.quadforms import DEFAULT_BUDGET
+from quatwitt.morita import conic_field
+from quatwitt.quadforms import DEFAULT_BUDGET, diagonalize, mat_mul
 from quatwitt.valuations import INF
 
 
@@ -265,6 +267,103 @@ def reduce_entry_by_division(field, u, x, y):
     _w, a, b, c = u.coeffs
     lin = field(a) * y - field(b) * x - field(c)
     return lin, field(u.nrd()) / lin
+
+
+# ---------------------------------------------------------------------------
+# the explicit splitting over the conic function field, and the 2n x 2n
+# reduction built on it: an independent oracle for the library's
+# diagonalize-then-<L, N/L> route
+
+
+class SplittingData:
+    """2x2 images of the quaternion basis over the conic function field.
+
+    All defining identities (squares of generators, anticommutation, the
+    product i*j = ij, and compatibility of conjugation with the adjugate)
+    are checked exactly at construction time.
+    """
+
+    __slots__ = ("algebra", "field", "images")
+
+    def __init__(self, alg):
+        C = conic_field(alg)
+        d = C(alg.d)
+        t = C(alg.t)
+        x = C.x_gen()
+        y = C.y_gen()
+        one = C(1)
+        zero = C(0)
+        img_one = ((one, zero), (zero, one))
+        img_i = ((d * x, -y), (-d * t * y, -d * x))
+        img_j = ((t * y, x), (d * t * x, -t * y))
+        img_ij = ((zero, one), (-d * t, zero))
+        self.algebra = alg
+        self.field = C
+        self.images = {"1": img_one, "i": img_i, "j": img_j, "ij": img_ij}
+        identities = [
+            _m2_eq(mat_mul(img_i, img_i), _m2_scale(img_one, d)),
+            _m2_eq(mat_mul(img_j, img_j), _m2_scale(img_one, t)),
+            _m2_eq(mat_mul(img_i, img_j), img_ij),
+            _m2_eq(mat_mul(img_j, img_i), _m2_scale(img_ij, C(-1))),
+        ] + [
+            _m2_eq(_m2_adj(m), _m2_scale(m, C(-1)))
+            for m in (img_i, img_j, img_ij)
+        ]
+        if not all(identities):
+            raise CertificateFailed("splitting identity failed")
+
+    def image(self, u):
+        if u.algebra != self.algebra:
+            raise AlgebraMismatch("element from a different algebra")
+        C = self.field
+        w, a, b, c = (C(coord) for coord in u.coeffs)
+        acc = _m2_scale(self.images["1"], w)
+        for coeff, name in ((a, "i"), (b, "j"), (c, "ij")):
+            acc = _m2_add(acc, _m2_scale(self.images[name], coeff))
+        return acc
+
+
+def _m2_add(m1, m2):
+    return tuple(
+        tuple(m1[i][j] + m2[i][j] for j in range(2)) for i in range(2)
+    )
+
+
+def _m2_scale(m, c):
+    return tuple(tuple(entry * c for entry in row) for row in m)
+
+
+def _m2_adj(m):
+    return ((m[1][1], -m[0][1]), (-m[1][0], m[0][0]))
+
+
+def _m2_eq(m1, m2):
+    return all(m1[i][j] == m2[i][j] for i in range(2) for j in range(2))
+
+
+def _sym_gram(m):
+    """The symmetric matrix S * m, S = [[0,1],[-1,0]], conjugated by the
+    coordinate swap so the (0,0) corner carries the linear entry L."""
+    s_m = ((m[1][0], m[1][1]), (-m[0][0], -m[0][1]))
+    return ((s_m[1][1], s_m[1][0]), (s_m[0][1], s_m[0][0]))
+
+
+def general_reduction(h):
+    """The quadratic form of any (not necessarily diagonal) form h: the
+    full 2n x 2n symmetrized Gram of the 2x2 images, congruence-
+    diagonalized over the conic function field.  On a diagonal form this
+    reproduces morita_reduce entry for entry."""
+    split = SplittingData(h.algebra)
+    n = h.rank
+    big = [[None] * (2 * n) for _ in range(2 * n)]
+    for k in range(n):
+        for l in range(n):
+            block = _sym_gram(split.image(h.gram[k][l]))
+            for r in range(2):
+                for c in range(2):
+                    big[2 * k + r][2 * l + c] = block[r][c]
+    q, _p = diagonalize(split.field, big)
+    return q
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from concurrent.futures import Future
 from pathlib import Path
 
@@ -164,6 +165,70 @@ def test_split_reduce_specializes_at_the_point(tmp_path, capsys):
     )
     assert main(["split-reduce", "--scenario", sc]) == EXIT_OK
     assert capsys.readouterr().out == "<4/5, -5/4>\n"
+
+
+def _gram_scenario(tmp_path, point):
+    return write_scenario(
+        tmp_path,
+        "gram.json",
+        {
+            "field": {"kind": "rationals"},
+            "valuation": {"kind": "padic", "p": 5},
+            "algebra": {"d": "1", "t": "1"},
+            "form": {"gram": [[{"a": "1"}, {"w": "1"}], [{"w": "-1"}, {"b": "1"}]]},
+            "point": point,
+        },
+    )
+
+
+@pytest.mark.parametrize(
+    "command, point, code, out, err",
+    [
+        ("certify", ["3/5", "4/5"], EXIT_OK, "Certified; scaling exponent 0\n", ""),
+        (
+            "reduce",
+            ["3/5", "4/5"],
+            EXIT_OK,
+            "<y, ((1)/(x^2 - 1))*y, y - x, ((1)/(x^2 - 1/2))*y + ((x)/(x^2 - 1/2))>\n",
+            "",
+        ),
+        ("split-reduce", ["3/5", "4/5"], EXIT_OK, "<4/5, -5/4, 1/5, -10>\n", ""),
+        ("split-reduce", ["1", "0"], EXIT_INPUT, "", "error: DegenerateSpecialization"),
+    ],
+    ids=["certify", "reduce", "split-reduce", "split-reduce-degenerate"],
+)
+def test_form_subcommands_take_a_gram_form(tmp_path, capsys, command, point, code, out, err):
+    sc = _gram_scenario(tmp_path, point)
+    assert main([command, "--scenario", sc]) == code
+    got = capsys.readouterr()
+    assert got.out == out
+    assert got.err.startswith(err)
+    assert "Traceback" not in got.err
+
+
+def test_reduce_of_a_gram_form_over_q_s_does_not_stall(tmp_path, capsys):
+    # the 6 x 6 symmetrized Gram of this form once took 9 s to
+    # diagonalize over the conic field
+    sc = write_scenario(
+        tmp_path,
+        "gram3.json",
+        {
+            "field": {"kind": "function"},
+            "algebra": {"d": "-1", "t": "s"},
+            "form": {
+                "gram": [
+                    [{"a": "1", "b": "1"}, {"w": "1", "b": "1"}, {"w": "1", "b": "1"}],
+                    [{"w": "-1", "b": "1"}, {"a": "2", "b": "1"}, {"w": "1", "b": "1", "c": "1"}],
+                    [{"w": "-1", "b": "1"}, {"w": "-1", "b": "1", "c": "1"}, {"a": "3", "b": "1"}],
+                ]
+            },
+        },
+    )
+    start = time.perf_counter()
+    assert main(["reduce", "--scenario", sc, "--json"]) == EXIT_OK
+    seconds = time.perf_counter() - start
+    assert seconds < 1.0
+    assert len(json.loads(capsys.readouterr().out)["entries"]) == 6
 
 
 def test_residue_forms_output(tmp_path, capsys):

@@ -23,14 +23,12 @@ from quatwitt.errors import (
     ZeroElement,
 )
 from quatwitt.fields import FiniteField, FunctionField, Rationals
-from quatwitt.hermitian import SkewHermitianForm, diagonalize_h
+from quatwitt.hermitian import SkewHermitianForm
 from quatwitt.morita import (
-    SplittingData,
     conic_field,
     conic_point_search,
     extend_valuation,
     morita_reduce,
-    morita_reduce_general,
     split_reduce_at_point,
     verify_instance,
 )
@@ -66,15 +64,15 @@ def diag_form(alg, *coeff_rows):
 
 
 # ---------------------------------------------------------------------------
-# splitting data
+# splitting data (the test oracle in support)
 
 
 def test_splitting_constructor_checks_its_own_relations(A23):
-    SplittingData(A23)
+    support.SplittingData(A23)
 
 
 def test_image_is_multiplicative(A23):
-    split = SplittingData(A23)
+    split = support.SplittingData(A23)
     u = A23.el(1, 2, 0, 1)
     w = A23.el(0, 1, -1, 2)
     left = split.image(u * w)
@@ -90,7 +88,7 @@ def test_image_is_multiplicative(A23):
 
 
 def test_image_determinant_is_reduced_norm(A23):
-    split = SplittingData(A23)
+    split = support.SplittingData(A23)
     C = split.field
     u = A23.el(2, -1, 3, 1)
     m = split.image(u)
@@ -99,7 +97,7 @@ def test_image_determinant_is_reduced_norm(A23):
 
 
 def test_image_rejects_foreign_elements(A23, A11):
-    split = SplittingData(A23)
+    split = support.SplittingData(A23)
     with pytest.raises(AlgebraMismatch):
         split.image(A11.el(0, 1, 0, 0))
 
@@ -202,14 +200,6 @@ def test_closed_form_and_fallback_cases(Q, d, t, abc, closed):
     assert_entry_matches_division(alg, u)
 
 
-def test_reduce_rejects_non_diagonal_input(A23):
-    i_el = A23.el(0, 1, 0, 0)
-    z = A23.el(0)
-    h = SkewHermitianForm(A23, [[z, i_el], [i_el, z]])
-    with pytest.raises(ValueError):
-        morita_reduce(h)
-
-
 def test_zero_norm_entries_never_reach_the_reduction(A11):
     u = A11.el(0, 1, 0, 1)
     assert u.nrd().is_zero()
@@ -250,21 +240,37 @@ def test_general_reduction_agrees_entrywise_on_diagonal_forms(Q, rows):
     if any(u.nrd().is_zero() for u in entries):
         return
     h = SkewHermitianForm.diagonal(alg, entries)
-    qg, _p = morita_reduce_general(h)
+    qg = support.general_reduction(h)
     assert qg == morita_reduce(h)
 
 
-def test_general_reduction_of_congruent_forms_is_witt_equivalent(A23):
-    i_el = A23.el(0, 1, 0, 0)
-    z = A23.el(0)
-    h = SkewHermitianForm(A23, [[z, i_el], [i_el, z]])
-    qg, _p = morita_reduce_general(h)
-    entries, _cert = diagonalize_h(h)
-    qd = morita_reduce(SkewHermitianForm.diagonal(A23, entries))
+_SMALL = st.integers(-2, 2)
+
+
+@given(
+    rows=st.lists(
+        st.tuples(_SMALL, _SMALL, _SMALL).filter(any), min_size=1, max_size=3
+    ),
+    upper=st.lists(st.tuples(_SMALL, _SMALL, _SMALL, _SMALL), min_size=3, max_size=3),
+)
+@settings(max_examples=60, deadline=None)
+def test_general_reduction_of_congruent_forms_is_witt_equivalent(A23, rows, upper):
+    entries = [A23.el(0, a, b, c) for a, b, c in rows]
+    assume(not any(u.nrd().is_zero() for u in entries))
+    n = len(entries)
+    # unitriangular, so the change of basis keeps the determinant
+    above = iter(upper)
+    p = [
+        [A23.one() if r == c else A23.el(*next(above)) if r < c else A23.zero()
+         for c in range(n)]
+        for r in range(n)
+    ]
+    h = SkewHermitianForm.diagonal(A23, entries).transform(p)
+    qd = morita_reduce(h)
+    qg = support.general_reduction(h)
+    assert qg.rank == qd.rank
     assert qg.det() / qd.det() == qg.base(1)
-    verdict = witt_trivial(qg.perp(qd.neg()), 20000)
-    assert verdict.state == "true"
-    assert verdict.searched == 0
+    assert witt_trivial(qg.perp(qd.neg()), 20000).state == "true"
 
 
 @given(lam=support.nonzero_fractions(max_num=9, max_den=4))
