@@ -348,12 +348,8 @@ def _sym_gram(m):
     return ((s_m[1][1], s_m[1][0]), (s_m[0][1], s_m[0][0]))
 
 
-def general_reduction(h):
-    """The quadratic form of any (not necessarily diagonal) form h: the
-    full 2n x 2n symmetrized Gram of the 2x2 images, congruence-
-    diagonalized over the conic function field.  On a diagonal form this
-    reproduces morita_reduce entry for entry."""
-    split = SplittingData(h.algebra)
+def split_gram(split, h):
+    """The full 2n x 2n symmetrized Gram of the 2x2 images of h."""
     n = h.rank
     big = [[None] * (2 * n) for _ in range(2 * n)]
     for k in range(n):
@@ -362,7 +358,33 @@ def general_reduction(h):
             for r in range(2):
                 for c in range(2):
                     big[2 * k + r][2 * l + c] = block[r][c]
-    q, _p = diagonalize(split.field, big)
+    return big
+
+
+def split_basis_change(split, p):
+    """The 2n x 2n matrix M with split_gram(h.transform(p)) equal to
+    M^t * split_gram(h) * M: the 2x2 images of p's entries with both
+    coordinates swapped, as _sym_gram swaps them.  It holds because
+    S * adj(m) = m^t * S for S = [[0,1],[-1,0]], and the image of conj(u)
+    is adj of the image of u."""
+    n = len(p)
+    big = [[None] * (2 * n) for _ in range(2 * n)]
+    for k in range(n):
+        for l in range(n):
+            block = split.image(p[k][l])
+            for r in range(2):
+                for c in range(2):
+                    big[2 * k + r][2 * l + c] = block[1 - r][1 - c]
+    return big
+
+
+def general_reduction(h):
+    """The quadratic form of any (not necessarily diagonal) form h: the
+    full 2n x 2n symmetrized Gram of the 2x2 images, congruence-
+    diagonalized over the conic function field.  On a diagonal form this
+    reproduces morita_reduce entry for entry."""
+    split = SplittingData(h.algebra)
+    q, _p = diagonalize(split.field, split_gram(split, h))
     return q
 
 

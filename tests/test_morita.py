@@ -23,7 +23,7 @@ from quatwitt.errors import (
     ZeroElement,
 )
 from quatwitt.fields import FiniteField, FunctionField, Rationals
-from quatwitt.hermitian import SkewHermitianForm
+from quatwitt.hermitian import SkewHermitianForm, diagonalize_h
 from quatwitt.morita import (
     conic_field,
     conic_point_search,
@@ -32,7 +32,7 @@ from quatwitt.morita import (
     split_reduce_at_point,
     verify_instance,
 )
-from quatwitt.quadforms import witt_trivial
+from quatwitt.quadforms import mat_mul, mat_transpose, witt_trivial
 from quatwitt.quaternions import QuaternionAlgebra, ramification
 from quatwitt.valuations import (
     ConicValuation,
@@ -271,6 +271,57 @@ def test_general_reduction_of_congruent_forms_is_witt_equivalent(A23, rows, uppe
     assert qg.rank == qd.rank
     assert qg.det() / qd.det() == qg.base(1)
     assert witt_trivial(qg.perp(qd.neg()), 20000).state == "true"
+
+
+def test_general_reduction_of_the_zero_diagonal_form_is_witt_equivalent(A23):
+    # both pivots have reduced norm zero, so diagonalize_h repairs one
+    i_el = A23.el(0, 1, 0, 0)
+    z = A23.el(0)
+    h = SkewHermitianForm(A23, [[z, i_el], [i_el, z]])
+    qd = morita_reduce(h)
+    qg = support.general_reduction(h)
+    assert qg.det() / qd.det() == qg.base(1)
+    verdict = witt_trivial(qg.perp(qd.neg()), 20000)
+    assert verdict.state == "true"
+    assert verdict.searched == 0
+
+
+_UNIT = st.integers(-1, 1)
+
+
+@given(
+    n=st.integers(2, 3),
+    pure=st.lists(st.tuples(_UNIT, _UNIT, _UNIT), min_size=2, max_size=2),
+    upper=st.lists(st.tuples(_UNIT, _UNIT, _UNIT, _UNIT), min_size=3, max_size=3),
+)
+@settings(max_examples=40, deadline=None)
+def test_reduction_of_forms_with_a_zero_pivot_matches_the_split_gram(
+    A23, n, pure, upper
+):
+    # the first diagonal entry is zero, so diagonalize_h swaps in a later
+    # pivot or, when no later one has nonzero reduced norm, repairs one;
+    # the Witt search cannot decide these differences, so the oracle is an
+    # explicit congruence of the 2n x 2n split Grams
+    diagonal = [A23.zero()] + [A23.el(0, a, b, c) for a, b, c in pure[: n - 1]]
+    above = iter(upper)
+    g = [[None] * n for _ in range(n)]
+    for k in range(n):
+        g[k][k] = diagonal[k]
+        for l in range(k + 1, n):
+            u = A23.el(*next(above))
+            g[k][l], g[l][k] = u, -u.conj()
+    try:
+        h = SkewHermitianForm(A23, g)
+    except Degenerate:
+        assume(False)
+    entries, p = diagonalize_h(h)
+    d = SkewHermitianForm.diagonal(A23, entries)
+    assert morita_reduce(h) == support.general_reduction(d)
+    split = support.SplittingData(A23)
+    m = support.split_basis_change(split, p)
+    moved = mat_mul(mat_transpose(m), mat_mul(support.split_gram(split, h), m))
+    assert moved == support.split_gram(split, d)
+    assert support.general_reduction(h).rank == 2 * n
 
 
 @given(lam=support.nonzero_fractions(max_num=9, max_den=4))
