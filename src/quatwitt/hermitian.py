@@ -9,7 +9,8 @@ left-regular blocks, which detects singular Gram matrices over split
 algebras as well.  A diagonal Gram matrix skips building the model: its
 model is block diagonal with determinant the product of nrd(delta_k)^2.
 Whether the matrix is diagonal is found by the skew check, which reads
-the entries' payloads and builds no field element, and is recorded.
+the entries' payloads and builds no field element, and is recorded.  A
+form also keeps the last good-reduction certificate computed for it.
 """
 
 from __future__ import annotations
@@ -44,7 +45,9 @@ NO_CERTIFICATE = "no-certificate"
 class SkewHermitianForm:
     """A nondegenerate skew-hermitian Gram matrix over a quaternion algebra."""
 
-    __slots__ = ("algebra", "gram", "_diagonal")
+    # _certificate holds (v, fault state, certificate) from the last
+    # good_reduction_certificate call that returned
+    __slots__ = ("algebra", "gram", "_diagonal", "_certificate")
 
     def __init__(self, algebra: QuaternionAlgebra, gram):
         n = len(gram)
@@ -88,6 +91,7 @@ class SkewHermitianForm:
         self.algebra = algebra
         self.gram = tuple(rows)
         self._diagonal = diagonal
+        self._certificate = None
         if diagonal:
             singular = any(rows[k][k].nrd().is_zero() for k in range(n))
         else:
@@ -302,12 +306,25 @@ def good_reduction_certificate(h: SkewHermitianForm, v) -> GoodReductionCertific
     value, so only a common integral entry value e can be cleared, and
     only by m = -e (`common_integral_value`).  The algebra must be
     unramified at v; the certificate carries the ramification report that
-    establishes it.  That report depends only on the algebra, v and the
-    fault state, and `ramification` looks it up by value once computed;
-    the diagonalization, the extended values and the integrality of the
-    scaled entries are checked afresh on every call.  NoCertificate says only that this diagonalization has
-    no such scaling; it is not a proof of bad reduction.
+    establishes it.  NoCertificate says only that this diagonalization
+    has no such scaling; it is not a proof of bad reduction.
+
+    The certificate depends only on the form, v and the fault state, and
+    a form is immutable, so it is computed once: the form keeps the last
+    one returned, and a call with the same v object under an equal fault
+    state returns it.  An exception is not kept, so a failing call fails
+    again.
     """
+    state = faults.active_names()
+    memo = h._certificate
+    if memo is not None and memo[0] is v and memo[1] == state:
+        return memo[2]
+    cert = _certify(h, v)
+    h._certificate = (v, state, cert)
+    return cert
+
+
+def _certify(h: SkewHermitianForm, v) -> GoodReductionCertificate:
     report = ramification(h.algebra, v)
     if report.ramified:
         raise RamifiedAlgebra(

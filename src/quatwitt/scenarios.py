@@ -11,8 +11,9 @@ algebra over a function field whose residue algebra is division; its
 forms are verified through the conic function field.  The point
 generator draws an algebra over Q whose conic has a small point; its
 forms are verified by specializing at that point.  `generator_setup`
-builds a scenario's mode and checks everything that does not depend on
-the instance; `generate_instance` runs one attempt loop for both modes.
+builds a scenario's mode, once per fault state, and checks everything
+that does not depend on the instance; `generate_instance` runs one
+attempt loop for both modes.
 Every instance derives from (seed, index) alone, so a batch is
 reproducible and can be sharded across processes.
 """
@@ -22,7 +23,8 @@ from __future__ import annotations
 import json
 import random
 from dataclasses import dataclass
-from fractions import Fraction
+from functools import lru_cache
+from math import gcd
 from typing import Callable, NamedTuple, Optional, Tuple
 
 from . import faults
@@ -41,7 +43,7 @@ from .hermitian import (
 )
 from .morita import VerificationReport, verify_instance
 from .quadforms import QuadraticForm
-from .quaternions import QuaternionAlgebra, _wrap, extval, ramification
+from .quaternions import MEMO_SIZE, QuaternionAlgebra, _wrap, extval, ramification
 from .valuations import (
     ConicValuation,
     GaussValuation,
@@ -343,14 +345,41 @@ class Generator(NamedTuple):
     spice: Optional[Callable]
 
 
+# the scenario keys a generator is built from
+GENERATOR_KEYS = ("field", "valuation", "generator", "algebra")
+
+
 def generator_setup(sc: dict) -> Generator:
-    """Build a scenario's generator and check every precondition that
-    does not depend on the instance index: the generator matches the
-    field, only the conic generator takes a pinned algebra, and a pinned
-    algebra has unit parameters, is unramified and has a division residue
-    algebra.  Each instance runs it under its own faults; `verify-theorem`
-    also runs it once before the batch, so a bad scenario is one input
-    error rather than an error record per instance."""
+    """A scenario's generator, built once per scenario and fault state.
+
+    Building it checks every precondition that does not depend on the
+    instance index: the generator matches the field, only the conic
+    generator takes a pinned algebra, and a pinned algebra has unit
+    parameters, is unramified and has a division residue algebra.
+
+    The memo key is the canonical JSON of the scenario's
+    `GENERATOR_KEYS` and the active faults, which the pinned check
+    reads; the draws read the faults when they run.  The generator is
+    built from that JSON alone, so nothing outside the key can reach it.
+    A `ScenarioError` is not memoized, so a bad scenario raises on every
+    call: each instance of a batch asks for the generator under its own
+    faults, and `verify-theorem` also asks once before the batch, so a
+    bad scenario is one input error rather than an error record per
+    instance."""
+    try:
+        key = json.dumps(
+            {k: sc[k] for k in GENERATOR_KEYS if k in sc},
+            sort_keys=True,
+            separators=(",", ":"),
+        )
+    except (TypeError, ValueError) as e:
+        raise ScenarioError(f"scenario is not JSON data: {e}") from e
+    return _generator(key, faults.active_names())
+
+
+@lru_cache(maxsize=MEMO_SIZE)
+def _generator(key: str, fault_state) -> Generator:
+    sc = json.loads(key)
     field = scenario_field(sc)
     v = scenario_valuation(sc, field)
     if sc.get("generator", "conic") == "conic":
@@ -419,6 +448,7 @@ def _point_setup(sc, field, v) -> Generator:
         )
 
     def small_fraction(rng, nonzero):
+        # the payload of num/den: the reduced pair, denominator positive
         for _ in range(40):
             num = rng.randint(-_COORD_BOUND, _COORD_BOUND)
             den = rng.randint(1, 5)
@@ -426,8 +456,9 @@ def _point_setup(sc, field, v) -> Generator:
                 continue
             if nonzero and num == 0:
                 continue
-            return Fraction(num, den)
-        return Fraction(1)
+            g = gcd(num, den)
+            return num // g, den // g
+        return field.one()
 
     mul, iz = field.mul, field.is_zero
 
@@ -435,8 +466,8 @@ def _point_setup(sc, field, v) -> Generator:
         d = field.from_int(rng.randint(-_COORD_BOUND, _COORD_BOUND))
         if iz(d) or v._value(d) != 0:
             return None
-        x0 = field.from_fraction(small_fraction(rng, False))
-        y0 = field.from_fraction(small_fraction(rng, True))
+        x0 = small_fraction(rng, False)
+        y0 = small_fraction(rng, True)
         t = field.div(field.sub(field.one(), mul(mul(d, x0), x0)), mul(y0, y0))
         if iz(t) or v._value(t) != 0:
             return None
@@ -501,8 +532,8 @@ def generate_instance(sc: dict, index: int) -> Instance:
     certificate.  A central twist moves every extended value by m, so
     the certificate's value test (`common_integral_value`) gives the same
     answer on the untwisted entries; an attempt whose entries share no
-    integral value is dropped before any form is built.  Only a form
-    that certifies good reduction is kept."""
+    integral value, or share one of at least 1, is dropped before any
+    form is built.  Only a form that certifies good reduction is kept."""
     gen = generator_setup(sc)
     rng = random.Random(f"{sc.get('seed', 0)}:{index}")
     v = gen.valuation
@@ -516,7 +547,11 @@ def generate_instance(sc: dict, index: int) -> Instance:
         if entries is None:
             continue
         m = rng.choice((-1, 0, 1))
-        if common_integral_value([extval(v, u) for u in entries]) is None:
+        # drawn coordinates have minimum value 0, so a common value e >= 1
+        # would leave a coordinate of value -e once the certificate scales
+        # the twisted entries by pi^(-e - m): that form cannot certify
+        e = common_integral_value([extval(v, u) for u in entries])
+        if e is None or e >= 1:
             continue
         twist = v.uniformizer**m
         h = SkewHermitianForm.diagonal(alg, [u * twist for u in entries])

@@ -1,6 +1,7 @@
 import pytest
 from hypothesis import settings
 
+from quatwitt import scenarios
 from quatwitt.fields import FiniteField, FunctionField, Rationals
 from quatwitt.valuations import GaussValuation, PAdicValuation
 
@@ -27,6 +28,16 @@ def pytest_terminal_summary(terminalreporter):
     for name, outcome in _acceptance_results:
         tag = "PASS" if outcome == "passed" else "FAIL"
         terminalreporter.write_line(f"[{tag}] {name}")
+
+
+@pytest.fixture(autouse=True)
+def fresh_generators():
+    # generator_setup memoizes one generator per scenario and fault state;
+    # starting every test from an empty memo keeps the tests independent
+    # of their order
+    scenarios._generator.cache_clear()
+    yield
+    scenarios._generator.cache_clear()
 
 
 @pytest.fixture(scope="session")

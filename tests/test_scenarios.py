@@ -5,11 +5,14 @@ import functools
 import gc
 import hashlib
 import json
+import random
 import sys
+from collections import Counter
+from fractions import Fraction
 
 import pytest
 
-from quatwitt import batteries, faults, morita, quaternions, scenarios
+from quatwitt import batteries, faults, hermitian, morita, quaternions, scenarios
 from quatwitt.errors import ScenarioError
 from quatwitt.fields import (
     ConicExtension,
@@ -191,15 +194,18 @@ def test_ramification_report_is_computed_once_per_algebra(monkeypatch):
     sc = batteries.conic_scenario(3, "-1")
     inst = generate_instance(sc, 0)
     rep = morita.verify_instance(inst.form, inst.valuation)
-    # generator and verifier certificates share one computed report; the
-    # verifier's own certificate checks still run on its own form
+    # the generator's check of the pinned algebra computes the report and
+    # the generation certificate looks it up; the verifier's certificate
+    # is the form's stored one and asks for no report
     assert computed == [inst.algebra]
     assert rep.certified_diagonal
-    # a second instance of the same pinned battery computes nothing new
+    assert memo.cache_info()[:2] == (1, 1)
+    # a second instance of the same pinned battery reuses the generator,
+    # so only its generation certificate looks the report up
     inst = generate_instance(sc, 1)
     morita.verify_instance(inst.form, inst.valuation)
     assert computed == [inst.algebra]
-    assert memo.cache_info().hits >= 3
+    assert memo.cache_info()[:2] == (2, 1)
     # more distinct algebras than the bound leave at most the bound cached
     Q = Rationals()
     v = PAdicValuation(3)
@@ -412,20 +418,22 @@ def _split_instances(count=4):
 
 
 def test_generation_certifies_only_entries_of_one_integral_value(monkeypatch):
-    # an attempt whose entries share no integral extended value is dropped
-    # on those values, before any form or certificate is built
+    # an attempt whose entries share no integral extended value, or share
+    # one of at least 1, is dropped on those values, before any form or
+    # certificate is built; so every generation certificate certifies
     seen = []
     certify = scenarios.good_reduction_certificate
 
     def recording(h, v):
         cert = certify(h, v)
-        seen.append(cert.extvals)
+        seen.append(cert)
         return cert
 
     monkeypatch.setattr(scenarios, "good_reduction_certificate", recording)
-    _split_instances()
-    assert len(seen) >= 12
-    assert [e for e in seen if common_integral_value(e) is None] == []
+    _split_instances(10)
+    assert len(seen) == 30
+    assert [c.extvals for c in seen if common_integral_value(c.extvals) is None] == []
+    assert [c.extvals for c in seen if not c.certified] == []
 
 
 def test_split_instances_coerce_no_coordinate_through_the_field(monkeypatch):
@@ -443,6 +451,109 @@ def test_split_instances_coerce_no_coordinate_through_the_field(monkeypatch):
     monkeypatch.setattr(_FieldBase, "__call__", counting)
     _split_instances()
     assert coerced == []
+
+
+def test_generator_draws_build_no_fraction(monkeypatch):
+    # the point draw proposes its point as reduced pairs of ints
+    gens = [scenarios.generator_setup(batteries.point_scenario(p)) for p in batteries.SPLIT_PRIMES]
+    gens.append(scenarios.generator_setup(CONIC_SC))
+    made = []
+    new = Fraction.__new__
+
+    def counting(cls, *args, **kwargs):
+        made.append(args)
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", staticmethod(counting))
+    for gen in gens:
+        rng = random.Random(1)
+        drawn = [gen.draw(rng) for _ in range(50)]
+        assert any(d is not None for d in drawn)
+    assert made == []
+
+
+# ---------------------------------------------------------------------------
+# one generator per scenario, one certificate per form
+
+
+def test_generator_is_built_once_per_scenario_and_fault_state():
+    sc = batteries.conic_scenario(3, "-1")
+    gen = scenarios.generator_setup(sc)
+    # seed, trials and the order of the keys are not part of the key
+    other = batteries.conic_scenario(3, "-1", trials=5, seed=9)
+    assert scenarios.generator_setup(dict(reversed(list(other.items())))) is gen
+    with faults.injected(faults.DROP_UNIT_REP):
+        faulted = scenarios.generator_setup(sc)
+        assert faulted is not gen
+        assert scenarios.generator_setup(sc) is faulted
+    assert scenarios.generator_setup(sc) is gen
+    assert scenarios._generator.cache_info().currsize == 2
+    # the instances of a batch share the generator's valuation and algebra
+    first, second = generate_instance(sc, 0), generate_instance(sc, 1)
+    assert first.valuation is second.valuation is gen.valuation
+    assert first.algebra is second.algebra
+
+
+def test_a_bad_pinned_algebra_raises_on_every_call():
+    sc = dict(CONIC_SC, algebra={"d": "1", "t": "s"})
+    for _ in range(3):
+        with pytest.raises(ScenarioError, match="division residue"):
+            scenarios.generator_setup(sc)
+    assert scenarios._generator.cache_info().currsize == 0
+    with pytest.raises(ScenarioError, match="not JSON data"):
+        scenarios.generator_setup(dict(CONIC_SC, algebra={"d": Fraction(2), "t": "s"}))
+
+
+def _counting_certificates(monkeypatch):
+    computed = []
+    certify = hermitian._certify
+
+    def counting(h, v):
+        computed.append(h)
+        return certify(h, v)
+
+    monkeypatch.setattr(hermitian, "_certify", counting)
+    return computed
+
+
+def test_run_instance_computes_one_certificate(monkeypatch):
+    # the verifier asks for the certificate the generator computed on the
+    # same form, at the same valuation and under the same faults
+    computed = _counting_certificates(monkeypatch)
+    for sc in (batteries.conic_scenario(3, "-1"), batteries.point_scenario(5)):
+        for i in range(4):
+            computed.clear()
+            assert run_instance(sc, i)["status"] == "ok"
+            assert len(computed) == 1
+
+
+def test_count_failures_recomputes_the_certificate_under_each_fault(monkeypatch):
+    # a sweep generates clean, then verifies each instance clean, which
+    # reuses the generation certificate, and under each fault, which
+    # computes the certificate again
+    computed = _counting_certificates(monkeypatch)
+    sc = batteries.conic_scenario(3, "-1", trials=3)
+    counts = batteries.count_failures(sc, batteries.division_ok, 3)
+    assert counts[None] == 0
+    per_form = Counter(id(h) for h in computed)
+    assert sorted(per_form.values()) == [1 + len(batteries.FAULTS)] * 3
+
+
+def test_a_stored_certificate_needs_the_same_valuation_and_faults(K, g3):
+    alg = QuaternionAlgebra(K, -1, "s")
+    h = SkewHermitianForm.diagonal(alg, [alg.i(), alg.j()])
+    cert = hermitian.good_reduction_certificate(h, g3)
+    assert cert.certified
+    assert hermitian.good_reduction_certificate(h, g3) is cert
+    # an equal valuation that is another object is not looked up
+    equal_v = GaussValuation(PAdicValuation(3), K)
+    again = hermitian.good_reduction_certificate(h, equal_v)
+    assert again is not cert
+    assert again == cert
+    with faults.injected(faults.DROP_UNIT_REP):
+        faulted = hermitian.good_reduction_certificate(h, equal_v)
+        assert faulted is not again
+        assert hermitian.good_reduction_certificate(h, equal_v) is faulted
 
 
 # ---------------------------------------------------------------------------
