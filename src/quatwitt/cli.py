@@ -20,7 +20,6 @@ import json
 import os
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 
 from . import faults
 from .errors import QuatwittError, ScenarioError
@@ -33,6 +32,7 @@ from .scenarios import (
     build_algebra,
     build_form,
     build_quad,
+    check_budget,
     check_trials,
     element_str,
     generator_setup,
@@ -206,6 +206,7 @@ def cmd_witt_equal(args) -> int:
     else:
         probe = first
     budget = args.budget if args.budget is not None else DEFAULT_BUDGET
+    check_budget(budget)
     verdict = witt_trivial(probe, budget)
     if args.json:
         _emit_json({"equal": verdict.state, "searched": verdict.searched})
@@ -240,9 +241,12 @@ def run_batch(sc: dict, trials: int, fault_names=(), budget=None, jobs: int = 1)
 
     Instances depend only on (scenario, index), so shards can run in
     worker processes and merge in index order.  No more workers start
-    than there are CPUs.
+    than there are CPUs.  Only `jobs` > 1 imports the process pool, so a
+    serial batch or any other subcommand never loads it.
     """
     if jobs > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=min(jobs, os.cpu_count() or 1)) as pool:
             futures = [
                 pool.submit(run_instance, sc, i, fault_names, budget)
@@ -273,8 +277,10 @@ def cmd_verify_theorem(args) -> int:
         sc["seed"] = args.seed
     trials = args.trials if args.trials is not None else sc.get("trials", 100)
     check_trials(trials)
-    generator_setup(sc)
     budget = args.budget if args.budget is not None else sc.get("budget")
+    if budget is not None:
+        check_budget(budget)
+    generator_setup(sc)
     fault_names = tuple(args.inject_fault or ())
     start = time.monotonic()
     records, counts, counterexample = run_batch(

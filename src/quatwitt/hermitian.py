@@ -15,9 +15,8 @@ form also keeps the last good-reduction certificate computed for it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Tuple
+from typing import NamedTuple, Optional, Tuple
 
 from . import faults
 from .errors import (
@@ -271,8 +270,7 @@ def _check_pure(entries):
             raise CertificateFailed("diagonal entry of a skew form must be pure")
 
 
-@dataclass(frozen=True)
-class GoodReductionCertificate:
+class GoodReductionCertificate(NamedTuple):
     status: str
     scaling: Optional[int]
     extvals: Tuple[Fraction, ...]

@@ -29,11 +29,10 @@ form over the base field itself.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
-from typing import Optional, Tuple
+from typing import NamedTuple, Optional, Tuple
 
 from .errors import (
     DegenerateSpecialization,
@@ -255,8 +254,7 @@ def extend_valuation(v, alg: QuaternionAlgebra):
 # end-to-end verification
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(NamedTuple):
     algebra: QuaternionAlgebra
     scaling: int
     extvals: Tuple[Fraction, ...]

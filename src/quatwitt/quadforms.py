@@ -14,7 +14,7 @@ yields `indeterminate`.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import faults
 from .errors import CertificateFailed, Degenerate, DimensionMismatch
@@ -33,8 +33,7 @@ INDETERMINATE = "indeterminate"
 DEFAULT_BUDGET = 20000
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(NamedTuple):
     state: str
     searched: int = 0
 
@@ -100,8 +99,7 @@ class QuadraticForm:
         return "<" + ", ".join(repr(e) for e in self.entries) + ">"
 
 
-@dataclass(frozen=True)
-class ResiduePair:
+class ResiduePair(NamedTuple):
     first: QuadraticForm
     second: QuadraticForm
 

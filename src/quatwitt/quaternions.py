@@ -24,10 +24,9 @@ algebra cyclic garbage, freed only by the cycle collector.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Optional, Tuple
+from typing import NamedTuple, Optional, Tuple
 
 from . import faults
 from .errors import (
@@ -418,8 +417,7 @@ def extval(v, u: QuaternionElement) -> Fraction:
 # ramification at a discrete valuation of the base field
 
 
-@dataclass(frozen=True)
-class RamificationReport:
+class RamificationReport(NamedTuple):
     ramified: bool
     tame_class: FieldElement
     unit_rep: Optional[Tuple[FieldElement, FieldElement]]

@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd
 from typing import Callable, NamedTuple, Optional, Tuple
@@ -285,13 +284,14 @@ def load_scenario(source, keys=BATCH_KEYS) -> dict:
         raise ScenarioError(
             f"generator must be one of {GENERATOR_MODES}, got {sc['generator']!r}"
         )
-    for key in ("trials", "seed", "budget"):
-        if key in sc and not isinstance(sc[key], int):
-            raise ScenarioError(f"{key!r} must be an integer")
+    if "seed" in sc and not _is_int(sc["seed"]):
+        raise ScenarioError("'seed' must be an integer")
     if "trials" in sc:
         check_trials(sc["trials"])
+    if "budget" in sc:
+        check_budget(sc["budget"])
     if "rank" in sc:
-        if not isinstance(sc["rank"], int) or sc["rank"] < 1:
+        if not _is_int(sc["rank"]) or sc["rank"] < 1:
             raise ScenarioError("'rank' must be a positive integer")
         if sc["rank"] > MAX_RANK:
             raise ScenarioError(f"'rank' must be at most {MAX_RANK}")
@@ -300,9 +300,23 @@ def load_scenario(source, keys=BATCH_KEYS) -> dict:
     return sc
 
 
-def check_trials(trials: int) -> None:
+def _is_int(x) -> bool:
+    # a JSON true or false is an int to isinstance
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def check_trials(trials) -> None:
+    if not _is_int(trials) or trials < 0:
+        raise ScenarioError("'trials' must be a non-negative integer")
     if trials > MAX_TRIALS:
         raise ScenarioError(f"'trials' must be at most {MAX_TRIALS}")
+
+
+def check_budget(budget) -> None:
+    """A search budget, from a scenario or the command line; 0 allows no
+    search step."""
+    if not _is_int(budget) or budget < 0:
+        raise ScenarioError("'budget' must be a non-negative integer")
 
 
 def scenario_field(sc):
@@ -321,8 +335,7 @@ def scenario_valuation(sc, field):
 # deterministic instance generation
 
 
-@dataclass(frozen=True)
-class Instance:
+class Instance(NamedTuple):
     field: object
     valuation: object
     algebra: QuaternionAlgebra

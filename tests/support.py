@@ -122,8 +122,6 @@ def corrupted_congruence_record(setattr_):
     unimodular base change, with a corrupted quaternion matrix product
     installed through setattr_(owner, name, value); the corruption breaks
     the congruence re-check in diagonalize_h."""
-    from dataclasses import replace
-
     from quatwitt import hermitian, scenarios
 
     sc = scenarios.load_scenario({
@@ -145,7 +143,7 @@ def corrupted_congruence_record(setattr_):
         out[0][0] = out[0][0] + alg.i()
         return out
 
-    setattr_(scenarios, "generate_instance", lambda _sc, _index: replace(inst, form=moved))
+    setattr_(scenarios, "generate_instance", lambda _sc, _index: inst._replace(form=moved))
     setattr_(hermitian, "mat_mul", corrupted)
     return scenarios.run_instance(sc, 0)
 

@@ -1,5 +1,6 @@
 """Command line interface: subcommands, exit codes, canonical output."""
 
+import concurrent.futures
 import hashlib
 import json
 import os
@@ -628,6 +629,62 @@ def test_scenario_errors_exit_before_the_batch(tmp_path, capsys, scenario, messa
     assert captured.out == ""
 
 
+_TRIALS = "'trials' must be a non-negative integer"
+_BUDGET = "'budget' must be a non-negative integer"
+_DEFINITE = {"field": _Q_FIELD, "first": {"entries": ["1", "1", "1", "1"]}}
+
+
+@pytest.mark.parametrize(
+    "command, scenario, extra, message",
+    [
+        ("verify-theorem", _DIVISION_P3, ["--trials", "-1"], _TRIALS),
+        ("verify-theorem", dict(_DIVISION_P3, trials=-1), [], _TRIALS),
+        ("witt-equal", _DEFINITE, ["--budget", "-5"], _BUDGET),
+        ("verify-theorem", _DIVISION_P3, ["--budget", "-5"], _BUDGET),
+        ("verify-theorem", dict(_DIVISION_P3, budget=-5), [], _BUDGET),
+        # JSON true is an int to isinstance; it must not run as 1
+        ("verify-theorem", dict(_DIVISION_P3, rank=True), [], "'rank' must be a positive integer"),
+        ("verify-theorem", dict(_DIVISION_P3, trials=True), [], _TRIALS),
+        ("verify-theorem", dict(_DIVISION_P3, seed=True), [], "'seed' must be an integer"),
+        ("verify-theorem", dict(_DIVISION_P3, budget=True), [], _BUDGET),
+    ],
+    ids=[
+        "trials-option", "trials-key", "witt-budget-option", "batch-budget-option",
+        "budget-key", "rank-true", "trials-true", "seed-true", "budget-true",
+    ],
+)
+def test_out_of_range_counts_are_input_errors(tmp_path, capsys, command, scenario, extra, message):
+    path = write_scenario(tmp_path, "bad.json", scenario)
+    assert main([command, "--scenario", path, "--json", *extra]) == EXIT_INPUT
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message}\n"
+    assert captured.out == ""
+
+
+def test_zero_trials_and_zero_budget_keep_their_meaning(tmp_path, capsys):
+    path = write_scenario(tmp_path, "batch.json", _DIVISION_P3)
+    assert main(["verify-theorem", "--scenario", path, "--json", "--trials", "0"]) == EXIT_OK
+    assert json.loads(capsys.readouterr().out)["trials"] == 0
+    path = write_scenario(tmp_path, "definite.json", _DEFINITE)
+    assert main(["witt-equal", "--scenario", path, "--budget", "0"]) == EXIT_INDETERMINATE
+    assert capsys.readouterr().out == "indeterminate (searched 0)\n"
+
+
+def test_importing_the_cli_loads_no_process_pool():
+    # only verify-theorem --jobs N with N > 1 needs the pool; the records
+    # are NamedTuples, so nothing loads dataclasses either
+    src = str(Path(cli.__file__).resolve().parents[1])
+    code = (
+        f"import sys; sys.path.insert(0, {src!r}); import quatwitt.cli; "
+        "print(sorted(m for m in ('concurrent.futures', 'multiprocessing', 'dataclasses') "
+        "if m in sys.modules))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-S", "-c", code], capture_output=True, text=True, check=True
+    ).stdout
+    assert out == "[]\n"
+
+
 def test_run_batch_counts_match_records(batch_path):
     sc = json.load(open(batch_path))
     records, counts, counterexample = run_batch(sc, 6)
@@ -663,7 +720,7 @@ def test_run_batch_caps_workers_at_cpu_count(batch_path, monkeypatch, cpus, jobs
     sc = json.load(open(batch_path))
     serial = run_batch(sc, 2)
     monkeypatch.setattr(_InlineExecutor, "max_workers", [])
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", _InlineExecutor)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _InlineExecutor)
     monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
     assert run_batch(sc, 2, jobs=jobs) == serial
     assert _InlineExecutor.max_workers == [want]

@@ -22,7 +22,7 @@ from quatwitt.fields import (
     _FieldBase,
 )
 from quatwitt.hermitian import SkewHermitianForm, common_integral_value
-from quatwitt.quadforms import QuadraticForm
+from quatwitt.quadforms import QuadraticForm, ResiduePair, Verdict
 from quatwitt.quaternions import QuaternionAlgebra
 from quatwitt.scenarios import (
     MAX_RANK,
@@ -554,6 +554,29 @@ def test_a_stored_certificate_needs_the_same_valuation_and_faults(K, g3):
         faulted = hermitian.good_reduction_certificate(h, equal_v)
         assert faulted is not again
         assert hermitian.good_reduction_certificate(h, equal_v) is faulted
+
+
+@pytest.mark.parametrize(
+    "record",
+    [
+        Verdict,
+        ResiduePair,
+        quaternions.RamificationReport,
+        hermitian.GoodReductionCertificate,
+        morita.VerificationReport,
+        scenarios.Instance,
+    ],
+    ids=lambda cls: cls.__name__,
+)
+def test_records_are_immutable(record):
+    # the ramification memo and a form's certificate slot hand out shared
+    # records, so no holder may change one
+    rec = record(*[None] * len(record._fields))
+    for name in record._fields:
+        with pytest.raises(AttributeError):
+            setattr(rec, name, 0)
+    assert Verdict("true").searched == 0
+    assert str(Verdict("false")) == "false"
 
 
 # ---------------------------------------------------------------------------
