@@ -236,25 +236,35 @@ def _classify(record: dict) -> str:
     return "indeterminate"
 
 
+def _run_shard(sc: dict, start: int, stop: int, fault_names, budget):
+    return [run_instance(sc, i, fault_names, budget) for i in range(start, stop)]
+
+
 def run_batch(sc: dict, trials: int, fault_names=(), budget=None, jobs: int = 1):
     """Verify `trials` generated instances and tally the outcomes.
 
-    Instances depend only on (scenario, index), so shards can run in
-    worker processes and merge in index order.  No more workers start
-    than there are CPUs.  Only `jobs` > 1 imports the process pool, so a
-    serial batch or any other subcommand never loads it.
+    Instances depend only on (scenario, index), so with `jobs` > 1 the
+    indices split into one contiguous shard per worker, of
+    ceil(trials / workers) instances each, and the shards' records merge
+    in index order.  No more workers start than min(jobs, CPUs, trials).
+    Only `jobs` > 1 imports the process pool, so a serial batch or any
+    other subcommand never loads it.
     """
-    if jobs > 1:
+    if jobs > 1 and trials > 0:
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=min(jobs, os.cpu_count() or 1)) as pool:
-            futures = [
-                pool.submit(run_instance, sc, i, fault_names, budget)
-                for i in range(trials)
+        workers = min(jobs, os.cpu_count() or 1, trials)
+        size = -(-trials // workers)
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            shards = [
+                pool.submit(
+                    _run_shard, sc, start, min(start + size, trials), fault_names, budget
+                )
+                for start in range(0, trials, size)
             ]
-            records = [f.result() for f in futures]
+            records = [r for shard in shards for r in shard.result()]
     else:
-        records = [run_instance(sc, i, fault_names, budget) for i in range(trials)]
+        records = _run_shard(sc, 0, trials, fault_names, budget)
     counts = {
         "verified": 0,
         "refuted": 0,

@@ -181,6 +181,11 @@ class _FieldBase:
     def el(self, value):
         return FieldElement(self, value)
 
+    def _to_str(self, a, memo):
+        """to_str inside a larger element's printing; the levels that
+        print denominators share `memo` (see FunctionField._to_str)."""
+        return self.to_str(a)
+
     # each level builds its constants 0 and 1 once; payloads are
     # immutable, so they are shared
     def zero(self):
@@ -758,17 +763,17 @@ def _join_terms(terms):
     return out
 
 
-_SAFE_CHARS = set("0123456789abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ_/^")
+_SAFE_CHARS = frozenset("0123456789abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ_/^")
 
 
 def _factor_safe(s: str) -> bool:
     body = s[1:] if s.startswith("-") else s
-    return bool(body) and all(ch in _SAFE_CHARS for ch in body)
+    return bool(body) and _SAFE_CHARS.issuperset(body)
 
 
 def _term_safe(s: str) -> bool:
     body = s[1:] if s.startswith("-") else s
-    return bool(body) and not any(ch in "+-" for ch in body)
+    return bool(body) and "+" not in body and "-" not in body
 
 
 def _q_poly_to_str(p: int, q: int, cs, var: str) -> str:
@@ -797,6 +802,11 @@ def _q_poly_to_str(p: int, q: int, cs, var: str) -> str:
 
 
 def poly_to_str(base, cs, var: str) -> str:
+    return _poly_to_str(base, cs, var, base.to_str)
+
+
+def _poly_to_str(base, cs, var: str, coeff_str) -> str:
+    """poly_to_str printing each nonzero coefficient by coeff_str."""
     if not cs:
         return "0"
     terms = []
@@ -804,7 +814,7 @@ def poly_to_str(base, cs, var: str) -> str:
         c = cs[k]
         if base.is_zero(c):
             continue
-        cstr = base.to_str(c)
+        cstr = coeff_str(c)
         if k == 0:
             terms.append(cstr if _term_safe(cstr) else "(" + cstr + ")")
             continue
@@ -1045,21 +1055,38 @@ class FunctionField(_FieldBase):
         return self.make(rn, rd)
 
     def to_str(self, a):
+        return self._to_str(a, {})
+
+    def _to_str(self, a, memo):
+        # memo maps (var, denominator) to its string, so that an element
+        # whose coefficients share a denominator prints it once; the var
+        # keeps the levels of a tower apart
+        var = self.var
         if self._over_q:
             # num_den's pair is (c/lc(D))*N over (1/lc(D))*D
             (p, q), n, d = a
             if not n:
                 return "0"
             lc = d[-1]
-            ns = _q_poly_to_str(p, q * lc, n, self.var)
+            ns = _q_poly_to_str(p, q * lc, n, var)
             if len(d) == 1:
                 return ns
-            return f"({ns})/({_q_poly_to_str(1, lc, d, self.var)})"
+            ds = memo.get((var, d))
+            if ds is None:
+                ds = memo[var, d] = _q_poly_to_str(1, lc, d, var)
+            return f"({ns})/({ds})"
+        base = self.base
         num, den = a
-        if den == (self.base.one(),):
-            return poly_to_str(self.base, num, self.var)
-        ns = poly_to_str(self.base, num, self.var)
-        ds = poly_to_str(self.base, den, self.var)
+
+        def coeff_str(c):
+            return base._to_str(c, memo)
+
+        ns = _poly_to_str(base, num, var, coeff_str)
+        if den == (base.one(),):
+            return ns
+        ds = memo.get((var, den))
+        if ds is None:
+            ds = memo[var, den] = _poly_to_str(base, den, var, coeff_str)
         return f"({ns})/({ds})"
 
 
@@ -1229,11 +1256,14 @@ class ConicExtension(_FieldBase):
         raise NotASquare(f"{self.to_str(a)} is not a square")
 
     def to_str(self, a):
+        # one memo for both parts, so a denominator A and B share is
+        # printed once (see FunctionField._to_str)
         inner = self.inner
         A, B = a
+        memo = {}
         if inner.is_zero(B):
-            return inner.to_str(A)
-        bs = inner.to_str(B)
+            return inner._to_str(A, memo)
+        bs = inner._to_str(B, memo)
         if bs == "1":
             ypart = "y"
         elif bs == "-1":
@@ -1244,7 +1274,7 @@ class ConicExtension(_FieldBase):
             ypart = "(" + bs + ")*y"
         if inner.is_zero(A):
             return ypart
-        astr = inner.to_str(A)
+        astr = inner._to_str(A, memo)
         aterm = astr if _term_safe(astr) else "(" + astr + ")"
         return _join_terms([ypart, aterm])
 

@@ -19,10 +19,11 @@ whose determinant identity det = N holds exactly.  Over the conic, with
 
     D(x) = (t*b^2 + a^2*d)*x^2 + 2*t*b*c*x + (t*c^2 - a^2) = t*norm(L),
 
-the second entry is N/L = -N*t*((b*x + c) + a*y)/D.  When a != 0,
-t*b^2 + a^2*d != 0 and (b = 0 or d*c^2 != b^2), D is coprime to b*x + c
-and the canonical payload is written directly; otherwise (a = 0, D of
-lower degree, or d*c^2 = b^2) the entry falls back to field division.
+the second entry is N/L = -N*t*((b*x + c) + a*y)/D.  L is written as a
+payload directly.  When a != 0, t*b^2 + a^2*d != 0 and (b = 0 or
+d*c^2 != b^2), D is coprime to b*x + c and the canonical payload of N/L
+is written directly too; otherwise (a = 0, D of lower degree, or
+d*c^2 = b^2) the entry falls back to field division.
 When the conic has a rational point the same recipe specializes to a
 form over the base field itself.
 """
@@ -42,7 +43,7 @@ from .errors import (
     RamifiedParameters,
     ZeroEntry,
 )
-from .fields import ConicExtension, FieldElement, poly_const
+from .fields import ConicExtension, FieldElement, poly_const, poly_trim
 from .hermitian import SkewHermitianForm, diagonalize_h, good_reduction_certificate
 from .quadforms import (
     DEFAULT_BUDGET,
@@ -81,7 +82,9 @@ def _reduce_entry(field, u: QuaternionElement, x, y):
     """The binary form <L, N/L> of one diagonal entry over `field`, with
     L = a*y - b*x - c at the conic point (x, y) of that field.
 
-    Over the conic function field N/L has a closed form.  With
+    Over the conic function field both entries have closed forms.  L is
+    the payload (A, B) with A = -c - b*x, a polynomial in x, and B = a,
+    written without any field arithmetic (_conic_linear).  With
     D(x) = (t*b^2 + a^2*d)*x^2 + 2*t*b*c*x + (t*c^2 - a^2) = t*norm(L),
 
         N/L = -N*t*((b*x + c) + a*y) / D.
@@ -90,7 +93,9 @@ def _reduce_entry(field, u: QuaternionElement, x, y):
     has degree 2 and no root in common with b*x + c (D(-c/b) =
     a^2*(d*c^2 - b^2)/b^2), so the canonical payload is written directly:
     both denominators D/D2, numerators k*(c + b*x) and k*a with
-    k = -N*t/D2.  Every other entry goes through field division.
+    k = -N*t/D2.  Every other N/L goes through field division, and so
+    does every entry over the base field, where (x, y) is a rational
+    point of the conic.
     """
     if u.is_zero():
         raise ZeroEntry("zero diagonal entry has no reduction")
@@ -98,16 +103,28 @@ def _reduce_entry(field, u: QuaternionElement, x, y):
     if n.is_zero():
         raise ZeroEntry("diagonal entry with zero reduced norm has no reduction")
     a, b, c = _pure_coords(u)
-    lin = field(a) * y - field(b) * x - field(c)
+    conic = isinstance(field, ConicExtension)
+    if conic:
+        lin = field.el(_conic_linear(field, a.value, b.value, c.value))
+    else:
+        lin = field(a) * y - field(b) * x - field(c)
     if lin.is_zero():
         raise DegenerateSpecialization(
             "linear entry vanished at the point; choose another point"
         )
-    if isinstance(field, ConicExtension):
+    if conic:
         quotient = _conic_quotient(field, n.value, a.value, b.value, c.value)
         if quotient is not None:
             return lin, field.el(quotient)
     return lin, field(n) / lin
+
+
+def _conic_linear(C: ConicExtension, a, b, c):
+    """The payload of L = a*y - b*x - c over the conic: A = -c - b*x with
+    denominator 1, B = a."""
+    base, inner = C.base, C.inner
+    A = poly_trim(base, (base.neg(c), base.neg(b)))
+    return (inner.from_reduced(A, (base.one(),)), inner.constant(a))
 
 
 def _conic_quotient(C: ConicExtension, n, a, b, c):

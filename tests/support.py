@@ -482,6 +482,83 @@ def to_str_by_num_den(field, payload):
     return f"({ns})/({poly_to_str(Q, den, field.var)})"
 
 
+def _join_terms_by_sign(terms):
+    out = terms[0]
+    for s in terms[1:]:
+        out += " - " + s[1:] if s.startswith("-") else " + " + s
+    return out
+
+
+def _unsigned(s):
+    return s[1:] if s.startswith("-") else s
+
+
+def _term_safe_by_chars(s):
+    body = _unsigned(s)
+    return bool(body) and not any(ch in "+-" for ch in body)
+
+
+def _factor_safe_by_chars(s):
+    body = _unsigned(s)
+    return bool(body) and all(ch.isalnum() or ch in "_/^" for ch in body)
+
+
+def poly_str_by_coefficients(base, cs, var):
+    """A polynomial printed term by term, each coefficient by its own
+    base.to_str: the printing rule before denominators were shared."""
+    if not cs:
+        return "0"
+    terms = []
+    for k in range(len(cs) - 1, -1, -1):
+        if base.is_zero(cs[k]):
+            continue
+        cstr = base.to_str(cs[k])
+        if k == 0:
+            terms.append(cstr if _term_safe_by_chars(cstr) else f"({cstr})")
+            continue
+        vp = var if k == 1 else f"{var}^{k}"
+        if cstr in ("1", "-1"):
+            terms.append(cstr[:-1] + vp)
+        elif _factor_safe_by_chars(cstr):
+            terms.append(f"{cstr}*{vp}")
+        else:
+            terms.append(f"({cstr})*{vp}")
+    return _join_terms_by_sign(terms)
+
+
+def function_str_by_coefficients(field, payload):
+    """An element of a FunctionField over a base other than Rationals
+    printed with each coefficient and each denominator written out anew
+    (poly_str_by_coefficients)."""
+    num, den = payload
+    ns = poly_str_by_coefficients(field.base, num, field.var)
+    if den == (field.base.one(),):
+        return ns
+    return f"({ns})/({poly_str_by_coefficients(field.base, den, field.var)})"
+
+
+def conic_str_by_parts(conic, payload):
+    """A conic element A + B*y assembled from inner.to_str(A) and
+    inner.to_str(B), each printed on its own."""
+    inner = conic.inner
+    A, B = payload
+    if inner.is_zero(B):
+        return inner.to_str(A)
+    bs = inner.to_str(B)
+    if bs in ("1", "-1"):
+        ypart = bs[:-1] + "y"
+    elif _factor_safe_by_chars(bs):
+        ypart = f"{bs}*y"
+    else:
+        ypart = f"({bs})*y"
+    if inner.is_zero(A):
+        return ypart
+    astr = inner.to_str(A)
+    return _join_terms_by_sign(
+        [ypart, astr if _term_safe_by_chars(astr) else f"({astr})"]
+    )
+
+
 def euclid_op(op, a, b=None):
     """The monic Fraction form of a Q(s) add, sub, mul, div or inv of
     operands in that form, through euclid_make."""

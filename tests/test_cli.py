@@ -481,6 +481,16 @@ def test_verify_theorem_sharding_changes_nothing(batch_path, capsys):
     assert capsys.readouterr().out == serial
 
 
+@pytest.mark.parametrize("trials", ["1", "7"])
+def test_verify_theorem_shards_print_the_serial_bytes(batch_path, capsys, trials):
+    # 1 trial runs one shard on one worker; 7 run shards of 4 and 3
+    args = ["verify-theorem", "--scenario", batch_path, "--json", "--trials", trials]
+    assert main(args) == EXIT_OK
+    serial = capsys.readouterr().out
+    assert main(args + ["--jobs", "2"]) == EXIT_OK
+    assert capsys.readouterr().out == serial
+
+
 def test_verify_theorem_trial_and_seed_overrides(batch_path, capsys):
     code = main(
         [
@@ -724,6 +734,37 @@ def test_run_batch_caps_workers_at_cpu_count(batch_path, monkeypatch, cpus, jobs
     monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
     assert run_batch(sc, 2, jobs=jobs) == serial
     assert _InlineExecutor.max_workers == [want]
+
+
+@pytest.mark.parametrize(
+    "cpus, jobs, trials, shards",
+    [
+        (2, 2, 7, [(0, 4), (4, 7)]),
+        (4, 3, 9, [(0, 3), (3, 6), (6, 9)]),
+        (4, 8, 3, [(0, 1), (1, 2), (2, 3)]),
+        (2, 2, 1, [(0, 1)]),
+    ],
+)
+def test_run_batch_hands_each_worker_one_contiguous_shard(
+    batch_path, monkeypatch, cpus, jobs, trials, shards
+):
+    sc = json.load(open(batch_path))
+    serial = run_batch(sc, trials)
+    calls = []
+    run_shard = cli._run_shard
+
+    def recording(sc, start, stop, *rest):
+        calls.append((start, stop))
+        return run_shard(sc, start, stop, *rest)
+
+    monkeypatch.setattr(cli, "_run_shard", recording)
+    monkeypatch.setattr(_InlineExecutor, "max_workers", [])
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _InlineExecutor)
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
+    assert run_batch(sc, trials, jobs=jobs) == serial
+    assert calls == shards
+    # never more workers than trials
+    assert _InlineExecutor.max_workers == [len(shards)]
 
 
 @pytest.mark.parametrize(

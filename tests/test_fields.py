@@ -17,7 +17,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import support
-from quatwitt import fields
+from quatwitt import batteries, fields
 from quatwitt.errors import (
     CertificateFailed,
     DivisionByZero,
@@ -789,3 +789,69 @@ def test_conic_norm_multiplicative(a1, b1, a2, b2):
     lhs = C.norm((z * w).value)
     rhs = C.inner.mul(C.norm(z.value), C.norm(w.value))
     assert C.inner.is_zero(C.inner.sub(lhs, rhs))
+
+
+# ---------------------------------------------------------------------------
+# printing with shared denominators
+
+
+def _printing_conics():
+    """name -> (conic, strategy of coefficient texts for its base, texts
+    of nonzero leading coefficients)."""
+    Q = Rationals()
+    ints = st.integers(-4, 4)
+    rational_texts = st.builds(lambda n, m: f"{n}/{m}", ints, st.integers(1, 3))
+    function_texts = st.one_of(
+        ints.map(str),
+        st.builds(lambda n, m, j: f"({n} + {m}*s)/({j} + s)", ints, ints, ints),
+        st.builds(lambda n, m: f"{n}*s^2 + {m}", ints, ints),
+    )
+    leads = ("1", "2", "-3", "1 + s")
+    out = {"Q": (ConicExtension(Q, 2, 3), rational_texts, leads[:3])}
+    for p, d in batteries.DIVISION_BATCHES:
+        out[f"division-{p}"] = (ConicExtension(_QS, _QS(d), _QS("s")), function_texts, leads)
+    F5s = FunctionField(FiniteField(5), "s")
+    out["F5(s)"] = (ConicExtension(F5s, F5s(2), F5s("s")), function_texts, leads)
+    return out
+
+
+_PRINTING_CONICS = _printing_conics()
+
+
+@st.composite
+def _conic_texts(draw, coeffs, leads):
+    """Texts A + B*y for C.parse: A = 0, B = ±1, constant parts, and A and
+    B over a shared denominator or over denominators of their own."""
+
+    def poly(lead=False):
+        cs = draw(st.lists(coeffs, max_size=3))
+        if lead:
+            # a nonzero leading coefficient keeps a denominator nonzero
+            cs.append(draw(st.sampled_from(leads)))
+        return " + ".join(f"({c})*x^{k}" for k, c in enumerate(cs)) or "0"
+
+    shared = poly(True)
+
+    def part(kind):
+        if kind == "constant":
+            return draw(coeffs)
+        den = shared if kind == "shared" else poly(True)
+        return f"({poly()})/({den})"
+
+    a = draw(st.sampled_from(("zero", "constant", "shared", "own")))
+    b = draw(st.sampled_from(("1", "-1", "constant", "shared", "own")))
+    a = "0" if a == "zero" else part(a)
+    b = b if b in ("1", "-1") else part(b)
+    return f"({a}) + ({b})*y"
+
+
+@pytest.mark.parametrize("name", sorted(_PRINTING_CONICS))
+@settings(max_examples=40)
+@given(data=st.data())
+def test_conic_printing_matches_the_part_by_part_reference(name, data):
+    C, coeffs, leads = _PRINTING_CONICS[name]
+    u = C.parse(data.draw(_conic_texts(coeffs, leads), label="text"))
+    if not isinstance(C.base, Rationals):
+        for part in u.value:
+            assert C.inner.to_str(part) == support.function_str_by_coefficients(C.inner, part)
+    assert C.to_str(u.value) == support.conic_str_by_parts(C, u.value)

@@ -200,6 +200,42 @@ def test_closed_form_and_fallback_cases(Q, d, t, abc, closed):
     assert_entry_matches_division(alg, u)
 
 
+# the conics of the division batteries, (d, s) over Q(s), and one conic
+# with d a square, where d*c^2 = b^2 holds off b = c = 0 too: b = ±2c
+_LINEAR_CONICS = [(d, 0) for _p, d in batteries.DIVISION_BATCHES] + [("4", 2)]
+
+
+@pytest.mark.parametrize(
+    "d, root",
+    _LINEAR_CONICS,
+    ids=[f"division-{p}" for p, _d in batteries.DIVISION_BATCHES] + ["square-d"],
+)
+@given(data=st.data())
+@settings(max_examples=40)
+def test_closed_form_linear_entry_matches_field_arithmetic(K, d, root, data):
+    alg = QuaternionAlgebra(K, K(d), K("s"))
+    C = conic_field(alg)
+    x, y = C.x_gen(), C.y_gen()
+    coord = st.one_of(
+        st.just(K(0)),
+        support.rational_functions(K, max_deg=1, coeffs=st.integers(-3, 3)),
+    )
+    a = data.draw(coord, label="a")
+    c = data.draw(coord, label="c")
+    if data.draw(st.booleans(), label="d*c^2 = b^2"):
+        # for a nonsquare d only b = c = 0 lies on it
+        c = c if root else K(0)
+        b = c * data.draw(st.sampled_from((root, -root)), label="b/c")
+        assert K(d) * c * c == b * b
+    else:
+        b = data.draw(coord, label="b")
+    u = alg.el(0, a, b, c)
+    assume(not u.is_zero() and not u.nrd().is_zero())
+    lin, quotient = morita._reduce_entry(C, u, x, y)
+    assert lin.value == (C(a) * y - C(b) * x - C(c)).value
+    assert lin * quotient == C(u.nrd())
+
+
 def test_zero_norm_entries_never_reach_the_reduction(A11):
     u = A11.el(0, 1, 0, 1)
     assert u.nrd().is_zero()
