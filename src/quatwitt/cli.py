@@ -33,6 +33,7 @@ from .scenarios import (
     build_form,
     build_quad,
     check_budget,
+    check_jobs,
     check_trials,
     element_str,
     generator_setup,
@@ -240,31 +241,98 @@ def _run_shard(sc: dict, start: int, stop: int, fault_names, budget):
     return [run_instance(sc, i, fault_names, budget) for i in range(start, stop)]
 
 
+def _shards(trials: int, jobs: int) -> list:
+    """The index ranges of a batch, one contiguous shard per worker.
+
+    min(jobs, CPUs, trials) workers take ceil(trials / workers) instances
+    each; where the platform has no fork there is one worker.
+    """
+    workers = min(jobs, os.cpu_count() or 1, trials) if hasattr(os, "fork") else 1
+    if workers <= 1:
+        return [(0, trials)]
+    size = -(-trials // workers)
+    return [(start, min(start + size, trials)) for start in range(0, trials, size)]
+
+
+def _fork_shard(sc: dict, start: int, stop: int, fault_names, budget):
+    """Fork a child that runs one shard and writes it to a pipe as JSON,
+    {"records": [...]} or, on an exception, {"traceback": "..."}.
+    Returns (pid, read end)."""
+    read, write = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(read)
+        os.close(write)
+        raise
+    if pid:
+        os.close(write)
+        return pid, read
+    # the child leaves through os._exit on every path, so it never flushes
+    # the stdout it inherited nor returns into the caller
+    code = 1
+    try:
+        os.close(read)
+        try:
+            reply = {"records": _run_shard(sc, start, stop, fault_names, budget)}
+        except Exception:
+            import traceback
+
+            reply = {"traceback": traceback.format_exc()}
+        with open(write, "w", encoding="utf-8") as fp:
+            fp.write(json.dumps(reply))
+        code = 0
+    finally:
+        os._exit(code)
+
+
+def _shard_records(text: str, status: int, start: int, stop: int) -> list:
+    try:
+        reply = json.loads(text)
+    except ValueError:  # nothing, or a cut-off reply
+        reply = {}
+    if "records" in reply:
+        return reply["records"]
+    where = f"the worker for instances {start}..{stop - 1}"
+    if "traceback" in reply:
+        raise RuntimeError(f"{where} failed:\n{reply['traceback']}")
+    raise RuntimeError(
+        f"{where} exited with status {os.waitstatus_to_exitcode(status)} "
+        "before it sent its records"
+    )
+
+
 def run_batch(sc: dict, trials: int, fault_names=(), budget=None, jobs: int = 1):
     """Verify `trials` generated instances and tally the outcomes.
 
-    Instances depend only on (scenario, index), so with `jobs` > 1 the
-    indices split into one contiguous shard per worker, of
-    ceil(trials / workers) instances each, and the shards' records merge
-    in index order.  No more workers start than min(jobs, CPUs, trials).
-    Only `jobs` > 1 imports the process pool, so a serial batch or any
-    other subcommand never loads it.
+    Instances depend only on (scenario, index), so the indices split into
+    contiguous shards (`_shards`), at most min(jobs, CPUs, trials).  This
+    process forks one child per shard after the first, runs the first
+    itself, then reads each child's records from its pipe in index order
+    and reaps it, so one worker forks nothing.  If any shard fails, every
+    child still running is killed and reaped before the error propagates.
+    Forking is safe because the caller runs no other thread, as the CLI
+    does not.
     """
-    if jobs > 1 and trials > 0:
-        from concurrent.futures import ProcessPoolExecutor
-
-        workers = min(jobs, os.cpu_count() or 1, trials)
-        size = -(-trials // workers)
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            shards = [
-                pool.submit(
-                    _run_shard, sc, start, min(start + size, trials), fault_names, budget
-                )
-                for start in range(0, trials, size)
-            ]
-            records = [r for shard in shards for r in shard.result()]
-    else:
-        records = _run_shard(sc, 0, trials, fault_names, budget)
+    shards = _shards(trials, jobs)
+    pending = []  # (start, stop, pid, read end) of each unreaped child
+    try:
+        for start, stop in shards[1:]:
+            pending.append((start, stop, *_fork_shard(sc, start, stop, fault_names, budget)))
+        records = _run_shard(sc, *shards[0], fault_names, budget)
+        while pending:
+            start, stop, pid, read = pending[0]
+            with open(read, "r", encoding="utf-8", closefd=False) as fp:
+                text = fp.read()
+            status = os.waitpid(pid, 0)[1]
+            del pending[0]
+            os.close(read)
+            records += _shard_records(text, status, start, stop)
+    finally:
+        for _, _, pid, read in pending:
+            os.close(read)
+            os.kill(pid, 9)  # SIGKILL
+            os.waitpid(pid, 0)
     counts = {
         "verified": 0,
         "refuted": 0,
@@ -290,6 +358,7 @@ def cmd_verify_theorem(args) -> int:
     budget = args.budget if args.budget is not None else sc.get("budget")
     if budget is not None:
         check_budget(budget)
+    check_jobs(args.jobs)
     generator_setup(sc)
     fault_names = tuple(args.inject_fault or ())
     start = time.monotonic()

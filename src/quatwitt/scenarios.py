@@ -319,6 +319,11 @@ def check_budget(budget) -> None:
         raise ScenarioError("'budget' must be a non-negative integer")
 
 
+def check_jobs(jobs) -> None:
+    if not _is_int(jobs) or jobs < 1:
+        raise ScenarioError("'jobs' must be a positive integer")
+
+
 def scenario_field(sc):
     if "field" not in sc:
         raise ScenarioError("scenario needs a 'field'")

@@ -1,13 +1,11 @@
 """Command line interface: subcommands, exit codes, canonical output."""
 
-import concurrent.futures
 import hashlib
 import json
 import os
 import subprocess
 import sys
 import time
-from concurrent.futures import Future
 from pathlib import Path
 
 import pytest
@@ -641,6 +639,7 @@ def test_scenario_errors_exit_before_the_batch(tmp_path, capsys, scenario, messa
 
 _TRIALS = "'trials' must be a non-negative integer"
 _BUDGET = "'budget' must be a non-negative integer"
+_JOBS = "'jobs' must be a positive integer"
 _DEFINITE = {"field": _Q_FIELD, "first": {"entries": ["1", "1", "1", "1"]}}
 
 
@@ -657,10 +656,13 @@ _DEFINITE = {"field": _Q_FIELD, "first": {"entries": ["1", "1", "1", "1"]}}
         ("verify-theorem", dict(_DIVISION_P3, trials=True), [], _TRIALS),
         ("verify-theorem", dict(_DIVISION_P3, seed=True), [], "'seed' must be an integer"),
         ("verify-theorem", dict(_DIVISION_P3, budget=True), [], _BUDGET),
+        ("verify-theorem", _DIVISION_P3, ["--jobs", "0"], _JOBS),
+        ("verify-theorem", _DIVISION_P3, ["--jobs", "-3"], _JOBS),
     ],
     ids=[
         "trials-option", "trials-key", "witt-budget-option", "batch-budget-option",
         "budget-key", "rank-true", "trials-true", "seed-true", "budget-true",
+        "jobs-zero", "jobs-negative",
     ],
 )
 def test_out_of_range_counts_are_input_errors(tmp_path, capsys, command, scenario, extra, message):
@@ -680,19 +682,37 @@ def test_zero_trials_and_zero_budget_keep_their_meaning(tmp_path, capsys):
     assert capsys.readouterr().out == "indeterminate (searched 0)\n"
 
 
-def test_importing_the_cli_loads_no_process_pool():
-    # only verify-theorem --jobs N with N > 1 needs the pool; the records
-    # are NamedTuples, so nothing loads dataclasses either
+def test_importing_the_cli_loads_no_process_pool(tmp_path):
+    # verify-theorem --jobs N forks its workers itself, so no command loads
+    # a process pool; the records are NamedTuples, so nothing loads
+    # dataclasses either
     src = str(Path(cli.__file__).resolve().parents[1])
-    code = (
-        f"import sys; sys.path.insert(0, {src!r}); import quatwitt.cli; "
+    loaded = (
         "print(sorted(m for m in ('concurrent.futures', 'multiprocessing', 'dataclasses') "
-        "if m in sys.modules))"
+        "if m in sys.modules), file=sys.stderr)"
     )
-    out = subprocess.run(
+    code = f"import sys; sys.path.insert(0, {src!r}); import quatwitt.cli; {loaded}"
+    err = subprocess.run(
         [sys.executable, "-S", "-c", code], capture_output=True, text=True, check=True
-    ).stdout
-    assert out == "[]\n"
+    ).stderr
+    assert err == "[]\n"
+    # a real two-worker batch, on any host that can fork two
+    path = write_scenario(tmp_path, "batch.json", _DIVISION_P3)
+    code = (
+        f"import os, sys; sys.path.insert(0, {src!r}); os.cpu_count = lambda: 2; "
+        "from quatwitt import cli; code = cli.main(sys.argv[1:]); "
+        f"{loaded}; sys.exit(code)"
+    )
+    outs = []
+    for jobs in ("1", "2"):
+        run = subprocess.run(
+            [sys.executable, "-S", "-c", code, "verify-theorem", "--scenario", path,
+             "--json", "--trials", "3", "--jobs", jobs],
+            capture_output=True, check=True,
+        )
+        assert run.stderr.splitlines()[-1] == b"[]"
+        outs.append(run.stdout)
+    assert outs[0] == outs[1] and json.loads(outs[0])["counts"]["verified"] == 3
 
 
 def test_run_batch_counts_match_records(batch_path):
@@ -704,36 +724,29 @@ def test_run_batch_counts_match_records(batch_path):
     assert counterexample is None
 
 
-class _InlineExecutor:
-    """Stands in for ProcessPoolExecutor: records its worker count and
-    runs each task at once in this process."""
+@pytest.fixture()
+def forks(monkeypatch):
+    """Counts the os.fork calls this process makes; a child's own count
+    stays in the child."""
+    calls = []
+    fork = os.fork
 
-    max_workers = []
+    def counting():
+        calls.append(1)
+        return fork()
 
-    def __init__(self, max_workers):
-        self.max_workers.append(max_workers)
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-    def submit(self, fn, *args):
-        future = Future()
-        future.set_result(fn(*args))
-        return future
+    monkeypatch.setattr(cli.os, "fork", counting)
+    return calls
 
 
 @pytest.mark.parametrize("cpus, jobs, want", [(2, 10**6, 2), (None, 8, 1), (4, 2, 2)])
-def test_run_batch_caps_workers_at_cpu_count(batch_path, monkeypatch, cpus, jobs, want):
+def test_run_batch_caps_workers_at_cpu_count(batch_path, monkeypatch, forks, cpus, jobs, want):
+    # the parent is one of the workers, so it forks one child fewer
     sc = json.load(open(batch_path))
     serial = run_batch(sc, 2)
-    monkeypatch.setattr(_InlineExecutor, "max_workers", [])
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _InlineExecutor)
     monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
     assert run_batch(sc, 2, jobs=jobs) == serial
-    assert _InlineExecutor.max_workers == [want]
+    assert len(forks) == want - 1
 
 
 @pytest.mark.parametrize(
@@ -746,7 +759,7 @@ def test_run_batch_caps_workers_at_cpu_count(batch_path, monkeypatch, cpus, jobs
     ],
 )
 def test_run_batch_hands_each_worker_one_contiguous_shard(
-    batch_path, monkeypatch, cpus, jobs, trials, shards
+    batch_path, monkeypatch, forks, cpus, jobs, trials, shards
 ):
     sc = json.load(open(batch_path))
     serial = run_batch(sc, trials)
@@ -758,13 +771,75 @@ def test_run_batch_hands_each_worker_one_contiguous_shard(
         return run_shard(sc, start, stop, *rest)
 
     monkeypatch.setattr(cli, "_run_shard", recording)
-    monkeypatch.setattr(_InlineExecutor, "max_workers", [])
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _InlineExecutor)
     monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
+    assert cli._shards(trials, jobs) == shards
     assert run_batch(sc, trials, jobs=jobs) == serial
-    assert calls == shards
-    # never more workers than trials
-    assert _InlineExecutor.max_workers == [len(shards)]
+    # this process runs the first shard and forks a child for each other
+    assert calls == shards[:1]
+    assert len(forks) == len(shards) - 1
+
+
+def test_run_batch_runs_serially_where_there_is_no_fork(monkeypatch):
+    monkeypatch.delattr(cli.os, "fork")
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 4)
+    assert cli._shards(7, 4) == [(0, 7)]
+
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _failing_shard(monkeypatch, fail):
+    """Runs `fail(start)` before each shard of a two-worker batch."""
+    run_shard = cli._run_shard
+
+    def failing(sc, start, *rest):
+        fail(start)
+        return run_shard(sc, start, *rest)
+
+    monkeypatch.setattr(cli, "_run_shard", failing)
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+
+
+def test_run_batch_raises_a_child_s_traceback(batch_path, monkeypatch):
+    def fail(start):
+        if start:
+            raise KeyError("shard fault")
+
+    _failing_shard(monkeypatch, fail)
+    with pytest.raises(RuntimeError) as info:
+        run_batch(json.load(open(batch_path)), 4, jobs=2)
+    message = str(info.value)
+    assert "instances 2..3 failed" in message
+    assert "KeyError: 'shard fault'" in message
+    _assert_no_child_left()
+
+
+def test_run_batch_raises_when_a_child_exits_without_records(batch_path, monkeypatch):
+    def fail(start):
+        if start:
+            os._exit(3)
+
+    _failing_shard(monkeypatch, fail)
+    with pytest.raises(RuntimeError, match="instances 2..3 exited with status 3 before"):
+        run_batch(json.load(open(batch_path)), 4, jobs=2)
+    _assert_no_child_left()
+
+
+def test_run_batch_kills_its_children_when_its_own_shard_fails(batch_path, monkeypatch):
+    def fail(start):
+        if start:
+            time.sleep(60)
+        else:
+            raise KeyError("parent fault")
+
+    _failing_shard(monkeypatch, fail)
+    begun = time.monotonic()
+    with pytest.raises(KeyError, match="parent fault"):
+        run_batch(json.load(open(batch_path)), 4, jobs=2)
+    _assert_no_child_left()
+    assert time.monotonic() - begun < 30
 
 
 @pytest.mark.parametrize(

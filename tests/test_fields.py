@@ -231,7 +231,9 @@ def test_q_arithmetic_builds_no_fraction(monkeypatch):
 
 def test_rationals_is_one_object_per_process():
     """Fields over Q, elements and valuations share one Rationals, so
-    they find it by identity; pickling (as --jobs does) keeps that."""
+    they find it by identity; pickling keeps that, so an element sent to
+    another process (say, through a caller's own process pool) still
+    finds it."""
     Q = Rationals()
     assert Rationals() is Q
     assert FunctionField(Rationals(), "s").base is Q
