@@ -241,13 +241,21 @@ def _run_shard(sc: dict, start: int, stop: int, fault_names, budget):
     return [run_instance(sc, i, fault_names, budget) for i in range(start, stop)]
 
 
+def _usable_cpus() -> int:
+    """The CPUs this process may run on: its affinity set where the
+    platform reports one, else the machine's count, else 1."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def _shards(trials: int, jobs: int) -> list:
     """The index ranges of a batch, one contiguous shard per worker.
 
-    min(jobs, CPUs, trials) workers take ceil(trials / workers) instances
-    each; where the platform has no fork there is one worker.
+    min(jobs, usable CPUs, trials) workers take ceil(trials / workers)
+    instances each; where the platform has no fork there is one worker.
     """
-    workers = min(jobs, os.cpu_count() or 1, trials) if hasattr(os, "fork") else 1
+    workers = min(jobs, _usable_cpus(), trials) if hasattr(os, "fork") else 1
     if workers <= 1:
         return [(0, trials)]
     size = -(-trials // workers)
@@ -306,13 +314,13 @@ def run_batch(sc: dict, trials: int, fault_names=(), budget=None, jobs: int = 1)
     """Verify `trials` generated instances and tally the outcomes.
 
     Instances depend only on (scenario, index), so the indices split into
-    contiguous shards (`_shards`), at most min(jobs, CPUs, trials).  This
-    process forks one child per shard after the first, runs the first
-    itself, then reads each child's records from its pipe in index order
-    and reaps it, so one worker forks nothing.  If any shard fails, every
-    child still running is killed and reaped before the error propagates.
-    Forking is safe because the caller runs no other thread, as the CLI
-    does not.
+    contiguous shards (`_shards`), at most min(jobs, usable CPUs, trials).
+    This process forks one child per shard after the first, runs the
+    first itself, then reads each child's records from its pipe in index
+    order and reaps it, so one worker forks nothing.  If any shard fails,
+    every child still running is killed and reaped before the error
+    propagates.  Forking is safe because the caller runs no other thread,
+    as the CLI does not.
     """
     shards = _shards(trials, jobs)
     pending = []  # (start, stop, pid, read end) of each unreaped child

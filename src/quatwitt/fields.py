@@ -36,7 +36,10 @@ multiplies the contents and cancels the gcds of N1 with D2 and of N2
 with D1 (Henrici, JACM 3, 1956), add brings both operands over a common
 denominator and cancels only what can still be shared, inv swaps N and
 D.  The gcds go by the primitive pseudo-remainder sequence and are
-divided out exactly.  to_str prints the triple from its integers.
+divided out exactly.  A sum or product of two polynomials, D = 1 on both
+sides, is one integer pass plus one content, with no polynomial gcd: a
+product of primitive polynomials is primitive (Gauss's lemma).  to_str
+prints the triple from its integers.
 num_den gives the pair (num, den) of Rationals payload tuples with den
 monic, for the few callers that need monic coefficients: sqrt, the
 parser's power cost and the transported conic valuation.  Other bases,
@@ -484,10 +487,6 @@ def poly_add(base, f, g):
 
 def poly_neg(base, f):
     return tuple(base.neg(c) for c in f)
-
-
-def poly_sub(base, f, g):
-    return poly_add(base, f, poly_neg(base, g))
 
 
 def poly_scale(base, f, c):
@@ -978,6 +977,19 @@ class FunctionField(_FieldBase):
         else:
             q = lcm(qa, qb)
             ka, kb = pa * (q // qa), pb * (q // qb)
+        if len(ad) == 1 and len(bd) == 1:
+            # two polynomials: the sum of the scaled numerators in one
+            # pass over the longer, and only its content to split off
+            if len(an) < len(bn):
+                an, bn, ka, kb = bn, an, kb, ka
+            top = [ka * x for x in an]
+            for k, y in enumerate(bn):
+                top[k] += kb * y
+            _z_trim(top)
+            if not top:
+                return self._zero
+            k, top = _z_content(top)
+            return (_q_frac(k, q), tuple(top), ad)
         if ad == bd:
             g, a1, b1 = ad, (1,), (1,)
         elif len(ad) == 1 or len(bd) == 1:
@@ -1006,6 +1018,10 @@ class FunctionField(_FieldBase):
             cb, bn, bd = b
             if not an or not bn:
                 return self._zero
+            if len(ad) == 1 and len(bd) == 1:
+                # primitive times primitive is primitive (Gauss), and the
+                # leads stay positive, so nothing cancels
+                return (self.base.mul(ca, cb), _z_times(an, bn), ad)
             an, bd = _z_cancel(an, bd)
             bn, ad = _z_cancel(bn, ad)
             return (self.base.mul(ca, cb), _z_times(an, bn), _z_times(ad, bd))

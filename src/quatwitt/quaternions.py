@@ -11,11 +11,11 @@ conj, is_zero, is_scalar, nrd, inv and mul read each coordinate's
 `.value`, call the base field's add, sub, mul, neg and is_zero, and wrap
 only the result coordinates (or the one nrd) as FieldElements.  A
 central scalar operand, a scalar quaternion or a bare element of the
-base, scales the coordinates.  The field methods are looked up on every
-operation, so a rebound field method sees every call.  `coeffs` stays a
-tuple of FieldElements.  The coordinates 0 and 1 of `el`, and so of
-zero(), one() and the basis elements, wrap the base field's shared
-payloads.
+base, scales the coordinates; the scalar 1 returns the other operand.
+The field methods are looked up on every operation, so a rebound field
+method sees every call.  `coeffs` stays a tuple of FieldElements.  The
+coordinates 0 and 1 of `el`, and so of zero(), one() and the basis
+elements, wrap the base field's shared payloads.
 
 Nothing is cached on a QuaternionAlgebra: an element points back to its
 algebra, so an element kept on the algebra would make every drawn
@@ -143,8 +143,9 @@ class QuaternionElement:
     """w + a*i + b*j + c*ij with coefficients in the base field.
 
     Elements are immutable, so the reduced norm is computed on first use
-    and kept in `_nrd`.  Arithmetic reads the coordinates' payloads and
-    wraps only the results.
+    and kept in `_nrd`, and a product with the central scalar 1, on either
+    side, is the element itself.  Arithmetic reads the coordinates'
+    payloads and wraps only the results.
     """
 
     __slots__ = ("algebra", "coeffs", "_nrd")
@@ -170,9 +171,13 @@ class QuaternionElement:
             return None
 
     def _scaled(self, s) -> "QuaternionElement":
-        # a central scalar scales every coordinate; the product is a new
-        # element, so its nrd is computed afresh from the scaled coordinates
-        mul = self.algebra.base.mul
+        # a central scalar scales every coordinate; elements are immutable,
+        # so u*1 is u itself with its nrd memo, and any other scalar gives a
+        # new element whose nrd is computed afresh from its coordinates
+        base = self.algebra.base
+        if s == base.one():
+            return self
+        mul = base.mul
         w, a, b, c = self.coeffs
         return _wrap(
             self.algebra, mul(w.value, s), mul(a.value, s), mul(b.value, s), mul(c.value, s)

@@ -699,7 +699,8 @@ def test_importing_the_cli_loads_no_process_pool(tmp_path):
     # a real two-worker batch, on any host that can fork two
     path = write_scenario(tmp_path, "batch.json", _DIVISION_P3)
     code = (
-        f"import os, sys; sys.path.insert(0, {src!r}); os.cpu_count = lambda: 2; "
+        f"import os, sys; sys.path.insert(0, {src!r}); "
+        "os.cpu_count = lambda: 2; os.sched_getaffinity = lambda pid: {0, 1}; "
         "from quatwitt import cli; code = cli.main(sys.argv[1:]); "
         f"{loaded}; sys.exit(code)"
     )
@@ -739,12 +740,35 @@ def forks(monkeypatch):
     return calls
 
 
-@pytest.mark.parametrize("cpus, jobs, want", [(2, 10**6, 2), (None, 8, 1), (4, 2, 2)])
-def test_run_batch_caps_workers_at_cpu_count(batch_path, monkeypatch, forks, cpus, jobs, want):
+def _see_cpus(monkeypatch, cpus, allowed=None):
+    """Make `cli._usable_cpus` see a machine of `cpus` CPUs (None: a count
+    the platform cannot tell) of which this process may run on `allowed`
+    (None: a platform with no affinity call)."""
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
+    if allowed is None:
+        monkeypatch.delattr(cli.os, "sched_getaffinity", raising=False)
+    else:
+        affinity = set(range(allowed))
+        monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: affinity, raising=False)
+
+
+@pytest.mark.parametrize(
+    "cpus, allowed, jobs, want",
+    [
+        # the ids name (cpus, jobs, want), with the allowed CPUs when set
+        pytest.param(2, None, 10**6, 2, id="2-1000000-2"),
+        pytest.param(None, None, 8, 1, id="None-8-1"),
+        pytest.param(4, None, 2, 2, id="4-2-2"),
+        pytest.param(4, 1, 2, 1, id="4-allowed1-2-1"),
+    ],
+)
+def test_run_batch_caps_workers_at_cpu_count(
+    batch_path, monkeypatch, forks, cpus, allowed, jobs, want
+):
     # the parent is one of the workers, so it forks one child fewer
     sc = json.load(open(batch_path))
     serial = run_batch(sc, 2)
-    monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
+    _see_cpus(monkeypatch, cpus, allowed)
     assert run_batch(sc, 2, jobs=jobs) == serial
     assert len(forks) == want - 1
 
@@ -771,7 +795,7 @@ def test_run_batch_hands_each_worker_one_contiguous_shard(
         return run_shard(sc, start, stop, *rest)
 
     monkeypatch.setattr(cli, "_run_shard", recording)
-    monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
+    _see_cpus(monkeypatch, cpus)
     assert cli._shards(trials, jobs) == shards
     assert run_batch(sc, trials, jobs=jobs) == serial
     # this process runs the first shard and forks a child for each other
@@ -781,7 +805,7 @@ def test_run_batch_hands_each_worker_one_contiguous_shard(
 
 def test_run_batch_runs_serially_where_there_is_no_fork(monkeypatch):
     monkeypatch.delattr(cli.os, "fork")
-    monkeypatch.setattr(cli.os, "cpu_count", lambda: 4)
+    _see_cpus(monkeypatch, 4)
     assert cli._shards(7, 4) == [(0, 7)]
 
 
@@ -799,7 +823,7 @@ def _failing_shard(monkeypatch, fail):
         return run_shard(sc, start, *rest)
 
     monkeypatch.setattr(cli, "_run_shard", failing)
-    monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+    _see_cpus(monkeypatch, 2)
 
 
 def test_run_batch_raises_a_child_s_traceback(batch_path, monkeypatch):

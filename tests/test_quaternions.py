@@ -344,3 +344,9 @@ def test_scalar_product_leaves_the_nrd_memo_unset(Q, v3):
         assert scaled.nrd() == support.nrd_formula(scaled) == n * scaled.coeffs[1] ** 2
         assert (lam * u)._nrd is None
     assert extval(v3, u * Q(3) ** -1) == extval(v3, u) - 1
+    # u*1 is u itself, memo and all: as an element of the base, as an int,
+    # as pi^0 and as the scalar quaternion 1
+    for lam in (Q(1), 1, v3.uniformizer**0, _A23.one()):
+        assert u * lam is u
+        assert lam * u is u
+    assert u._nrd is n
