@@ -1,0 +1,90 @@
+"""Print sha256 digests of the verifier's outputs, one per line.
+
+Run it on two checkouts and diff what they print: equal lines mean
+byte-identical outputs.
+
+    PYTHONPATH=src python scripts/output_digests.py
+
+For each of the seven batches of `quatwitt.batteries` it prints the
+digest of the `run_instance` records of the first --trials instances,
+clean and under each seeded fault.  Then it prints the digest of
+`verify-theorem --json` stdout for the division and split batches at
+p = 3, at --jobs 1 and --jobs 2.  The command line runs in this process
+through `cli.main`, so --jobs 2 forks one child (none where only one CPU
+is usable): at most one extra process runs at a time.
+"""
+
+import argparse
+import contextlib
+import hashlib
+import io
+import json
+import os
+import sys
+import tempfile
+
+from quatwitt import cli
+from quatwitt.batteries import (
+    DIVISION_BATCHES,
+    FAULTS,
+    SEED,
+    SPLIT_PRIMES,
+    TRIALS,
+    conic_scenario,
+    point_scenario,
+)
+from quatwitt.scenarios import run_instance
+
+
+def batches(trials, seed):
+    return [
+        (f"division p={p} d={d}", conic_scenario(p, d, trials, seed)) for p, d in DIVISION_BATCHES
+    ] + [(f"split p={p}", point_scenario(p, trials, seed)) for p in SPLIT_PRIMES]
+
+
+def records_digest(sc, trials, fault_names):
+    h = hashlib.sha256()
+    for index in range(trials):
+        record = run_instance(sc, index, fault_names)
+        h.update(json.dumps(record, sort_keys=True, separators=(",", ":")).encode())
+        h.update(b"\n")
+    return h.hexdigest()
+
+
+def cli_digest(args):
+    """(exit code, sha256 of stdout) of one in-process CLI run."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = cli.main(args)
+    return code, hashlib.sha256(out.getvalue().encode()).hexdigest()
+
+
+def main(argv=None):
+    ap = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
+    ap.add_argument("--trials", type=int, default=TRIALS, help="instances per batch")
+    ap.add_argument("--seed", type=int, default=SEED, help="generator seed")
+    args = ap.parse_args(argv)
+
+    every = batches(args.trials, args.seed)
+    for label, sc in every:
+        for fault in (None,) + FAULTS:
+            names = (fault,) if fault else ()
+            digest = records_digest(sc, args.trials, names)
+            print(f"records {label:<18} {fault or 'clean':<18} {digest}")
+    picked = [(label, sc) for label, sc in every if label in ("division p=3 d=-1", "split p=3")]
+    with tempfile.TemporaryDirectory() as tmp:
+        for label, sc in picked:
+            path = os.path.join(tmp, "scenario.json")
+            with open(path, "w", encoding="utf-8") as fp:
+                json.dump(sc, fp)
+            for jobs in (1, 2):
+                code, digest = cli_digest([
+                    "verify-theorem", "--scenario", path, "--json",
+                    "--trials", str(args.trials), "--jobs", str(jobs),
+                ])
+                print(f"verify-theorem {label:<18} jobs {jobs} exit {code} {digest}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

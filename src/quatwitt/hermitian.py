@@ -9,8 +9,16 @@ left-regular blocks, which detects singular Gram matrices over split
 algebras as well.  A diagonal Gram matrix skips building the model: its
 model is block diagonal with determinant the product of nrd(delta_k)^2.
 Whether the matrix is diagonal is found by the skew check, which reads
-the entries' payloads and builds no field element, and is recorded.  A
-form also keeps the last good-reduction certificate computed for it.
+the entries' payloads and builds no field element, and is recorded;
+`SkewHermitianForm.diagonal` checks only the entries it is given, since
+the zeros it places are skew.  A form also keeps the last good-reduction
+certificate computed for it.
+
+The certificate needs only the diagonal entries, which
+`diagonalized_entries` gives without building the basis change that
+`diagonalize_h` returns.  It checks once that the valuation lives on
+the algebra's base field and then values reduced norms and coordinates
+as raw payloads.
 """
 
 from __future__ import annotations
@@ -32,8 +40,9 @@ from .quaternions import (
     QuaternionAlgebra,
     QuaternionElement,
     RamificationReport,
-    extval,
+    extvals,
     left_regular_matrix,
+    nrd_values,
     ramification,
 )
 
@@ -56,15 +65,7 @@ class SkewHermitianForm:
         for row in gram:
             if len(row) != n:
                 raise DimensionMismatch("gram matrix must be square")
-            out = []
-            for u in row:
-                if isinstance(u, QuaternionElement):
-                    if u.algebra is not algebra and u.algebra != algebra:
-                        raise AlgebraMismatch("gram entry from a different algebra")
-                    out.append(u)
-                else:
-                    out.append(algebra.scalar(u))
-            rows.append(tuple(out))
+            rows.append(tuple([_gram_entry(algebra, u) for u in row]))
         # conj(u) = -u exactly when u is pure (char != 2), and the (l, k)
         # condition is the conjugate of the (k, l) one, so the form is
         # diagonal exactly when every entry above the diagonal is zero;
@@ -72,10 +73,9 @@ class SkewHermitianForm:
         # w' + w = 0 and (a', b', c') = (a, b, c), checked on the payloads
         base = algebra.base
         iz, add = base.is_zero, base.add
+        _check_pure_diagonal(base, [rows[k][k] for k in range(n)])
         diagonal = True
         for k in range(n):
-            if not iz(rows[k][k].coeffs[0].value):
-                raise ValueError("gram matrix is not skew-hermitian")
             for l in range(k + 1, n):
                 w, a, b, c = rows[k][l].coeffs
                 w2, a2, b2, c2 = rows[l][k].coeffs
@@ -87,8 +87,13 @@ class SkewHermitianForm:
                 ):
                     raise ValueError("gram matrix is not skew-hermitian")
                 diagonal = diagonal and rows[k][l].is_zero()
+        self._setup(algebra, tuple(rows), diagonal)
+
+    def _setup(self, algebra, rows, diagonal):
+        """Keep the checked rows and refuse a singular form."""
+        n = len(rows)
         self.algebra = algebra
-        self.gram = tuple(rows)
+        self.gram = rows
         self._diagonal = diagonal
         self._certificate = None
         if diagonal:
@@ -105,13 +110,21 @@ class SkewHermitianForm:
 
     @classmethod
     def diagonal(cls, algebra: QuaternionAlgebra, entries) -> "SkewHermitianForm":
-        entries = list(entries)
+        """The diagonal form with these entries.  The zeros it places off
+        the diagonal meet the skew condition, so only the entries are
+        checked, as the constructor checks them."""
+        entries = [_gram_entry(algebra, u) for u in entries]
         n = len(entries)
-        zero = algebra.zero()
-        gram = [
-            [entries[k] if k == l else zero for l in range(n)] for k in range(n)
-        ]
-        return cls(algebra, gram)
+        if n == 0:
+            raise DimensionMismatch("the form needs at least one basis vector")
+        _check_pure_diagonal(algebra.base, entries)
+        zero = algebra.zero() if n > 1 else None
+        gram = tuple(
+            tuple([entries[k] if k == l else zero for l in range(n)]) for k in range(n)
+        )
+        form = cls.__new__(cls)
+        form._setup(algebra, gram, True)
+        return form
 
     @property
     def rank(self) -> int:
@@ -168,6 +181,21 @@ class SkewHermitianForm:
         return f"skew-hermitian [{rows}]"
 
 
+def _gram_entry(algebra, u) -> QuaternionElement:
+    if isinstance(u, QuaternionElement):
+        if u.algebra is not algebra and u.algebra != algebra:
+            raise AlgebraMismatch("gram entry from a different algebra")
+        return u
+    return algebra.scalar(u)
+
+
+def _check_pure_diagonal(base, diagonal):
+    iz = base.is_zero
+    for u in diagonal:
+        if not iz(u.coeffs[0].value):
+            raise ValueError("gram matrix is not skew-hermitian")
+
+
 def _as_element(algebra, u) -> QuaternionElement:
     if isinstance(u, QuaternionElement):
         if u.algebra != algebra:
@@ -190,9 +218,7 @@ def diagonalize_h(h: SkewHermitianForm):
     one, zero = alg.one(), alg.zero()
     p = [[one if r == c else zero for c in range(n)] for r in range(n)]
     if h.is_diagonal():
-        entries = h.diagonal_entries()
-        _check_pure(entries)
-        return entries, tuple(tuple(row) for row in p)
+        return diagonalized_entries(h), tuple(tuple(row) for row in p)
     g = [list(row) for row in h.gram]
 
     def add_col(dst, src, lam):
@@ -264,6 +290,16 @@ def diagonalize_h(h: SkewHermitianForm):
     return entries, tuple(tuple(row) for row in p)
 
 
+def diagonalized_entries(h: SkewHermitianForm) -> Tuple[QuaternionElement, ...]:
+    """The entries of diagonalize_h(h), for callers that do not need P:
+    a diagonal form gives its own entries and builds no identity."""
+    if not h.is_diagonal():
+        return diagonalize_h(h)[0]
+    entries = h.diagonal_entries()
+    _check_pure(entries)
+    return entries
+
+
 def _check_pure(entries):
     for u in entries:
         if not u.coeffs[0].is_zero():
@@ -288,9 +324,10 @@ def common_integral_value(evals) -> Optional[int]:
     one and it is an integer; None otherwise.  Scaling by pi^m adds m to
     every extended value, so only such an e can be cleared, and only by
     m = -e: this is the value test of `good_reduction_certificate`, and
-    it gives the same answer before and after a central twist."""
+    it gives the same answer before and after a central twist.  Equal
+    values from `extvals` are one Fraction, so identity settles them."""
     e = evals[0]
-    if e.denominator == 1 and all(x == e for x in evals):
+    if e.denominator == 1 and all(x is e or x == e for x in evals):
         return e.numerator
     return None
 
@@ -328,8 +365,8 @@ def _certify(h: SkewHermitianForm, v) -> GoodReductionCertificate:
         raise RamifiedAlgebra(
             f"{h.algebra!r} is ramified at {v!r}; no residue data exists"
         )
-    entries, _p = diagonalize_h(h)
-    evals = tuple(extval(v, u) for u in entries)
+    entries = diagonalized_entries(h)
+    evals = extvals(v, entries)
     e = common_integral_value(evals)
     if e is not None:
         m = -e
@@ -340,8 +377,11 @@ def _certify(h: SkewHermitianForm, v) -> GoodReductionCertificate:
         else:
             lam = v.uniformizer**m
             scaled = tuple(u * lam for u in entries)
-        if all(extval(v, u) == 0 for u in scaled) and all(
-            v.value(c) >= 0 for u in scaled for c in u.coeffs
+        # extvals checked the level of the entries, which the scaled
+        # entries share, so their coordinates are valued as payloads
+        value = v._value
+        if all(vn == 0 for vn in nrd_values(v, scaled)) and all(
+            value(c.value) >= 0 for u in scaled for c in u.coeffs
         ):
             return GoodReductionCertificate(
                 CERTIFIED, m, evals, entries, scaled, report

@@ -4,13 +4,13 @@ split-case shortcut through a rational point, valuation extension to the
 conic function field, and the end-to-end verification pipeline.
 
 Both reductions first diagonalize the form with
-hermitian.diagonalize_h (a diagonal form comes back as its own
-entries): Morita equivalence maps isometry classes to isometry classes,
-so any diagonalization serves.  The algebra (d, t) acts on the conic
-d*x^2 + t*y^2 = 1; over its function field F the algebra splits, and an
-explicit pair of 2x2 images turns each diagonal skew-hermitian entry
-delta = a*i + b*j + c*ij into the binary quadratic form <L, N/L> over F
-with
+hermitian.diagonalized_entries (a diagonal form gives its own entries,
+with no basis change built): Morita equivalence maps isometry classes
+to isometry classes, so any diagonalization serves.  The algebra (d, t)
+acts on the conic d*x^2 + t*y^2 = 1; over its function field F the
+algebra splits, and an explicit pair of 2x2 images turns each diagonal
+skew-hermitian entry delta = a*i + b*j + c*ij into the binary quadratic
+form <L, N/L> over F with
 
     L = a*y - b*x - c          (a corner of the symmetrized Gram)
     N = nrd(delta) = -a^2*d - b^2*t + c^2*d*t
@@ -25,7 +25,10 @@ d*c^2 != b^2), D is coprime to b*x + c and the canonical payload of N/L
 is written directly too; otherwise (a = 0, D of lower degree, or
 d*c^2 = b^2) the entry falls back to field division.
 When the conic has a rational point the same recipe specializes to a
-form over the base field itself.
+form over the base field itself; that route computes e and N/e with the
+base field's operations on payloads and wraps only the 2n entries.
+verify_instance checks each level once against its valuation and values
+the payloads of the certified coordinates and of the reduced entries.
 """
 
 from __future__ import annotations
@@ -44,7 +47,11 @@ from .errors import (
     ZeroEntry,
 )
 from .fields import ConicExtension, FieldElement, poly_const, poly_trim
-from .hermitian import SkewHermitianForm, diagonalize_h, good_reduction_certificate
+from .hermitian import (
+    SkewHermitianForm,
+    diagonalized_entries,
+    good_reduction_certificate,
+)
 from .quadforms import (
     DEFAULT_BUDGET,
     QuadraticForm,
@@ -71,20 +78,29 @@ def conic_field(alg: QuaternionAlgebra) -> ConicExtension:
 # reduction to quadratic forms
 
 
-def _pure_coords(u: QuaternionElement):
+def _entry_payloads(u: QuaternionElement):
+    """The payloads (N, a, b, c) of a diagonal entry a*i + b*j + c*ij
+    with N = nrd(u); ZeroEntry when the entry has no reduction."""
+    if u.is_zero():
+        raise ZeroEntry("zero diagonal entry has no reduction")
+    iz = u.algebra.base.is_zero
+    n = u.nrd().value
+    if iz(n):
+        raise ZeroEntry("diagonal entry with zero reduced norm has no reduction")
     w, a, b, c = u.coeffs
-    if not w.is_zero():
+    if not iz(w.value):
         raise ZeroEntry("diagonal entries of a skew form must be pure quaternions")
-    return a, b, c
+    return n, a.value, b.value, c.value
 
 
 def _reduce_entry(field, u: QuaternionElement, x, y):
-    """The binary form <L, N/L> of one diagonal entry over `field`, with
-    L = a*y - b*x - c at the conic point (x, y) of that field.
+    """The binary form <L, N/L> of one diagonal entry over the conic
+    function field `field`, with L = a*y - b*x - c at its generators
+    (x, y).
 
-    Over the conic function field both entries have closed forms.  L is
-    the payload (A, B) with A = -c - b*x, a polynomial in x, and B = a,
-    written without any field arithmetic (_conic_linear).  With
+    Both entries have closed forms.  L is the payload (A, B) with
+    A = -c - b*x, a polynomial in x, and B = a, written without any
+    field arithmetic (_conic_linear).  With
     D(x) = (t*b^2 + a^2*d)*x^2 + 2*t*b*c*x + (t*c^2 - a^2) = t*norm(L),
 
         N/L = -N*t*((b*x + c) + a*y) / D.
@@ -93,30 +109,18 @@ def _reduce_entry(field, u: QuaternionElement, x, y):
     has degree 2 and no root in common with b*x + c (D(-c/b) =
     a^2*(d*c^2 - b^2)/b^2), so the canonical payload is written directly:
     both denominators D/D2, numerators k*(c + b*x) and k*a with
-    k = -N*t/D2.  Every other N/L goes through field division, and so
-    does every entry over the base field, where (x, y) is a rational
-    point of the conic.
+    k = -N*t/D2.  Every other N/L goes through field division.
     """
-    if u.is_zero():
-        raise ZeroEntry("zero diagonal entry has no reduction")
-    n = u.nrd()
-    if n.is_zero():
-        raise ZeroEntry("diagonal entry with zero reduced norm has no reduction")
-    a, b, c = _pure_coords(u)
-    conic = isinstance(field, ConicExtension)
-    if conic:
-        lin = field.el(_conic_linear(field, a.value, b.value, c.value))
-    else:
-        lin = field(a) * y - field(b) * x - field(c)
+    n, a, b, c = _entry_payloads(u)
+    lin = field.el(_conic_linear(field, a, b, c))
     if lin.is_zero():
         raise DegenerateSpecialization(
             "linear entry vanished at the point; choose another point"
         )
-    if conic:
-        quotient = _conic_quotient(field, n.value, a.value, b.value, c.value)
-        if quotient is not None:
-            return lin, field.el(quotient)
-    return lin, field(n) / lin
+    quotient = _conic_quotient(field, n, a, b, c)
+    if quotient is not None:
+        return lin, field.el(quotient)
+    return lin, field(u.nrd()) / lin
 
 
 def _conic_linear(C: ConicExtension, a, b, c):
@@ -160,15 +164,15 @@ def _conic_quotient(C: ConicExtension, n, a, b, c):
 
 def morita_reduce(h: SkewHermitianForm) -> QuadraticForm:
     """Quadratic form over the conic function field attached to a
-    skew-hermitian form.  The form is diagonalized with diagonalize_h
-    first; each diagonal entry delta then contributes <L, N/L>.
+    skew-hermitian form.  The form is diagonalized first
+    (diagonalized_entries); each diagonal entry delta then contributes
+    <L, N/L>.
 
     The pair multiplies to N = nrd(delta) exactly, and <L, N/L>
     is exactly the first-pivot diagonalization of the symmetrized Gram
     of the 2x2 image of delta.
     """
-    entries, _p = diagonalize_h(h)
-    return _reduce_diagonal(h.algebra, entries)
+    return _reduce_diagonal(h.algebra, diagonalized_entries(h))
 
 
 def _reduce_diagonal(alg: QuaternionAlgebra, entries) -> QuadraticForm:
@@ -183,25 +187,35 @@ def _reduce_diagonal(alg: QuaternionAlgebra, entries) -> QuadraticForm:
 def split_reduce_at_point(h: SkewHermitianForm, point) -> QuadraticForm:
     """Specialize the reduction at a rational point of the conic.
 
-    The form is diagonalized with diagonalize_h first.  The point
+    The form is diagonalized first (diagonalized_entries).  The point
     (x0, y0) must satisfy d*x0^2 + t*y0^2 = 1; each diagonal entry delta
     contributes <e, N/e> over the base field with e = a*y0 - b*x0 - c.
     A vanishing e is a degenerate specialization: the form itself is
     fine, the point is not, so another point must be chosen.
     """
-    entries, _p = diagonalize_h(h)
-    return _split_reduce_entries(h.algebra, entries, point)
+    return _split_reduce_entries(h.algebra, diagonalized_entries(h), point)
 
 
 def _split_reduce_entries(alg: QuaternionAlgebra, entries, point) -> QuadraticForm:
+    """The pairs <e, N/e> of the entries at the point, computed with the
+    base field's operations on payloads; only the pairs are wrapped."""
     base = alg.base
     x0 = base(point[0])
     y0 = base(point[1])
-    if alg.d * x0 * x0 + alg.t * y0 * y0 != base(1):
+    add, sub, mul, div = base.add, base.sub, base.mul, base.div
+    x, y = x0.value, y0.value
+    if add(mul(mul(alg.d.value, x), x), mul(mul(alg.t.value, y), y)) != base.from_int(1):
         raise NotOnConic(f"({x0!r}, {y0!r}) does not satisfy the conic equation")
     out = []
     for u in entries:
-        out.extend(_reduce_entry(base, u, x0, y0))
+        n, a, b, c = _entry_payloads(u)
+        e = sub(sub(mul(a, y), mul(b, x)), c)
+        if base.is_zero(e):
+            raise DegenerateSpecialization(
+                "linear entry vanished at the point; choose another point"
+            )
+        out.append(FieldElement(base, e))
+        out.append(FieldElement(base, div(n, e)))
     return QuadraticForm(base, out)
 
 
@@ -312,14 +326,18 @@ def verify_instance(
             f"no unimodular scaling found; entry values {cert.extvals}"
         )
     entries = cert.scaled_diagonal
+    # each level is checked once, and the payloads are valued directly
+    base = h.algebra.base
+    v.check_field(base)
+    value, iz = v._value, base.is_zero
     min_values = tuple(
-        min(v.value(coord) for coord in u.coeffs if not coord.is_zero())
-        for u in entries
+        min([value(c.value) for c in u.coeffs if not iz(c.value)]) for u in entries
     )
     if route == "conic":
         vtil = extend_valuation(v, h.algebra)
         quad = _reduce_diagonal(h.algebra, entries)
-        values = tuple(vtil.value(u) for u in quad.entries)
+        vtil.check_field(quad.base)
+        values = tuple([vtil._value(u.value) for u in quad.entries])
         second = second_residue_form(quad, vtil, values)
         used_point = None
     elif route == "point":
@@ -330,7 +348,7 @@ def verify_instance(
                     "no small rational point found; supply one explicitly"
                 )
         quad = _split_reduce_entries(h.algebra, entries, point)
-        values = tuple(v.value(u) for u in quad.entries)
+        values = tuple([value(u.value) for u in quad.entries])
         second = second_residue_form(quad, v, values)
         used_point = (h.algebra.base(point[0]), h.algebra.base(point[1]))
     else:

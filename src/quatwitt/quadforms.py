@@ -9,6 +9,10 @@ rank or the rank-2 discriminant test); a bounded isotropy search runs
 first through exact square tests on entry pairs, then through a small
 deterministic coordinate enumeration, and running out of candidates
 yields `indeterminate`.
+
+The residue forms scale, divide and reduce each entry's payload, with
+the level checked once per form, and the finite-field decision
+multiplies payloads; only the residue entries are wrapped.
 """
 
 from __future__ import annotations
@@ -244,18 +248,27 @@ def _residue_slot(m) -> int:
     return m % 2
 
 
+def _even_scale(v, u, m):
+    """The payload u of v's domain, of value m, times the even
+    uniformizer power that brings its value to 0 or 1."""
+    k = m // 2
+    return v.domain.mul(u, (v.uniformizer ** (-2 * k)).value) if k else u
+
+
 def _even_scaled(v, u, m) -> FieldElement:
-    """u, of value m, times the even uniformizer power that brings its
-    value to 0 or 1."""
-    return u * v.uniformizer ** (-2 * (m // 2)) if m // 2 else u
+    """`_even_scale` on an element u of v's domain."""
+    return FieldElement(u.field, _even_scale(v, u.value, m)) if m // 2 else u
 
 
 def _residue_entry(v, u, m, slot) -> FieldElement:
-    """The residue entry u of value m contributes to its slot's form:
-    the even-scaled u, divided by the uniformizer for the second form."""
+    """The residue entry that the payload u of v's domain, of value m,
+    contributes to its slot's form: the even-scaled u, divided by the
+    uniformizer for the second form.  The caller has checked u's level."""
     if not faults.is_active(faults.SKIP_EVEN_SCALING):
-        u = _even_scaled(v, u, m)
-    return v.residue(u / v.uniformizer if slot else u)
+        u = _even_scale(v, u, m)
+    if slot:
+        u = v.domain.div(u, v.uniformizer.value)
+    return v.residue_field.el(v._residue(u))
 
 
 def residue_forms(q: QuadraticForm, v) -> ResiduePair:
@@ -269,19 +282,19 @@ def residue_forms(q: QuadraticForm, v) -> ResiduePair:
     for u in q.entries:
         m = v.value(u)
         slot = _residue_slot(m)
-        forms[slot].append(_residue_entry(v, u, m, slot))
+        forms[slot].append(_residue_entry(v, u.value, m, slot))
     rf = v.residue_field
     return ResiduePair(QuadraticForm(rf, forms[0]), QuadraticForm(rf, forms[1]))
 
 
 def second_residue_form(q: QuadraticForm, v, values) -> QuadraticForm:
     """`residue_forms(q, v).second`, given the values of q's entries at v;
-    the entries of the first form are never reduced."""
-    second = [
-        _residue_entry(v, u, m, 1)
-        for u, m in zip(q.entries, values)
-        if _residue_slot(m) == 1
-    ]
+    the entries of the first form are never reduced, and the level is
+    checked once, when some entry is."""
+    picked = [(u, m) for u, m in zip(q.entries, values) if _residue_slot(m) == 1]
+    if picked:
+        v.check_field(q.base)
+    second = [_residue_entry(v, u.value, m, 1) for u, m in picked]
     return QuadraticForm(v.residue_field, second)
 
 
@@ -393,10 +406,11 @@ def _finite_field_witt(base: FiniteField, entries) -> str:
     m = len(entries)
     if m % 2:
         return FALSE
-    disc = base((-1) ** (m // 2))
+    mul = base.mul
+    disc = base.from_int((-1) ** (m // 2))
     for u in entries:
-        disc = disc * u
-    return TRUE if base.is_square(disc.value) else FALSE
+        disc = mul(disc, u.value)
+    return TRUE if base.is_square(disc) else FALSE
 
 
 def _witt(base, entries, budget: int, spent: int):

@@ -406,16 +406,42 @@ def extval(v, u: QuaternionElement) -> Fraction:
 
     Returns INF on the zero element.
     """
-    n = u.nrd()
-    vn = v.value(n)
-    if vn is INF:
-        if not u.is_zero():
+    return extvals(v, (u,))[0]
+
+
+def extvals(v, elements) -> Tuple[Fraction, ...]:
+    """extval of each element; equal values share one Fraction."""
+    return tuple(map(_half, nrd_values(v, elements)))
+
+
+@lru_cache(maxsize=MEMO_SIZE)
+def _half(vn) -> Fraction:
+    return INF if vn is INF else Fraction(vn, 2)
+
+
+def nrd_values(v, elements):
+    """The list of v(nrd(u)), twice the extended value, over the
+    elements u; INF on the zero element.
+
+    The level of the reduced norms is checked once per base field object,
+    and each norm's payload is valued directly.
+    """
+    checked = None
+    value = v._value
+    out = []
+    for u in elements:
+        base = u.algebra.base
+        if base is not checked:
+            v.check_field(base)
+            checked = base
+        vn = value(u.nrd().value)
+        if vn is INF and not u.is_zero():
             raise ZeroElement(
                 "reduced norm vanished on a nonzero element; the extended "
                 "valuation needs a division algebra over the completion"
             )
-        return INF
-    return Fraction(vn, 2)
+        out.append(vn)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -430,41 +456,39 @@ class RamificationReport(NamedTuple):
     split_over_residue: Optional[bool]
 
 
-def _square_in_residue_field(rf, a: FieldElement) -> bool:
-    return rf.is_square(a.value)
+def _parameter_values(alg: QuaternionAlgebra, v):
+    """(v(d), v(t)), with the level of the parameters checked once."""
+    v.check_field(alg.base)
+    return v._value(alg.d.value), v._value(alg.t.value)
 
 
-def _strip_even(v, a: FieldElement) -> Tuple[FieldElement, int]:
-    """Scale a by an even uniformizer power into value 0 or 1."""
-    m = v.value(a)
-    return _even_scaled(v, a, m), m % 2
-
-
-def _unit_parameters(alg: QuaternionAlgebra, v):
+def _unit_parameters(alg: QuaternionAlgebra, v, vd, vt):
     """Unit parameters (d0, t0) of an isomorphic algebra, or None if the
-    algebra is ramified at v."""
-    d, t = alg.d, alg.t
-    d0, pd = _strip_even(v, d)
-    t0, pt = _strip_even(v, t)
+    algebra is ramified at v; vd and vt are the parameters' values."""
+    # scale each parameter by an even uniformizer power into value 0 or 1
+    d0, pd = _even_scaled(v, alg.d, vd), vd % 2
+    t0, pt = _even_scaled(v, alg.t, vt), vt % 2
     if pd == 0 and pt == 0:
         return d0, t0
     if pd == 1 and pt == 1:
         # (d, t) = (d, -d*t); the second slot then has even value
-        return _unit_parameters(QuaternionAlgebra(alg.base, d0, -(d0 * t0)), v)
+        alg = QuaternionAlgebra(alg.base, d0, -(d0 * t0))
+        return _unit_parameters(alg, v, *_parameter_values(alg, v))
     unit = d0 if pd == 0 else t0
     # one slot has odd value: the algebra splits over the completion iff
     # the unit slot residue is a square, and is ramified otherwise
-    if _square_in_residue_field(v.residue_field, v.residue(unit)):
+    if v.residue_field.is_square(v._residue(unit.value)):
         one = alg.base(1)
         return one, one
     return None
 
 
-def tame_class(alg: QuaternionAlgebra, v) -> FieldElement:
-    """Residue of (-1)^(v(d)v(t)) * d^v(t) * t^(-v(d)); a square in the
-    residue field exactly when the algebra is unramified at v."""
-    vd, vt = v.value(alg.d), v.value(alg.t)
-    return v.residue(_tame_element(alg.base, alg.d, alg.t, vd, vt))
+def tame_class(alg: QuaternionAlgebra, v, vd, vt) -> FieldElement:
+    """Residue of (-1)^(vd*vt) * d^vt * t^(-vd) for the values vd, vt of
+    d, t (`_parameter_values`); a square in the residue field exactly
+    when the algebra is unramified at v."""
+    u = _tame_element(alg.base, alg.d.value, alg.t.value, vd, vt)
+    return v.residue_field.el(v._residue(u))
 
 
 def ramification(alg: QuaternionAlgebra, v) -> RamificationReport:
@@ -483,14 +507,16 @@ def ramification(alg: QuaternionAlgebra, v) -> RamificationReport:
 @lru_cache(maxsize=MEMO_SIZE)
 def _ramification(alg: QuaternionAlgebra, v, fault_state) -> RamificationReport:
     # the fault state is part of the key: drop-unit-rep is read here, and
-    # a conic valuation's values read negate-fast-path
-    tc = tame_class(alg, v)
+    # a conic valuation's values read negate-fast-path.  The report is
+    # built on payloads, with the level checked once here
+    vd, vt = _parameter_values(alg, v)
+    tc = tame_class(alg, v, vd, vt)
     if faults.DROP_UNIT_REP in fault_state:
         # corrupted variant for sensitivity tests: the raw parameters are
         # treated as unit representatives without any scaling
         rep = (alg.d, alg.t)
     else:
-        rep = _unit_parameters(alg, v)
+        rep = _unit_parameters(alg, v, vd, vt)
     if rep is None:
         return RamificationReport(
             ramified=True,
@@ -500,9 +526,10 @@ def _ramification(alg: QuaternionAlgebra, v, fault_state) -> RamificationReport:
             split_over_residue=None,
         )
     d0, t0 = rep
-    dbar = v.residue(d0)
-    tbar = v.residue(t0)
-    split = residue_algebra_splits(v.residue_field, dbar, tbar)
+    rf = v.residue_field
+    dbar = rf.el(v._residue(d0.value))
+    tbar = rf.el(v._residue(t0.value))
+    split = residue_algebra_splits(rf, dbar, tbar)
     return RamificationReport(
         ramified=False,
         tame_class=tc,
@@ -582,16 +609,14 @@ def _splits_over_rational_function_field(rf: FunctionField, a, b) -> bool:
         vb = _place_value(f, num_b, den_b, base)
         if va == 0 and vb == 0:
             continue
-        u = _tame_element(rf, a, b, va, vb)
-        un, ud = u.value
+        un, ud = _tame_element(rf, a.value, b.value, va, vb)
         r = _residue_at_place(base, f, un, ud)
         if not _is_square_mod(base, r, f):
             return False
     va = poly_deg(den_a) - poly_deg(num_a)
     vb = poly_deg(den_b) - poly_deg(num_b)
     if va != 0 or vb != 0:
-        u = _tame_element(rf, a, b, va, vb)
-        un, ud = u.value
+        un, ud = _tame_element(rf, a.value, b.value, va, vb)
         # a unit at the degree place has num and den of equal degree; its
         # residue there is the ratio of leading coefficients
         lc = base.div(un[-1], ud[-1])
@@ -601,7 +626,11 @@ def _splits_over_rational_function_field(rf: FunctionField, a, b) -> bool:
 
 
 def _tame_element(field, a, b, va: int, vb: int):
-    """(-1)^(va*vb) * a^vb * b^(-va) in `field`, for a and b of values va
-    and vb at some place."""
-    sign = field(-1) if (va * vb) % 2 else field(1)
-    return sign * a**vb * b ** (-va)
+    """The payload of (-1)^(va*vb) * a^vb * b^(-va) in `field`, for
+    payloads a and b of values va and vb at some place; a zero exponent
+    leaves its factor out."""
+    out = field.from_int(-1 if (va * vb) % 2 else 1)
+    for x, e in ((a, vb), (b, -va)):
+        if e:
+            out = field.mul(out, (field.el(x) ** e).value)
+    return out

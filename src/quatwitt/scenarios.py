@@ -42,7 +42,7 @@ from .hermitian import (
 )
 from .morita import VerificationReport, verify_instance
 from .quadforms import QuadraticForm
-from .quaternions import MEMO_SIZE, QuaternionAlgebra, _wrap, extval, ramification
+from .quaternions import MEMO_SIZE, QuaternionAlgebra, _wrap, extvals, ramification
 from .valuations import (
     ConicValuation,
     GaussValuation,
@@ -568,7 +568,7 @@ def generate_instance(sc: dict, index: int) -> Instance:
         # drawn coordinates have minimum value 0, so a common value e >= 1
         # would leave a coordinate of value -e once the certificate scales
         # the twisted entries by pi^(-e - m): that form cannot certify
-        e = common_integral_value([extval(v, u) for u in entries])
+        e = common_integral_value(extvals(v, entries))
         if e is None or e >= 1:
             continue
         twist = v.uniformizer**m

@@ -56,12 +56,24 @@ class _ValuationBase:
         raise NotImplementedError
 
     def residue(self, a: FieldElement) -> FieldElement:
+        self._check_domain(a)
+        return self.residue_field.el(self._residue(a.value))
+
+    def _residue(self, payload):
+        """The residue payload of a raw payload of the domain; raises
+        NegativeValue below value 0."""
         raise NotImplementedError
 
     def _check_domain(self, a):
-        if not isinstance(a, FieldElement) or (
-            a.field is not self.domain and a.field != self.domain
-        ):
+        if not isinstance(a, FieldElement):
+            raise LevelMismatch(f"element is not at the level of {self!r}")
+        self.check_field(a.field)
+
+    def check_field(self, field):
+        """Raise LevelMismatch unless `field` is the domain.  A caller
+        holding many payloads of one field checks it once here and then
+        calls `_value` or `_residue` on each payload."""
+        if field is not self.domain and field != self.domain:
             raise LevelMismatch(f"element is not at the level of {self!r}")
 
     def is_unit(self, a: FieldElement) -> bool:
@@ -106,16 +118,15 @@ class PAdicValuation(_ValuationBase):
             return INF
         return self._vp(n) - self._vp(d)
 
-    def residue(self, a):
-        self._check_domain(a)
-        v = self.value(a)
+    def _residue(self, payload):
+        v = self._value(payload)
         if v < 0:
             raise NegativeValue(f"value {v} < 0, no residue")
-        n, d = a.value
+        n, d = payload
         k = self.residue_field
         if v > 0 or not n:
-            return k(0)
-        return k.el(k.div(k.from_int(n), k.from_int(d)))
+            return k.from_int(0)
+        return k.div(k.from_int(n), k.from_int(d))
 
 
 class GaussValuation(_ValuationBase):
@@ -164,32 +175,32 @@ class GaussValuation(_ValuationBase):
             return INF
         return self._poly_value(num) - self._poly_value(den)
 
-    def residue(self, a):
-        self._check_domain(a)
-        v = self.value(a)
+    def _residue(self, payload):
+        v = self._value(payload)
         if v < 0:
             raise NegativeValue(f"value {v} < 0, no residue")
         rf = self.residue_field
         if v > 0 or v is INF:
-            return rf(0)
-        base = self.domain.base
+            return rf.from_int(0)
         k = rf.base
+        inner_residue = self.inner._residue
         if self._over_q:
             # c is a unit and D is primitive, so the residue is
             # cbar*Nbar/Dbar with Dbar nonzero
-            c, num, den = a.value
-            cbar = self.inner.residue(base.el(c)).value
+            c, num, den = payload
+            cbar = inner_residue(c)
             p = k.p
-            return rf.el(rf.make(tuple([cbar * e % p for e in num]),
-                                 tuple([e % p for e in den])))
-        num, den = a.value
+            return rf.make(tuple([cbar * e % p for e in num]),
+                           tuple([e % p for e in den]))
+        num, den = payload
         m = self._poly_value(den)
         # scale so the denominator has value exactly 0, then reduce
         # coefficientwise; the scaled numerator has value v >= 0
-        scale = self.inner.uniformizer ** (-m)
-        rnum = [self.inner.residue(base.el(c) * scale).value for c in num]
-        rden = [self.inner.residue(base.el(c) * scale).value for c in den]
-        return rf.el(rf.make(poly_trim(k, rnum), poly_trim(k, rden)))
+        mul = self.domain.base.mul
+        scale = (self.inner.uniformizer ** (-m)).value
+        rnum = [inner_residue(mul(c, scale)) for c in num]
+        rden = [inner_residue(mul(c, scale)) for c in den]
+        return rf.make(poly_trim(k, rnum), poly_trim(k, rden))
 
 
 class ConicValuation(_ValuationBase):
@@ -251,20 +262,16 @@ class ConicValuation(_ValuationBase):
             return max(va, vb)
         return min(va, vb)
 
-    def residue(self, a):
-        self._check_domain(a)
-        v = self.value(a)
+    def _residue(self, payload):
+        v = self._value(payload)
         if v < 0:
             raise NegativeValue(f"value {v} < 0, no residue")
-        rf = self.residue_field
         if v is INF:
-            return rf(0)
-        A, B = self.domain.pair(a.value)
+            return self.residue_field.from_int(0)
+        A, B = payload
         # value >= 0 forces both coordinates to have value >= 0: the norm
         # residue theta-bar is a nonsquare in the residue function field
-        ra = self.inner.residue(A)
-        rb = self.inner.residue(B)
-        return rf.el((ra.value, rb.value))
+        return (self.inner._residue(A), self.inner._residue(B))
 
 
 class TransportedConicValuation(_ValuationBase):
@@ -315,9 +322,8 @@ class TransportedConicValuation(_ValuationBase):
     def _value(self, payload):
         return self.target._value(self._push(payload))
 
-    def residue(self, a):
-        self._check_domain(a)
-        return self.target.residue(self.target.domain.el(self._push(a.value)))
+    def _residue(self, payload):
+        return self.target._residue(self._push(payload))
 
     def __repr__(self):
         return f"TransportedConicValuation({self.target!r}, {self.alpha}, {self.beta})"

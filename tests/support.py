@@ -651,3 +651,116 @@ def value_by_wrapping(v, a):
     if isinstance(v, TransportedConicValuation):
         return value_by_wrapping(v.target, v.target.domain.el(v._push(a.value)))
     raise TypeError(f"no reference for {v!r}")
+
+
+# ---------------------------------------------------------------------------
+# the certificate, the point reduction and the second residue form on
+# wrapped elements: references for their payload paths
+
+
+def point_algebras(p):
+    """(algebra, point) over Q drawn as the point generator draws them
+    for the p-adic valuation: d a nonzero unit integer in [-9, 9], x0 and
+    y0 != 0 fractions num/den with |num| <= 9 and 1 <= den <= 5 prime to
+    p, and t = (1 - d*x0^2)/y0^2, which must be a nonzero unit."""
+    from quatwitt.quaternions import QuaternionAlgebra
+    from quatwitt.valuations import PAdicValuation
+
+    Q = Rationals()
+    v = PAdicValuation(p)
+    den = st.integers(1, 5).filter(lambda n: n % p)
+
+    def build(d, x0, y0):
+        t = (1 - d * x0 * x0) / (y0 * y0)
+        if t == 0 or value_by_wrapping(v, Q(t)) != 0:
+            return None
+        return QuaternionAlgebra(Q, d, t), (Q(x0), Q(y0))
+
+    return st.builds(
+        build,
+        st.integers(-9, 9).filter(lambda d: d % p),
+        st.builds(Fraction, st.integers(-9, 9), den),
+        st.builds(Fraction, st.integers(-9, 9).filter(bool), den),
+    ).filter(lambda drawn: drawn is not None)
+
+
+def pure_entries_up_to(alg, pi, coeffs, top=3):
+    """Pure quaternions with coordinates drawn from `coeffs` and all three
+    multiplied by pi^k for one k in 0..top, so entry values spread over
+    0..2*top."""
+    return st.builds(
+        lambda k, a, b, c: alg.el(0, a * pi**k, b * pi**k, c * pi**k),
+        st.integers(0, top),
+        coeffs,
+        coeffs,
+        coeffs,
+    ).filter(lambda u: not u.is_zero() and not nrd_formula(u).is_zero())
+
+
+def extval_by_elements(v, u):
+    """(1/2) v(nrd(u)) from nrd_formula and value_by_wrapping."""
+    n = nrd_formula(u)
+    return INF if n.is_zero() else Fraction(value_by_wrapping(v, n), 2)
+
+
+def certificate_by_elements(h, v):
+    """good_reduction_certificate on wrapped elements: each extended value
+    is a new Fraction of value_by_wrapping(nrd_formula(u)), the scaled
+    entries are built coordinate by coordinate with FieldElement products,
+    and every coordinate is valued by value_by_wrapping.  A reference for
+    the certificate's payload path."""
+    from quatwitt import faults
+    from quatwitt.hermitian import (
+        CERTIFIED,
+        NO_CERTIFICATE,
+        GoodReductionCertificate,
+        diagonalize_h,
+    )
+    from quatwitt.quaternions import QuaternionElement, ramification
+
+    report = ramification(h.algebra, v)
+    entries, _p = diagonalize_h(h)
+    evals = tuple(extval_by_elements(v, u) for u in entries)
+    e = evals[0]
+    if e is not INF and e.denominator == 1 and all(x == e for x in evals):
+        m = -e.numerator
+        if faults.is_active(faults.DROP_UNIT_REP):
+            scaled = entries
+        else:
+            lam = v.uniformizer**m
+            scaled = tuple(
+                QuaternionElement(u.algebra, [c * lam for c in u.coeffs]) for u in entries
+            )
+        if all(extval_by_elements(v, u) == 0 for u in scaled) and all(
+            value_by_wrapping(v, c) >= 0 for u in scaled for c in u.coeffs
+        ):
+            return GoodReductionCertificate(CERTIFIED, m, evals, entries, scaled, report)
+    return GoodReductionCertificate(NO_CERTIFICATE, None, evals, entries, None, report)
+
+
+def split_reduction_by_elements(alg, entries, point):
+    """The entries <e, N/e> of each diagonal entry at a conic point, with
+    e = field(a)*y - field(b)*x - field(c) and N/e taken by FieldElement
+    arithmetic."""
+    field = alg.base
+    x, y = field(point[0]), field(point[1])
+    out = []
+    for u in entries:
+        _w, a, b, c = u.coeffs
+        e = field(a) * y - field(b) * x - field(c)
+        out += [e, field(nrd_formula(u)) / e]
+    return out
+
+
+def padic_second_residue_by_fractions(v, entries):
+    """The second residue form's entries at a p-adic valuation: an entry
+    of odd value m reduces to the residue of u / p^m, computed on
+    Fractions."""
+    p = v.p
+    out = []
+    for u in entries:
+        m = value_by_wrapping(v, u)
+        if m % 2:
+            w = Fraction(*u.value) / Fraction(p) ** m
+            out.append(v.residue_field(w.numerator * pow(w.denominator, -1, p)))
+    return out

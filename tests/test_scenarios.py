@@ -527,6 +527,25 @@ def test_run_instance_computes_one_certificate(monkeypatch):
             assert len(computed) == 1
 
 
+def test_verify_generated_looks_up_verify_instance_at_call_time(monkeypatch):
+    # the benchmark times verification by rebinding
+    # scenarios.verify_instance, so every batch instance must reach the
+    # module global as it is bound when the instance runs
+    calls = []
+    verify = scenarios.verify_instance
+
+    def counting(*args, **kwargs):
+        calls.append(args[0])
+        return verify(*args, **kwargs)
+
+    monkeypatch.setattr(scenarios, "verify_instance", counting)
+    for sc in (batteries.conic_scenario(3, "-1"), batteries.point_scenario(5)):
+        inst = generate_instance(sc, 0)
+        assert scenarios.verify_generated(inst, None).verified
+        assert run_instance(sc, 1)["status"] == "ok"
+    assert len(calls) == 4
+
+
 def test_count_failures_recomputes_the_certificate_under_each_fault(monkeypatch):
     # a sweep generates clean, then verifies each instance clean, which
     # reuses the generation certificate, and under each fault, which
