@@ -15,7 +15,9 @@ base, scales the coordinates; the scalar 1 returns the other operand.
 The field methods are looked up on every operation, so a rebound field
 method sees every call.  `coeffs` stays a tuple of FieldElements.  The
 coordinates 0 and 1 of `el`, and so of zero(), one() and the basis
-elements, wrap the base field's shared payloads.
+elements, wrap the base field's shared payloads.  Extended values
+(`nrd_values`, `extvals`) and the ramification report check the
+valuation's level once and then value payloads.
 
 Nothing is cached on a QuaternionAlgebra: an element points back to its
 algebra, so an element kept on the algebra would make every drawn

@@ -22,6 +22,8 @@ All values are normalized integers; v(0) is the +infinity sentinel INF.
 Residues require value >= 0 and are functorial ring maps.  `value`
 checks the element's level once and values its raw payload; each level
 values its coefficients' payloads directly, without wrapping them again.
+`residue` does the same through `_residue`.  `check_field` is the level
+check alone, for callers that value or reduce many payloads of one field.
 """
 
 from __future__ import annotations

@@ -10,7 +10,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import support
@@ -40,6 +40,7 @@ def _check_certificate(alg, v, entries, fault):
 @pytest.mark.parametrize("fault", [None, faults.DROP_UNIT_REP])
 @pytest.mark.parametrize("p", batteries.SPLIT_PRIMES)
 @given(data=st.data())
+@settings(max_examples=30)
 def test_certificate_matches_elements_at_the_split_primes(p, fault, data):
     alg, _point = data.draw(support.point_algebras(p), label="algebra")
     pure = support.pure_entries_up_to(alg, alg.base(p), st.integers(-9, 9))
@@ -49,6 +50,7 @@ def test_certificate_matches_elements_at_the_split_primes(p, fault, data):
 
 @pytest.mark.parametrize("fault", [None, faults.DROP_UNIT_REP])
 @given(data=st.data())
+@settings(max_examples=30)
 def test_certificate_matches_elements_at_a_gauss_valuation(fault, data):
     coeffs = support.rational_functions(_QS, max_deg=1, coeffs=support.fractions(9, 9))
     pure = support.pure_entries_up_to(_QS_ALGEBRA, _QS(3), coeffs, top=2)
@@ -58,6 +60,7 @@ def test_certificate_matches_elements_at_a_gauss_valuation(fault, data):
 
 @pytest.mark.parametrize("p", batteries.SPLIT_PRIMES)
 @given(data=st.data())
+@settings(max_examples=30)
 def test_point_reduction_and_second_residue_match_elements(p, data):
     alg, point = data.draw(support.point_algebras(p), label="algebra")
     pure = support.pure_entries_up_to(alg, alg.base(p), st.integers(-9, 9))
@@ -78,12 +81,13 @@ def test_payload_paths_match_their_references_in_optimized_mode():
     tests = Path(__file__).resolve().parent
     src = Path(hermitian.__file__).resolve().parents[1]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(src), str(tests)]))
+    # the fault-free cases of the three tests above
     ids = [
         f"{__file__}::{name}"
         for name in (
-            "test_certificate_matches_elements_at_the_split_primes",
-            "test_certificate_matches_elements_at_a_gauss_valuation",
-            "test_point_reduction_and_second_residue_match_elements",
+            *(f"test_certificate_matches_elements_at_the_split_primes[{p}-None]" for p in batteries.SPLIT_PRIMES),
+            "test_certificate_matches_elements_at_a_gauss_valuation[None]",
+            *(f"test_point_reduction_and_second_residue_match_elements[{p}]" for p in batteries.SPLIT_PRIMES),
         )
     ]
     code = (
@@ -100,4 +104,4 @@ def test_payload_paths_match_their_references_in_optimized_mode():
         timeout=600,
     )
     assert proc.returncode == 0, proc.stdout[-3000:] + proc.stderr[-3000:]
-    assert "11 passed" in proc.stdout
+    assert "7 passed" in proc.stdout
