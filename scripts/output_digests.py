@@ -9,7 +9,13 @@ For each of the seven batches of `quatwitt.batteries` it prints the
 digest of the `run_instance` records of the first --trials instances,
 clean and under each seeded fault.  Then it prints the digest of
 `verify-theorem --json` stdout for the division and split batches at
-p = 3, at --jobs 1 and --jobs 2.  The command line runs in this process
+p = 3, at --jobs 1 and --jobs 2.  Last it prints the exit code and
+digest of single-shot subcommands whose forms are not diagonal, so that
+they run the congruence diagonalization: `witt-equal` on <1, 1, -2, -3>
+over Q, whose search splits off a plane and diagonalizes the complement,
+and `reduce`, `split-reduce` and `certify` on the skew-hermitian Gram
+[[0, u], [-conj(u), 0]] with u = 1 + i + ij over (1, 1) at p = 3, whose
+pivots all have reduced norm 0.  The command line runs in this process
 through `cli.main`, so --jobs 2 forks one child (none where only one CPU
 is usable): at most one extra process runs at a time.
 """
@@ -34,6 +40,23 @@ from quatwitt.batteries import (
     point_scenario,
 )
 from quatwitt.scenarios import run_instance
+
+_Q = {"kind": "rationals"}
+SINGLE_SHOTS = [
+    ("witt-equal", "Q <1, 1, -2, -3>", {"field": _Q, "first": {"entries": ["1", "1", "-2", "-3"]}}),
+] + [
+    (command, "(1, 1) gram p=3", {
+        "field": _Q,
+        "valuation": {"kind": "padic", "p": 3},
+        "algebra": {"d": "1", "t": "1"},
+        "form": {"gram": [
+            [{}, {"w": "1", "a": "1", "c": "1"}],
+            [{"w": "-1", "a": "1", "c": "1"}, {}],
+        ]},
+        "point": ["3/5", "4/5"],
+    })
+    for command in ("reduce", "split-reduce", "certify")
+]
 
 
 def batches(trials, seed):
@@ -83,6 +106,12 @@ def main(argv=None):
                     "--trials", str(args.trials), "--jobs", str(jobs),
                 ])
                 print(f"verify-theorem {label:<18} jobs {jobs} exit {code} {digest}")
+        for command, label, sc in SINGLE_SHOTS:
+            path = os.path.join(tmp, "single.json")
+            with open(path, "w", encoding="utf-8") as fp:
+                json.dump(sc, fp)
+            code, digest = cli_digest([command, "--scenario", path, "--json"])
+            print(f"{command:<14} {label:<18} exit {code} {digest}")
     return 0
 
 

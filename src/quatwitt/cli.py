@@ -59,10 +59,6 @@ def _emit_json(payload: dict) -> None:
     print(json.dumps(payload, sort_keys=True, separators=(",", ":")))
 
 
-def _angles(entries) -> str:
-    return "<" + ", ".join(element_str(u) for u in entries) + ">"
-
-
 # the scenario keys each subcommand reads; the subcommands on one algebra
 # share a file, so each also takes the keys of the others
 _ALGEBRA_KEYS = frozenset(("field", "valuation", "algebra", "form", "point"))
@@ -162,7 +158,7 @@ def cmd_reduce(args) -> int:
     if args.json:
         _emit_json({"entries": [element_str(u) for u in q.entries]})
     else:
-        print(_angles(q.entries))
+        print(repr(q))
     return EXIT_OK
 
 
@@ -174,7 +170,7 @@ def cmd_split_reduce(args) -> int:
     if args.json:
         _emit_json({"entries": [element_str(u) for u in q.entries]})
     else:
-        print(_angles(q.entries))
+        print(repr(q))
     return EXIT_OK
 
 
@@ -192,8 +188,8 @@ def cmd_residue_forms(args) -> int:
             }
         )
     else:
-        print(f"first residue form  {_angles(pair.first.entries)}")
-        print(f"second residue form {_angles(pair.second.entries)}")
+        print(f"first residue form  {pair.first!r}")
+        print(f"second residue form {pair.second!r}")
     return EXIT_OK
 
 

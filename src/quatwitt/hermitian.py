@@ -2,6 +2,10 @@
 diagonalization, and the good-reduction certificate at a valuation of
 the base field.
 
+`diagonalize_h` runs `quadforms.congruence_diagonalize`, the routine
+that also diagonalizes symmetric Gram matrices over a field, with the
+algebra's conjugation.
+
 A form is an n x n Gram matrix G over the algebra with conj(G[l][k])
 equal to -G[k][l]; the pairing is conjugate-linear in the first slot.
 Nondegeneracy is checked on the 4n x 4n base-field model built from
@@ -35,7 +39,7 @@ from .errors import (
     RamifiedAlgebra,
     ZeroScalar,
 )
-from .quadforms import mat_det, mat_mul
+from .quadforms import congruence_diagonalize, mat_det, mat_mul
 from .quaternions import (
     QuaternionAlgebra,
     QuaternionElement,
@@ -65,7 +69,7 @@ class SkewHermitianForm:
         for row in gram:
             if len(row) != n:
                 raise DimensionMismatch("gram matrix must be square")
-            rows.append(tuple([_gram_entry(algebra, u) for u in row]))
+            rows.append(tuple([_as_element(algebra, u) for u in row]))
         # conj(u) = -u exactly when u is pure (char != 2), and the (l, k)
         # condition is the conjugate of the (k, l) one, so the form is
         # diagonal exactly when every entry above the diagonal is zero;
@@ -113,7 +117,7 @@ class SkewHermitianForm:
         """The diagonal form with these entries.  The zeros it places off
         the diagonal meet the skew condition, so only the entries are
         checked, as the constructor checks them."""
-        entries = [_gram_entry(algebra, u) for u in entries]
+        entries = [_as_element(algebra, u) for u in entries]
         n = len(entries)
         if n == 0:
             raise DimensionMismatch("the form needs at least one basis vector")
@@ -181,14 +185,6 @@ class SkewHermitianForm:
         return f"skew-hermitian [{rows}]"
 
 
-def _gram_entry(algebra, u) -> QuaternionElement:
-    if isinstance(u, QuaternionElement):
-        if u.algebra is not algebra and u.algebra != algebra:
-            raise AlgebraMismatch("gram entry from a different algebra")
-        return u
-    return algebra.scalar(u)
-
-
 def _check_pure_diagonal(base, diagonal):
     iz = base.is_zero
     for u in diagonal:
@@ -198,7 +194,7 @@ def _check_pure_diagonal(base, diagonal):
 
 def _as_element(algebra, u) -> QuaternionElement:
     if isinstance(u, QuaternionElement):
-        if u.algebra != algebra:
+        if u.algebra is not algebra and u.algebra != algebra:
             raise AlgebraMismatch("element from a different algebra")
         return u
     return algebra.scalar(u)
@@ -208,86 +204,31 @@ def diagonalize_h(h: SkewHermitianForm):
     """Diagonalize by congruence over the algebra.
 
     Returns (entries, P) with conj(P)^t * G * P = diag(entries) checked
-    exactly; every diagonal entry has nonzero reduced norm.  Pivots with
-    reduced norm zero are repaired by mixing in another basis vector
-    scaled by a small unit multiple.  A diagonal form comes back with the
-    identity for P, since conj(I)^t * G * I = G holds identically.
+    exactly; every diagonal entry has nonzero reduced norm.  This is
+    `quadforms.congruence_diagonalize` with the conjugation, pivots of
+    nonzero reduced norm and the mixers mu*m for mu in (1, i, j, ij) and
+    m in (1, 2, 3).  A diagonal form comes back with the identity for P,
+    since conj(I)^t * G * I = G holds identically.
     """
     alg = h.algebra
-    n = h.rank
     one, zero = alg.one(), alg.zero()
-    p = [[one if r == c else zero for c in range(n)] for r in range(n)]
     if h.is_diagonal():
-        return diagonalized_entries(h), tuple(tuple(row) for row in p)
-    g = [list(row) for row in h.gram]
-
-    def add_col(dst, src, lam):
-        for r in range(n):
-            g[r][dst] = g[r][dst] + g[r][src] * lam
-        lc = lam.conj()
-        for c in range(n):
-            g[dst][c] = g[dst][c] + lc * g[src][c]
-        for r in range(n):
-            p[r][dst] = p[r][dst] + p[r][src] * lam
-
-    def swap_cols(i, j):
-        for r in range(n):
-            g[r][i], g[r][j] = g[r][j], g[r][i]
-        g[i], g[j] = g[j], g[i]
-        for r in range(n):
-            p[r][i], p[r][j] = p[r][j], p[r][i]
-
-    for r in range(n):
-        if g[r][r].nrd().is_zero():
-            k = next(
-                (i for i in range(r + 1, n) if not g[i][i].nrd().is_zero()), None
-            )
-            if k is not None:
-                swap_cols(r, k)
-            else:
-                repaired = False
-                for k in range(r, n):
-                    for l in range(k + 1, n):
-                        for mu in (one, alg.i(), alg.j(), alg.ij()):
-                            for m in (1, 2, 3):
-                                lam = mu * m
-                                lc = lam.conj()
-                                cand = (
-                                    g[k][k]
-                                    + g[k][l] * lam
-                                    + lc * g[l][k]
-                                    + lc * g[l][l] * lam
-                                )
-                                if not cand.nrd().is_zero():
-                                    add_col(k, l, lam)
-                                    if k != r:
-                                        swap_cols(r, k)
-                                    repaired = True
-                                    break
-                            if repaired:
-                                break
-                        if repaired:
-                            break
-                    if repaired:
-                        break
-                if not repaired:
-                    raise Degenerate("no invertible pivot could be produced")
-        piv_inv = g[r][r].inv()
-        for k in range(r + 1, n):
-            lam = -(piv_inv * g[r][k])
-            if not lam.is_zero():
-                add_col(k, r, lam)
-    entries = tuple(g[i][i] for i in range(n))
+        n = h.rank
+        p = tuple(
+            tuple([one if r == c else zero for c in range(n)]) for r in range(n)
+        )
+        return diagonalized_entries(h), p
+    mixers = [mu * m for mu in (one, alg.i(), alg.j(), alg.ij()) for m in (1, 2, 3)]
+    entries, p = congruence_diagonalize(
+        h.gram,
+        one,
+        zero,
+        QuaternionElement.conj,
+        lambda u: not u.nrd().is_zero(),
+        mixers,
+    )
     _check_pure(entries)
-    g0 = [list(row) for row in h.gram]
-    pc = [[p[r][c].conj() for r in range(n)] for c in range(n)]
-    check = mat_mul(pc, mat_mul(g0, p))
-    for i in range(n):
-        for j in range(n):
-            want = entries[i] if i == j else zero
-            if check[i][j] != want:
-                raise CertificateFailed("congruence certificate failed")
-    return entries, tuple(tuple(row) for row in p)
+    return entries, tuple(p)
 
 
 def diagonalized_entries(h: SkewHermitianForm) -> Tuple[QuaternionElement, ...]:

@@ -1,6 +1,11 @@
 """Diagonal quadratic forms, congruence diagonalization, residue forms,
 and a Witt-triviality oracle.
 
+`congruence_diagonalize` is the library's one congruence
+diagonalization, over a ring with involution: `diagonalize` runs it on
+symmetric Gram matrices over a field, and `hermitian.diagonalize_h` on
+skew-hermitian ones over a quaternion algebra.
+
 The oracle is exact where it answers.  Over a finite field it decides
 outright from rank and discriminant, which classify forms there.  Over
 other fields `true` is only returned after the form has been fully split
@@ -112,10 +117,6 @@ class ResiduePair(NamedTuple):
 # small exact matrix helpers
 
 
-def mat_identity(base, n):
-    return [[base(1) if i == j else base(0) for j in range(n)] for i in range(n)]
-
-
 def mat_mul(m1, m2):
     """The product of two matrices over any ring; each sum starts from
     its first product, so no zero of the ring is needed."""
@@ -162,11 +163,85 @@ def mat_det(base, m):
     return det
 
 
+def congruence_diagonalize(gram, one, zero, conj, invertible, mixers):
+    """Diagonalize a hermitian or skew-hermitian Gram matrix over a ring
+    with involution conj by congruence (Scharlau, Quadratic and Hermitian
+    Forms, Ch. 7).
+
+    Returns (entries, P) with conj(P)^t * gram * P = diag(entries),
+    checked exactly; each entry passes `invertible`.  A pivot that does
+    not is swapped with the next diagonal entry that does.  When none
+    does, the first pair k < l from the pivot on and the first mixer lam
+    that make the entry of e_k + e_l * lam invertible give e_k += e_l * lam,
+    and e_k is swapped into the pivot.
+    """
+    n = len(gram)
+    g = [list(row) for row in gram]
+    p = [[one if r == c else zero for c in range(n)] for r in range(n)]
+
+    def add_col(dst, src, lam):
+        # e_dst += e_src * lam as a basis change, applied to g and p
+        for r in range(n):
+            g[r][dst] = g[r][dst] + g[r][src] * lam
+        lc = conj(lam)
+        for c in range(n):
+            g[dst][c] = g[dst][c] + lc * g[src][c]
+        for r in range(n):
+            p[r][dst] = p[r][dst] + p[r][src] * lam
+
+    def swap_cols(i, j):
+        for r in range(n):
+            g[r][i], g[r][j] = g[r][j], g[r][i]
+        g[i], g[j] = g[j], g[i]
+        for r in range(n):
+            p[r][i], p[r][j] = p[r][j], p[r][i]
+
+    def mixed(k, l, lam):
+        # the entry of e_k + e_l * lam
+        lc = conj(lam)
+        return g[k][k] + g[k][l] * lam + lc * g[l][k] + lc * g[l][l] * lam
+
+    for r in range(n):
+        if not invertible(g[r][r]):
+            k = next((i for i in range(r + 1, n) if invertible(g[i][i])), None)
+            if k is None:
+                k, l, lam = next(
+                    (
+                        (k, l, lam)
+                        for k in range(r, n)
+                        for l in range(k + 1, n)
+                        for lam in mixers
+                        if invertible(mixed(k, l, lam))
+                    ),
+                    (None, None, None),
+                )
+                if k is None:
+                    raise Degenerate("no invertible pivot could be produced")
+                add_col(k, l, lam)
+            if k != r:
+                swap_cols(r, k)
+        piv_inv = g[r][r].inv()
+        for k in range(r + 1, n):
+            lam = -(piv_inv * g[r][k])
+            if not lam.is_zero():
+                add_col(k, r, lam)
+    entries = tuple(g[i][i] for i in range(n))
+    pc = [[conj(p[r][c]) for r in range(n)] for c in range(n)]
+    check = mat_mul(pc, mat_mul(gram, p))
+    for i in range(n):
+        for j in range(n):
+            want = entries[i] if i == j else zero
+            if check[i][j] != want:
+                raise CertificateFailed("congruence certificate failed")
+    return entries, [tuple(row) for row in p]
+
+
 def diagonalize(base, gram):
     """Congruence-diagonalize a symmetric Gram matrix.
 
     Returns (QuadraticForm, P) with P invertible and P^t * gram * P equal
-    to diag(entries); the identity is checked exactly before returning.
+    to diag(entries): `congruence_diagonalize` with the identity
+    involution, nonzero pivots and the single mixer 1.
     """
     n = len(gram)
     g0 = [[base(x) for x in row] for row in gram]
@@ -176,62 +251,11 @@ def diagonalize(base, gram):
         for j in range(i + 1, n):
             if g0[i][j] != g0[j][i]:
                 raise Degenerate("gram matrix must be symmetric")
-    g = [row[:] for row in g0]
-    p = mat_identity(base, n)
-
-    def add_col(dst, src, c):
-        # e_dst += c * e_src as a basis change, applied to g and p
-        for r in range(n):
-            g[r][dst] = g[r][dst] + g[r][src] * c
-        for cidx in range(n):
-            g[dst][cidx] = g[dst][cidx] + g[src][cidx] * c
-        for r in range(n):
-            p[r][dst] = p[r][dst] + p[r][src] * c
-
-    def swap_cols(i, j):
-        for r in range(n):
-            g[r][i], g[r][j] = g[r][j], g[r][i]
-        g[i], g[j] = g[j], g[i]
-        for r in range(n):
-            p[r][i], p[r][j] = p[r][j], p[r][i]
-
-    for r in range(n):
-        if g[r][r].is_zero():
-            k = next((i for i in range(r + 1, n) if not g[i][i].is_zero()), None)
-            if k is not None:
-                swap_cols(r, k)
-            else:
-                found = next(
-                    (
-                        (i, j)
-                        for i in range(r, n)
-                        for j in range(i + 1, n)
-                        if not g[i][j].is_zero()
-                    ),
-                    None,
-                )
-                if found is None:
-                    raise Degenerate("gram matrix is singular")
-                i, j = found
-                # zero diagonal block: e_i += e_j contributes 2*g[i][j]
-                add_col(i, j, base(1))
-                if i != r:
-                    swap_cols(r, i)
-        piv_inv = g[r][r].inv()
-        for k in range(r + 1, n):
-            c = -(g[r][k] * piv_inv)
-            if not c.is_zero():
-                add_col(k, r, c)
-    diag = [g[i][i] for i in range(n)]
-    if any(d.is_zero() for d in diag):
-        raise Degenerate("gram matrix is singular")
-    check = mat_mul(mat_mul(mat_transpose(p), g0), p)
-    for i in range(n):
-        for j in range(n):
-            want = diag[i] if i == j else base(0)
-            if check[i][j] != want:
-                raise CertificateFailed("congruence certificate failed")
-    return QuadraticForm(base, diag), [tuple(row) for row in p]
+    one = base(1)
+    entries, p = congruence_diagonalize(
+        g0, one, base(0), lambda x: x, lambda x: not x.is_zero(), (one,)
+    )
+    return QuadraticForm(base, entries), p
 
 
 # ---------------------------------------------------------------------------

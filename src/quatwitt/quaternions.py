@@ -41,6 +41,7 @@ from .fields import (
     FieldElement,
     FiniteField,
     FunctionField,
+    _join_terms,
     poly_deg,
     poly_divmod,
     poly_monic_irreducible_factors,
@@ -381,13 +382,7 @@ class QuaternionElement:
                 terms.append(f"{cs}*{name}")
         if not terms:
             return "0"
-        out = terms[0]
-        for term in terms[1:]:
-            if term.startswith("-"):
-                out += " - " + term[1:]
-            else:
-                out += " + " + term
-        return out
+        return _join_terms(terms)
 
 
 def left_regular_matrix(u: QuaternionElement):

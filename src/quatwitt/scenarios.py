@@ -77,10 +77,10 @@ def build_field(desc):
     if kind == "rationals":
         return Rationals()
     if kind == "finite":
-        if "p" not in desc:
-            raise ScenarioError("finite field descriptor needs 'p'")
+        if not _is_int(desc.get("p")):
+            raise ScenarioError("finite field descriptor needs an integer 'p'")
         try:
-            return FiniteField(int(desc["p"]))
+            return FiniteField(desc["p"])
         except (QuatwittError, ValueError) as e:
             raise ScenarioError(str(e)) from e
     if kind == "function":
@@ -132,10 +132,10 @@ def build_valuation(desc, field):
     if kind == "padic":
         if not isinstance(field, Rationals):
             raise ScenarioError("a p-adic valuation lives on the rationals")
-        if "p" not in desc:
-            raise ScenarioError("p-adic descriptor needs 'p'")
+        if not _is_int(desc.get("p")):
+            raise ScenarioError("p-adic descriptor needs an integer 'p'")
         try:
-            return PAdicValuation(int(desc["p"]))
+            return PAdicValuation(desc["p"])
         except (QuatwittError, ValueError) as e:
             raise ScenarioError(str(e)) from e
     if kind == "gauss":
@@ -163,10 +163,12 @@ def build_valuation(desc, field):
 
 
 def parse_element(field, text) -> FieldElement:
-    if isinstance(text, (int,)):
+    if _is_int(text):
         return field(text)
     if not isinstance(text, str):
-        raise ScenarioError(f"element expression must be a string, got {text!r}")
+        raise ScenarioError(
+            f"element expression must be a string or an integer, got {text!r}"
+        )
     try:
         return field(text)
     except (QuatwittError, ValueError) as e:

@@ -121,8 +121,9 @@ def corrupted_congruence_record(setattr_):
     """run_instance on a split battery instance made non-diagonal by a
     unimodular base change, with a corrupted quaternion matrix product
     installed through setattr_(owner, name, value); the corruption breaks
-    the congruence re-check in diagonalize_h."""
-    from quatwitt import hermitian, scenarios
+    the congruence re-check that diagonalize_h runs in
+    quadforms.congruence_diagonalize."""
+    from quatwitt import quadforms, scenarios
 
     sc = scenarios.load_scenario({
         "field": {"kind": "rationals"},
@@ -136,7 +137,7 @@ def corrupted_congruence_record(setattr_):
     alg = inst.algebra
     moved = inst.form.transform([[alg.one(), alg.one()], [alg.zero(), alg.one()]])
     assert not moved.is_diagonal()
-    product = hermitian.mat_mul
+    product = quadforms.mat_mul
 
     def corrupted(m1, m2):
         out = product(m1, m2)
@@ -144,7 +145,7 @@ def corrupted_congruence_record(setattr_):
         return out
 
     setattr_(scenarios, "generate_instance", lambda _sc, _index: inst._replace(form=moved))
-    setattr_(hermitian, "mat_mul", corrupted)
+    setattr_(quadforms, "mat_mul", corrupted)
     return scenarios.run_instance(sc, 0)
 
 

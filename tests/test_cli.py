@@ -420,6 +420,29 @@ def test_bad_element_expression_is_an_input_error(tmp_path, capsys):
     assert "bad element expression '5x+'" in err
 
 
+@pytest.mark.parametrize(
+    "field, valuation, algebra, message",
+    [
+        (_Q_FIELD, {"kind": "padic", "p": 3}, {"d": True, "t": "-1"}, "got True"),
+        (_Q_FIELD, {"kind": "padic", "p": 3.9}, {"d": "2", "t": "3"}, "integer 'p'"),
+        ({"kind": "finite", "p": 3.9}, None, {"d": "2", "t": "3"}, "integer 'p'"),
+    ],
+    ids=["boolean-element", "float-padic-p", "float-finite-p"],
+)
+def test_json_booleans_and_non_integer_primes_are_input_errors(
+    tmp_path, capsys, field, valuation, algebra, message
+):
+    # JSON true is an int to isinstance, and int() would truncate 3.9
+    sc = {"field": field, "algebra": algebra}
+    if valuation is not None:
+        sc["valuation"] = valuation
+    path = write_scenario(tmp_path, "bad.json", sc)
+    assert main(["residue", "--scenario", path, "--json"]) == EXIT_INPUT
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:") and message in captured.err
+    assert captured.out == ""
+
+
 def test_unsupported_residue_field_is_an_input_error(tmp_path, capsys):
     # Q(s)(u) under a Gauss valuation over a Gauss valuation: the residue
     # field F_3(s)(u) has no splitting decision

@@ -284,6 +284,23 @@ def test_diagonalize_h_repair_path(A23):
     entries, p = diagonalize_h(h)
     assert entries[0] == A23.i() * 2
     assert entries[1] == -A23.i() * A23.base("1/4")
+    assert [[repr(x) for x in row] for row in p] == [
+        ["1", "-1/2 + (-1/4)*i"],
+        ["1", "1/2 + (-1/4)*i"],
+    ]
+    # over (1, 1) the mixers m = 1, 2, 3 give the pivot 2*m*(i + ij), of
+    # reduced norm 0, so the repair reaches the mixer i
+    Q = Rationals()
+    alg = QuaternionAlgebra(Q, Q(1), Q(1))
+    u = alg.one() + alg.i() + alg.ij()
+    zero = alg.zero()
+    h = SkewHermitianForm(alg, [[zero, u], [-u.conj(), zero]])
+    entries, p = diagonalize_h(h)
+    assert [repr(x) for x in entries] == ["2*i - 2*j", "(1/4)*i + (1/4)*j"]
+    assert [[repr(x) for x in row] for row in p] == [
+        ["1", "-1/4 + (-1/2)*i + (-1/4)*ij"],
+        ["i", "1/2 + (-1/4)*i + (-1/4)*j"],
+    ]
 
 
 def test_diagonalize_h_leaves_diagonals_alone(A23):

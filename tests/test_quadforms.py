@@ -62,6 +62,22 @@ def test_diagonalize_hyperbolic_plane(Q):
     assert [str(e) for e in q.entries] == ["2", "-1/2"]
 
 
+@pytest.mark.parametrize(
+    "field, entries, rows",
+    [
+        (Rationals(), ["2", "-1/2", "-12"], [["1", "-1/2", "-3"], ["1", "1/2", "-2"], ["0", "0", "1"]]),
+        (FiniteField(7), ["2", "3", "2"], [["1", "3", "4"], ["1", "4", "5"], ["0", "0", "1"]]),
+    ],
+    ids=["Q", "F7"],
+)
+def test_diagonalize_zero_diagonal_repair_frozen(field, entries, rows):
+    # every diagonal entry is zero, so the first pivot comes from e_0 += e_1
+    gram = [[field(x) for x in row] for row in [[0, 1, 2], [1, 0, 3], [2, 3, 0]]]
+    q, p = diagonalize(field, gram)
+    assert [str(e) for e in q.entries] == entries
+    assert [[str(x) for x in row] for row in p] == rows
+
+
 def test_diagonalize_frozen(Q):
     gram = [[Q(2), Q(1)], [Q(1), Q(2)]]
     q, p = diagonalize(Q, gram)

@@ -130,6 +130,16 @@ def test_bad_descriptors_are_scenario_errors(Q):
         parse_element(Q, "5x+")
     with pytest.raises(ScenarioError):
         build_form({"rows": []}, QuaternionAlgebra(Q, 2, 3))
+    # JSON true is an int to isinstance, and int() would truncate 3.9
+    with pytest.raises(ScenarioError):
+        parse_element(Q, True)
+    with pytest.raises(ScenarioError):
+        build_field({"kind": "conic", "d": False, "t": "3"})
+    for p in (3.9, 3.0, True, "3", None):
+        with pytest.raises(ScenarioError):
+            build_field({"kind": "finite", "p": p})
+        with pytest.raises(ScenarioError):
+            build_valuation({"kind": "padic", "p": p}, Q)
 
 
 # ---------------------------------------------------------------------------
