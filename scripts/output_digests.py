@@ -15,9 +15,13 @@ they run the congruence diagonalization: `witt-equal` on <1, 1, -2, -3>
 over Q, whose search splits off a plane and diagonalizes the complement,
 and `reduce`, `split-reduce` and `certify` on the skew-hermitian Gram
 [[0, u], [-conj(u), 0]] with u = 1 + i + ij over (1, 1) at p = 3, whose
-pivots all have reduced norm 0.  The command line runs in this process
-through `cli.main`, so --jobs 2 forks one child (none where only one CPU
-is usable): at most one extra process runs at a time.
+pivots all have reduced norm 0.  Three more `witt-equal` runs pin the
+isotropy search: <1, 1, 1, 1> over Q at --budget 2000, which spends it
+all, and <2, 3, 6, -1> over Q and <s, 1, 2, 4> over F_7(s), which find
+an isotropic vector late and split off its plane.  The command line
+runs in this process through `cli.main`, so --jobs 2 forks one child
+(none where only one CPU is usable): at most one extra process runs at
+a time.
 """
 
 import argparse
@@ -42,8 +46,9 @@ from quatwitt.batteries import (
 from quatwitt.scenarios import run_instance
 
 _Q = {"kind": "rationals"}
+_F7S = {"kind": "function", "base": {"kind": "finite", "p": 7}, "variable": "s"}
 SINGLE_SHOTS = [
-    ("witt-equal", "Q <1, 1, -2, -3>", {"field": _Q, "first": {"entries": ["1", "1", "-2", "-3"]}}),
+    ("witt-equal", "Q <1, 1, -2, -3>", {"field": _Q, "first": {"entries": ["1", "1", "-2", "-3"]}}, []),
 ] + [
     (command, "(1, 1) gram p=3", {
         "field": _Q,
@@ -54,8 +59,14 @@ SINGLE_SHOTS = [
             [{"w": "-1", "a": "1", "c": "1"}, {}],
         ]},
         "point": ["3/5", "4/5"],
-    })
+    }, [])
     for command in ("reduce", "split-reduce", "certify")
+] + [
+    # the isotropy search: a definite form that spends the whole budget,
+    # and forms whose isotropic vector comes after 1486 and 2451 candidates
+    ("witt-equal", "Q <1,1,1,1> b2000", {"field": _Q, "first": {"entries": ["1", "1", "1", "1"]}}, ["--budget", "2000"]),
+    ("witt-equal", "Q <2, 3, 6, -1>", {"field": _Q, "first": {"entries": ["2", "3", "6", "-1"]}}, []),
+    ("witt-equal", "F7(s) <s, 1, 2, 4>", {"field": _F7S, "first": {"entries": ["s", "1", "2", "4"]}}, []),
 ]
 
 
@@ -106,11 +117,11 @@ def main(argv=None):
                     "--trials", str(args.trials), "--jobs", str(jobs),
                 ])
                 print(f"verify-theorem {label:<18} jobs {jobs} exit {code} {digest}")
-        for command, label, sc in SINGLE_SHOTS:
+        for command, label, sc, extra in SINGLE_SHOTS:
             path = os.path.join(tmp, "single.json")
             with open(path, "w", encoding="utf-8") as fp:
                 json.dump(sc, fp)
-            code, digest = cli_digest([command, "--scenario", path, "--json"])
+            code, digest = cli_digest([command, "--scenario", path, "--json", *extra])
             print(f"{command:<14} {label:<18} exit {code} {digest}")
     return 0
 

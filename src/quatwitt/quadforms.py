@@ -13,7 +13,12 @@ into hyperbolic planes, and `false` only on a complete decision (odd
 rank or the rank-2 discriminant test); a bounded isotropy search runs
 first through exact square tests on entry pairs, then through a small
 deterministic coordinate enumeration, and running out of candidates
-yields `indeterminate`.
+yields `indeterminate`.  The search runs on raw payloads: each
+coordinate's payload is built once per search, each candidate's value
+is summed with the field's own add and mul, and only an isotropic
+vector is wrapped, to split off its hyperbolic plane.  The coordinate
+pool is bounded by the remaining budget, so over F_p(s) no more of its
+p^2 linear polynomials are built than the budget can reach.
 
 The residue forms scale, divide and reduce each entry's payload, with
 the level checked once per form, and the finite-field decision
@@ -333,16 +338,17 @@ def reconstruction(q: QuadraticForm, v) -> QuadraticForm:
 
 
 def _pair_split(base, entries):
-    """Remove <u, w> pairs with -u*w a square until none remains."""
+    """Remove <u, w> pairs with -u*w a square until none remains; the
+    entries are payloads."""
     entries = list(entries)
+    neg, mul, is_square = base.neg, base.mul, base.is_square
     changed = True
     while changed:
         changed = False
         m = len(entries)
         for i in range(m):
             for j in range(i + 1, m):
-                prod = -(entries[i] * entries[j])
-                if base.is_square(prod.value):
+                if is_square(neg(mul(entries[i], entries[j]))):
                     del entries[j]
                     del entries[i]
                     changed = True
@@ -384,43 +390,52 @@ def _complement_gram(base, entries, vec):
     return [[b(zi, zj) for zj in basis] for zi in basis]
 
 
-def _candidate_vectors(base, rank: int):
-    """Deterministic stream of coordinate vectors for the isotropy search."""
+def _pool_vectors(base, coords, rank: int, limit: int):
+    """The nonzero vectors with coordinates in `coords`, in lexicographic
+    order, of which the caller evaluates at most the first `limit`.
+
+    The k-th nonzero vector has index at most k in the product, and a
+    vector's index is at least each of its coordinates' indices; the
+    first limit + 1 vectors of a product over the first limit + 1
+    coordinates are the same as over all of them.  So only those
+    coordinates are taken from the iterable `coords`.
+    """
+    coords = list(itertools.islice(coords, limit + 1))
+    is_zero = base.is_zero
+    for vec in itertools.product(coords, repeat=rank):
+        if not all(map(is_zero, vec)):
+            yield vec
+
+
+def _candidate_vectors(base, rank: int, limit: int):
+    """Deterministic stream of coordinate payload vectors for the isotropy
+    search, of which the caller evaluates at most the first `limit`; each
+    coordinate's payload is built once."""
     if isinstance(base, Rationals):
+        coord = {c: base.from_int(c) for c in range(-7, 8)}
         for radius in range(1, 8):
             span = range(-radius, radius + 1)
             for vec in itertools.product(span, repeat=rank):
-                if max((abs(c) for c in vec), default=0) != radius:
-                    continue
-                yield [base(c) for c in vec]
+                if max(map(abs, vec), default=0) == radius:
+                    yield tuple(map(coord.__getitem__, vec))
     elif isinstance(base, FunctionField) and isinstance(base.base, FiniteField):
-        inner = base.base
-        consts = [base.el(base.constant(c)) for c in inner.elements()]
+        # 0, the nonzero constants, then c0 + c1*s with c1 != 0: p^2
+        # coordinates in all, built lazily, as far as the limit reaches
+        consts = [base.el(base.constant(c)) for c in base.base.elements()]
         gen = base.gen()
-        lin = [c0 + gen * c1 for c0 in consts for c1 in consts[1:]]
-        pool = consts[1:] + lin
-        for vec in itertools.product([consts[0]] + pool, repeat=rank):
-            if all(c.is_zero() for c in vec):
-                continue
-            yield list(vec)
+        lin = ((c0 + gen * c1).value for c0 in consts for c1 in consts[1:])
+        coords = itertools.chain((c.value for c in consts), lin)
+        yield from _pool_vectors(base, coords, rank, limit)
     elif isinstance(base, FunctionField) and isinstance(base.base, Rationals):
         small = [base(c) for c in (-2, -1, 0, 1, 2)]
         gen = base.gen()
         pool = small + [gen, -gen, gen + 1, gen - 1]
-        for vec in itertools.product(pool, repeat=rank):
-            if all(c.is_zero() for c in vec):
-                continue
-            yield list(vec)
+        yield from _pool_vectors(base, (c.value for c in pool), rank, limit)
     elif isinstance(base, ConicExtension):
         ints = [base(c) for c in (0, 1, -1, 2, -2)]
         xg, yg = base.x_gen(), base.y_gen()
         pool = ints + [xg, -xg, yg, -yg, xg + 1, yg + 1, xg + yg]
-        for vec in itertools.product(pool, repeat=rank):
-            if all(c.is_zero() for c in vec):
-                continue
-            yield list(vec)
-    else:
-        return
+        yield from _pool_vectors(base, (c.value for c in pool), rank, limit)
 
 
 def _finite_field_witt(base: FiniteField, entries) -> str:
@@ -433,11 +448,14 @@ def _finite_field_witt(base: FiniteField, entries) -> str:
     mul = base.mul
     disc = base.from_int((-1) ** (m // 2))
     for u in entries:
-        disc = mul(disc, u.value)
+        disc = mul(disc, u)
     return TRUE if base.is_square(disc) else FALSE
 
 
 def _witt(base, entries, budget: int, spent: int):
+    """The verdict on diag(entries), given as payloads, and the candidates
+    spent so far.  Each candidate is evaluated on payloads; only an
+    isotropic vector and the entries are wrapped, to split off its plane."""
     if isinstance(base, FiniteField):
         return _finite_field_witt(base, entries), spent
     entries = _pair_split(base, entries)
@@ -449,15 +467,21 @@ def _witt(base, entries, budget: int, spent: int):
     if m == 2:
         # the pair scan already ruled out a square -u1*u2
         return FALSE, spent
-    form = QuadraticForm(base, entries)
-    for vec in _candidate_vectors(base, m):
+    add, mul, is_zero = base.add, base.mul, base.is_zero
+    zero = base.zero()
+    for vec in _candidate_vectors(base, m, max(budget - spent, 0)):
         if spent >= budget:
             return INDETERMINATE, spent
         spent += 1
-        if form.apply(vec).is_zero():
-            gram = _complement_gram(base, entries, vec)
+        acc = zero
+        for u, c in zip(entries, vec):
+            acc = add(acc, mul(u, mul(c, c)))
+        if is_zero(acc):
+            gram = _complement_gram(
+                base, [base.el(u) for u in entries], [base.el(c) for c in vec]
+            )
             sub, _p = diagonalize(base, gram)
-            return _witt(base, list(sub.entries), budget, spent)
+            return _witt(base, [u.value for u in sub.entries], budget, spent)
     return INDETERMINATE, spent
 
 
@@ -467,5 +491,5 @@ def witt_trivial(q: QuadraticForm, budget: int = DEFAULT_BUDGET) -> Verdict:
     `true` and `false` are proofs; `indeterminate` reports an exhausted
     search budget.
     """
-    state, spent = _witt(q.base, list(q.entries), budget, 0)
+    state, spent = _witt(q.base, [u.value for u in q.entries], budget, 0)
     return Verdict(state, spent)

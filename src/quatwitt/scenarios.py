@@ -241,6 +241,9 @@ def form_descriptor(h: SkewHermitianForm) -> dict:
 def build_quad(desc, field) -> QuadraticForm:
     if not isinstance(desc, dict) or "entries" not in desc:
         raise ScenarioError("quadratic form descriptor needs 'entries'")
+    # a string or an object would be read by character or by key
+    if not isinstance(desc["entries"], (list, tuple)):
+        raise ScenarioError("'entries' must be a list of elements")
     try:
         return QuadraticForm(
             field, [parse_element(field, e) for e in desc["entries"]]

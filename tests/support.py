@@ -166,7 +166,7 @@ def witt_by_ternary_search(q):
     )
 
     base = q.base
-    entries = _pair_split(base, q.entries)
+    entries = [base.el(u) for u in _pair_split(base, [u.value for u in q.entries])]
     m = len(entries)
     if m == 0:
         return Verdict(TRUE)
@@ -182,6 +182,90 @@ def witt_by_ternary_search(q):
     )
     sub, _p = diagonalize(base, _complement_gram(base, entries, vec))
     return witt_by_ternary_search(sub)
+
+
+def _candidate_elements(base, rank):
+    """The isotropy search's candidate stream on FieldElements, with the
+    whole coordinate pool built first and every Q coordinate coerced per
+    candidate."""
+    import itertools
+
+    if isinstance(base, Rationals):
+        for radius in range(1, 8):
+            span = range(-radius, radius + 1)
+            for vec in itertools.product(span, repeat=rank):
+                if max((abs(c) for c in vec), default=0) != radius:
+                    continue
+                yield [base(c) for c in vec]
+        return
+    if isinstance(base, FunctionField) and isinstance(base.base, FiniteField):
+        consts = [base.el(base.constant(c)) for c in base.base.elements()]
+        gen = base.gen()
+        lin = [c0 + gen * c1 for c0 in consts for c1 in consts[1:]]
+        pool = consts + lin
+    elif isinstance(base, FunctionField) and isinstance(base.base, Rationals):
+        gen = base.gen()
+        pool = [base(c) for c in (-2, -1, 0, 1, 2)] + [gen, -gen, gen + 1, gen - 1]
+    elif isinstance(base, ConicExtension):
+        xg, yg = base.x_gen(), base.y_gen()
+        pool = [base(c) for c in (0, 1, -1, 2, -2)] + [xg, -xg, yg, -yg, xg + 1, yg + 1, xg + yg]
+    else:
+        return
+    for vec in itertools.product(pool, repeat=rank):
+        if not all(c.is_zero() for c in vec):
+            yield list(vec)
+
+
+def witt_by_element_search(q, budget=DEFAULT_BUDGET):
+    """witt_trivial's pair scan and isotropy search on FieldElements:
+    each candidate is evaluated by QuadraticForm.apply.  A reference for
+    the payload search in quadforms, over fields that are not finite."""
+    from quatwitt.quadforms import (
+        FALSE,
+        INDETERMINATE,
+        TRUE,
+        QuadraticForm,
+        Verdict,
+        _complement_gram,
+    )
+
+    base = q.base
+
+    def pair_split(entries):
+        entries = list(entries)
+        while True:
+            pair = next(
+                (
+                    (i, j)
+                    for i in range(len(entries))
+                    for j in range(i + 1, len(entries))
+                    if base.is_square((-(entries[i] * entries[j])).value)
+                ),
+                None,
+            )
+            if pair is None:
+                return entries
+            del entries[pair[1]]
+            del entries[pair[0]]
+
+    def search(entries, spent):
+        entries = pair_split(entries)
+        m = len(entries)
+        if m == 0:
+            return TRUE, spent
+        if m % 2 == 1 or m == 2:
+            return FALSE, spent
+        form = QuadraticForm(base, entries)
+        for vec in _candidate_elements(base, m):
+            if spent >= budget:
+                return INDETERMINATE, spent
+            spent += 1
+            if form.apply(vec).is_zero():
+                sub, _p = diagonalize(base, _complement_gram(base, entries, vec))
+                return search(list(sub.entries), spent)
+        return INDETERMINATE, spent
+
+    return Verdict(*search(q.entries, 0))
 
 
 def certificate_by_window_scan(h, v):

@@ -443,6 +443,16 @@ def test_json_booleans_and_non_integer_primes_are_input_errors(
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("entries", ["12", {"1": 0, "2": 0}], ids=["string", "object"])
+def test_non_list_entries_are_input_errors(tmp_path, capsys, entries):
+    # read by character or by key, either would be decided as <1, 2>
+    path = write_scenario(tmp_path, "bad.json", {"field": _Q_FIELD, "first": {"entries": entries}})
+    assert main(["witt-equal", "--scenario", path, "--json"]) == EXIT_INPUT
+    captured = capsys.readouterr()
+    assert captured.err == "error: 'entries' must be a list of elements\n"
+    assert captured.out == ""
+
+
 def test_unsupported_residue_field_is_an_input_error(tmp_path, capsys):
     # Q(s)(u) under a Gauss valuation over a Gauss valuation: the residue
     # field F_3(s)(u) has no splitting decision

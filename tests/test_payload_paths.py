@@ -1,7 +1,7 @@
-"""The certificate, the point reduction and the second residue form run
-on raw payloads.  Each is checked here against a reference on wrapped
-elements from tests/support.py, and the same tests run again under
-python -O."""
+"""The certificate, the point reduction, the second residue form and the
+Witt isotropy search run on raw payloads.  Each is checked here against
+a reference on wrapped elements from tests/support.py, and the same
+tests run again under python -O."""
 
 import os
 import subprocess
@@ -15,10 +15,10 @@ from hypothesis import strategies as st
 
 import support
 from quatwitt import batteries, faults, hermitian
-from quatwitt.fields import FunctionField, Rationals
+from quatwitt.fields import ConicExtension, FiniteField, FunctionField, Rationals
 from quatwitt.hermitian import SkewHermitianForm, good_reduction_certificate
 from quatwitt.morita import _split_reduce_entries
-from quatwitt.quadforms import second_residue_form
+from quatwitt.quadforms import FALSE, INDETERMINATE, QuadraticForm, second_residue_form, witt_trivial
 from quatwitt.quaternions import QuaternionAlgebra
 from quatwitt.valuations import GaussValuation, PAdicValuation
 
@@ -105,3 +105,113 @@ def test_payload_paths_match_their_references_in_optimized_mode():
     )
     assert proc.returncode == 0, proc.stdout[-3000:] + proc.stderr[-3000:]
     assert "7 passed" in proc.stdout
+
+
+# ---------------------------------------------------------------------------
+# the Witt isotropy search
+
+_Q = Rationals()
+_F3S = FunctionField(FiniteField(3), "s")
+_F7S = FunctionField(FiniteField(7), "s")
+_CONIC_23 = ConicExtension(_Q, 2, 3)
+
+# name: (field, entries, budget, (state, searched)); the isotropic cases
+# find a vector, split off its plane and decide the complement, the
+# rank-6 one twice
+_WITT_CASES = {
+    "Q-definite-budget-1": (_Q, ["1", "1", "1", "1"], 1, (INDETERMINATE, 1)),
+    "Q-definite-budget-500": (_Q, ["1", "1", "1", "1"], 500, (INDETERMINATE, 500)),
+    "Q-definite-budget-2000": (_Q, ["1", "1", "1", "1"], 2000, (INDETERMINATE, 2000)),
+    "Q-isotropic": (_Q, ["1", "1", "-2", "-3"], 2000, (FALSE, 2)),
+    "Q-isotropic-twice": (_Q, ["3", "-7", "-5", "1/2", "3", "1"], 300, (FALSE, 253)),
+    "Qs-isotropic": (_QS, ["1", "1", "-2", "s"], 2000, (FALSE, 3)),
+    "Qs-exhausted": (_QS, ["1", "1", "1", "s"], 300, (INDETERMINATE, 300)),
+    "F7s-isotropic": (_F7S, ["s", "1", "2", "4"], 3000, (FALSE, 2451)),
+    "F7s-exhausted": (_F7S, ["1", "s", "s + 1", "s^2 + 2"], 300, (INDETERMINATE, 300)),
+    # its isotropic vector has a linear polynomial for a coordinate
+    "F3s-isotropic": (_F3S, ["2", "s^2 + 1", "2", "s"], 400, (FALSE, 136)),
+    "conic-isotropic": (_CONIC_23, ["1", "1", "-2", "x"], 2000, (FALSE, 1884)),
+    "conic-exhausted": (_CONIC_23, ["x", "y", "1", "1"], 200, (INDETERMINATE, 200)),
+}
+
+
+def _check_witt_search(q, budget):
+    verdict = witt_trivial(q, budget)
+    assert verdict == support.witt_by_element_search(q, budget)
+    return verdict
+
+
+@pytest.mark.parametrize("case", list(_WITT_CASES))
+def test_witt_search_matches_elements(case):
+    field, entries, budget, want = _WITT_CASES[case]
+    q = QuadraticForm(field, [field.parse(e) for e in entries])
+    assert _check_witt_search(q, budget) == want
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_witt_search_matches_elements_at_small_budgets_over_fp_s(p):
+    # the F_p(s) pool is cut to the coordinates the budget can reach;
+    # budgets around p and p^2 cross from the constants into the linear
+    # polynomials and from one coordinate into the next
+    field = FunctionField(FiniteField(p), "s")
+    q = QuadraticForm(field, [field.parse(e) for e in ("1", "s", "s + 1", "s^2 + 2")])
+    for budget in sorted({*range(8), p - 1, p, p + 1, p * p - 1, p * p, p * p + 1}):
+        _check_witt_search(q, budget)
+
+
+def _even_rank(entries):
+    # odd ranks and rank 2 are decided before any search
+    return st.sampled_from([4, 6]).flatmap(lambda m: st.lists(entries, min_size=m, max_size=m))
+
+
+_SMALL_Q = st.one_of(st.integers(-5, 5).filter(bool).map(Fraction), support.nonzero_fractions(9, 4))
+
+
+@given(_even_rank(_SMALL_Q), st.integers(0, 300))
+def test_witt_search_matches_elements_on_random_forms_over_q(entries, budget):
+    _check_witt_search(QuadraticForm(_Q, [_Q(e) for e in entries]), budget)
+
+
+@given(
+    _even_rank(support.nonzero_rational_functions(_QS, max_deg=1, coeffs=st.integers(-3, 3))),
+    st.integers(0, 400),
+)
+def test_witt_search_matches_elements_on_random_forms_over_q_s(entries, budget):
+    _check_witt_search(QuadraticForm(_QS, entries), budget)
+
+
+# over F_7(s) no isotropic vector comes before candidate 49^2, so F_3(s)
+# (9 coordinates) is where random forms split planes within the budget
+@pytest.mark.parametrize("p, top", [(3, 300), (7, 100)])
+@given(data=st.data())
+def test_witt_search_matches_elements_on_random_forms_over_fp_s(p, top, data):
+    field = {3: _F3S, 7: _F7S}[p]
+    coeffs = st.integers(0, p - 1)
+    entries = data.draw(
+        st.lists(support.nonzero_rational_functions(field, max_deg=1, coeffs=coeffs), min_size=4, max_size=4),
+        label="entries",
+    )
+    _check_witt_search(QuadraticForm(field, entries), data.draw(st.integers(0, top), label="budget"))
+
+
+def test_witt_search_matches_elements_in_optimized_mode():
+    tests = Path(__file__).resolve().parent
+    src = Path(hermitian.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(src), str(tests)]))
+    # every search test above is fault-free
+    code = (
+        "import sys, pytest\n"
+        "if not sys.flags.optimize: sys.exit('not optimized')\n"
+        f"sys.exit(pytest.main(['-q', '-p', 'no:cacheprovider', {__file__!r}, "
+        "'-k', 'witt_search_matches_elements and not optimized']))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", code],
+        capture_output=True,
+        text=True,
+        env=env,
+        cwd=tests.parent,
+        timeout=600,
+    )
+    assert proc.returncode == 0, proc.stdout[-3000:] + proc.stderr[-3000:]
+    assert f"{len(_WITT_CASES) + 7} passed" in proc.stdout

@@ -301,6 +301,18 @@ def test_witt_decision_over_a_large_prime_is_fast(entries):
         assert verdict.state == TRUE
 
 
+@pytest.mark.parametrize("p", [509, 4001])
+def test_witt_search_over_a_large_f_p_s_does_not_stall(p):
+    # the candidate coordinates are cut to what the budget reaches, so the
+    # p^2 linear polynomials are never all built
+    F = FunctionField(FiniteField(p), "s")
+    q = QuadraticForm(F, [F.parse(e) for e in ("1", "s", "s + 1", "s^2 + 2")])
+    start = time.perf_counter()
+    verdict = witt_trivial(q, budget=1)
+    assert time.perf_counter() - start < 1.0
+    assert verdict == (INDETERMINATE, 1)
+
+
 def test_is_unramified(Q, v3):
     assert support.is_unramified(qform(Q, 2, 15, 18, Fraction(1, 3)), v3).state == TRUE
     assert support.is_unramified(qform(Q, 1, 3), v3).state == FALSE

@@ -130,6 +130,9 @@ def test_bad_descriptors_are_scenario_errors(Q):
         parse_element(Q, "5x+")
     with pytest.raises(ScenarioError):
         build_form({"rows": []}, QuaternionAlgebra(Q, 2, 3))
+    for entries in ("12", {"1": 0, "2": 0}):
+        with pytest.raises(ScenarioError):
+            build_quad({"entries": entries}, Q)
     # JSON true is an int to isinstance, and int() would truncate 3.9
     with pytest.raises(ScenarioError):
         parse_element(Q, True)
