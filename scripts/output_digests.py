@@ -18,7 +18,11 @@ and `reduce`, `split-reduce` and `certify` on the skew-hermitian Gram
 pivots all have reduced norm 0.  Three more `witt-equal` runs pin the
 isotropy search: <1, 1, 1, 1> over Q at --budget 2000, which spends it
 all, and <2, 3, 6, -1> over Q and <s, 1, 2, 4> over F_7(s), which find
-an isotropic vector late and split off its plane.  The command line
+an isotropic vector late and split off its plane.  Two more pin the
+printer's lower levels: `reduce` over F_7(s) on the algebra (3, s),
+whose entries are conic elements over F_7(s)(x), and `residue-forms`
+over Q(s) at the Gauss 3-adic valuation on entries with denominators,
+whose residues print over F_3(s).  The command line
 runs in this process through `cli.main`, so --jobs 2 forks one child
 (none where only one CPU is usable): at most one extra process runs at
 a time.
@@ -67,6 +71,18 @@ SINGLE_SHOTS = [
     ("witt-equal", "Q <1,1,1,1> b2000", {"field": _Q, "first": {"entries": ["1", "1", "1", "1"]}}, ["--budget", "2000"]),
     ("witt-equal", "Q <2, 3, 6, -1>", {"field": _Q, "first": {"entries": ["2", "3", "6", "-1"]}}, []),
     ("witt-equal", "F7(s) <s, 1, 2, 4>", {"field": _F7S, "first": {"entries": ["s", "1", "2", "4"]}}, []),
+    # the printer below Q(s)(x): conic elements over F_7(s)(x), and
+    # residues over F_3(s) of Q(s) entries with shared denominators
+    ("reduce", "F7(s) (3, s)", {
+        "field": _F7S,
+        "algebra": {"d": "3", "t": "s"},
+        "form": {"diag": [{"a": "s", "b": "1", "c": "2"}, {"a": "2", "b": "s + 3", "c": "s"}]},
+    }, []),
+    ("residue-forms", "Q(s) gauss p=3", {
+        "field": {"kind": "function", "base": _Q, "variable": "s"},
+        "valuation": {"kind": "gauss", "inner": {"kind": "padic", "p": 3}},
+        "quad": {"entries": ["(3*s^2 - 1)/(s + 2)", "-(s^3 + 6)/(3*s + 3)", "9*s/(2*s^2 - 1)", "(s - 1/3)/(27*s + 6)"]},
+    }, []),
 ]
 
 

@@ -337,13 +337,9 @@ def run_batch(sc: dict, trials: int, fault_names=(), budget=None, jobs: int = 1)
             os.close(read)
             os.kill(pid, 9)  # SIGKILL
             os.waitpid(pid, 0)
-    counts = {
-        "verified": 0,
-        "refuted": 0,
-        "hypothesis_failed": 0,
-        "indeterminate": 0,
-        "error": 0,
-    }
+    counts = dict.fromkeys(
+        ("verified", "refuted", "hypothesis_failed", "indeterminate", "error"), 0
+    )
     counterexample = None
     for record in records:
         bucket = _classify(record)

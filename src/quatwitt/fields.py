@@ -38,8 +38,10 @@ denominator and cancels only what can still be shared, inv swaps N and
 D.  The gcds go by the primitive pseudo-remainder sequence and are
 divided out exactly.  A sum or product of two polynomials, D = 1 on both
 sides, is one integer pass plus one content, with no polynomial gcd: a
-product of primitive polynomials is primitive (Gauss's lemma).  to_str
-prints the triple from its integers.
+product of primitive polynomials is primitive (Gauss's lemma).  So is
+eval_diagonal, the value sum k_i*x_i^2 of a diagonal form such as the
+reduced norm, on polynomials; over Q it is one pass over a common
+denominator, elsewhere a loop of mul and add.
 num_den gives the pair (num, den) of Rationals payload tuples with den
 monic, for the few callers that need monic coefficients: sqrt, the
 parser's power cost and the transported conic valuation.  Other bases,
@@ -48,7 +50,10 @@ algorithm over the base field.
 
 Characteristic 2 is rejected everywhere.  Elements parse from a small
 expression grammar (integers, the tower's symbols, + - * / ^, parentheses)
-and print back in a form the parser accepts.
+and print back in a form the parser accepts, in one pass down the tower:
+each level writes its terms into one list and tells the level above the
+shape of what it wrote, so no text is scanned again, and a denominator
+shared by an element's coefficients is written once.
 """
 
 from __future__ import annotations
@@ -93,45 +98,22 @@ class FieldElement:
             return FieldElement(self.field, self.field.from_fraction(other))
         return None
 
-    def __add__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return FieldElement(self.field, self.field.add(self.value, o.value))
+    def _operator(name, reflected=False):
+        # through the field's method `name`; reflected takes other first
+        def op(self, other):
+            o = self._coerce(other)
+            if o is None:
+                return NotImplemented
+            a, b = (o.value, self.value) if reflected else (self.value, o.value)
+            return FieldElement(self.field, getattr(self.field, name)(a, b))
 
-    __radd__ = __add__
+        return op
 
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return FieldElement(self.field, self.field.sub(self.value, o.value))
-
-    def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return FieldElement(self.field, self.field.sub(o.value, self.value))
-
-    def __mul__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return FieldElement(self.field, self.field.mul(self.value, o.value))
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return FieldElement(self.field, self.field.div(self.value, o.value))
-
-    def __rtruediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return FieldElement(self.field, self.field.div(o.value, self.value))
+    __add__ = __radd__ = _operator("add")
+    __sub__, __rsub__ = _operator("sub"), _operator("sub", True)
+    __mul__ = __rmul__ = _operator("mul")
+    __truediv__, __rtruediv__ = _operator("div"), _operator("div", True)
+    del _operator
 
     def __neg__(self):
         return FieldElement(self.field, self.field.neg(self.value))
@@ -184,10 +166,26 @@ class _FieldBase:
     def el(self, value):
         return FieldElement(self, value)
 
-    def _to_str(self, a, memo):
-        """to_str inside a larger element's printing; the levels that
-        print denominators share `memo` (see FunctionField._to_str)."""
-        return self.to_str(a)
+    # a level defines to_str or _write (see _poly_terms), or both
+    def to_str(self, a):
+        out = []
+        self._write(a, {}, out)
+        return "".join(out)
+
+    def _write(self, a, memo, out):
+        # a number: a factor, with its sign
+        s = self.to_str(a)
+        out.append(s)
+        return s[0] == "-"
+
+    def eval_diagonal(self, ks, xs):
+        """The value sum k_i*x_i^2 of the diagonal form <k_1, ..., k_n> at
+        x, on payloads, by the field's own mul and add."""
+        add, mul = self.add, self.mul
+        out = self.zero()
+        for k, x in zip(ks, xs):
+            out = add(out, mul(k, mul(x, x)))
+        return out
 
     # each level builds its constants 0 and 1 once; payloads are
     # immutable, so they are shared
@@ -340,6 +338,18 @@ class Rationals(_FieldBase):
         if rn * rn != n or rd * rd != d:
             raise NotASquare(f"{self.to_str(a)} is not a rational square")
         return (rn, rd)
+
+    def eval_diagonal(self, ks, xs):
+        # one pass over the common denominator of the terms, one gcd
+        n, q = 0, 1
+        for (kn, kd), (xn, xd) in zip(ks, xs):
+            if xn:
+                a, m = kn * xn * xn, kd * xd * xd
+                if m != q:
+                    g = gcd(q, m)
+                    n, a, q = n * (m // g), a * (q // g), q * (m // g)
+                n += a
+        return _q_frac(n, q)
 
     def to_str(self, a):
         n, d = a
@@ -752,81 +762,85 @@ def _z_cancel(f, g):
     return _z_exquo(f, h), _z_exquo(g, h)
 
 
-def _join_terms(terms):
-    out = terms[0]
-    for s in terms[1:]:
-        if s.startswith("-"):
-            out += " - " + s[1:]
-        else:
-            out += " + " + s
-    return out
+# ---------------------------------------------------------------------------
+# printing
+#
+# Each level's _write(a, memo, out) appends the text of a payload to the
+# list out and returns its shape: 0 for a factor (after an optional minus
+# only letters, digits, _, / and ^), 2 for a term (no + or - after that
+# minus), 4 for anything else; plus 1 when the text starts with a minus,
+# which then opens the first piece.  memo is shared by an element's levels.
 
 
-_SAFE_CHARS = frozenset("0123456789abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ_/^")
-
-
-def _factor_safe(s: str) -> bool:
-    body = s[1:] if s.startswith("-") else s
-    return bool(body) and _SAFE_CHARS.issuperset(body)
-
-
-def _term_safe(s: str) -> bool:
-    body = s[1:] if s.startswith("-") else s
-    return bool(body) and "+" not in body and "-" not in body
-
-
-def _q_poly_to_str(p: int, q: int, cs, var: str) -> str:
-    """poly_to_str over Rationals of (p/q)*cs, for an integer polynomial cs
-    and q > 0, written from integers: each coefficient is reduced by one
-    gcd, and a rational is always term- and factor-safe, so none is
-    parenthesised."""
-    terms = []
-    for k in range(len(cs) - 1, -1, -1):
-        if not cs[k]:
-            continue
-        n, m = _q_frac(p * cs[k], q)
-        if k == 0:
-            terms.append(str(n) if m == 1 else f"{n}/{m}")
-            continue
-        vp = var if k == 1 else f"{var}^{k}"
-        if m != 1:
-            terms.append(f"{n}/{m}*{vp}")
-        elif n == 1:
-            terms.append(vp)
-        elif n == -1:
-            terms.append("-" + vp)
-        else:
-            terms.append(f"{n}*{vp}")
-    return _join_terms(terms)
-
-
-def poly_to_str(base, cs, var: str) -> str:
-    return _poly_to_str(base, cs, var, base.to_str)
-
-
-def _poly_to_str(base, cs, var: str, coeff_str) -> str:
-    """poly_to_str printing each nonzero coefficient by coeff_str."""
+def _poly_terms(cs, var: str, var_shape: int, out, base=None, memo=None, p=1, q=1) -> int:
+    """Write the polynomial cs term by term: over base, each nonzero
+    coefficient by base._write; with no base, cs holds integers and a
+    coefficient c is written as the rational (p/q)*c, reduced by one gcd,
+    which is a factor.  A coefficient 1 or -1 of a power is left out, one
+    that is not a factor is parenthesised before a power, and a constant
+    term that is not a term is parenthesised."""
     if not cs:
-        return "0"
-    terms = []
+        out.append("0")
+        return 0
+    zero = 0 if base is None else base.zero()
+    shape = -1
     for k in range(len(cs) - 1, -1, -1):
         c = cs[k]
-        if base.is_zero(c):
+        if c == zero:
             continue
-        cstr = coeff_str(c)
-        if k == 0:
-            terms.append(cstr if _term_safe(cstr) else "(" + cstr + ")")
+        if shape >= 0:
+            out.append(" + ")
+        if base is None:
+            # the whole term in one piece, its sign in the separator
+            n, m = p * c, q
+            if q != 1:
+                g = gcd(n, q)
+                n, m = n // g, q // g
+            if shape >= 0:
+                shape = 4 | (shape & 1)
+                if n < 0:
+                    out[-1] = " - "
+                    n = -n
+            num = str(n) if m == 1 else f"{n}/{m}"
+            if not k:
+                out.append(num)
+                term = 0
+            elif num == "1" or num == "-1":
+                out.append(num[:-1] + (var if k == 1 else f"{var}^{k}"))
+                term = var_shape
+            else:
+                out.append(f"{num}*{var}" if k == 1 else f"{num}*{var}^{k}")
+                term = 2
+            if shape < 0:
+                shape = term | (n < 0)
             continue
-        vp = var if k == 1 else f"{var}^{k}"
-        if cstr == "1":
-            terms.append(vp)
-        elif cstr == "-1":
-            terms.append("-" + vp)
-        elif _factor_safe(cstr):
-            terms.append(cstr + "*" + vp)
+        at = len(out)
+        s = base._write(c, memo, out)
+        if k:
+            vp = var if k == 1 else f"{var}^{k}"
+            if s > 1:
+                out.insert(at, "(")
+                out.append(")*" + vp)
+                s = 2 if s == 2 else 4
+            elif len(out) == at + 1 and out[at] in ("1", "-1"):
+                out[at] = out[at][:-1] + vp
+                s |= var_shape
+            else:
+                out.append("*" + vp)
+                s |= 2
+        elif s > 3:
+            out.insert(at, "(")
+            out.append(")")
+            s = 4
+        if shape < 0:
+            shape = s
         else:
-            terms.append("(" + cstr + ")*" + vp)
-    return _join_terms(terms)
+            # a later term's minus becomes the separator
+            shape = 4 | (shape & 1)
+            if s & 1:
+                out[at - 1] = " - "
+                out[at] = out[at][1:]
+    return shape
 
 
 class FunctionField(_FieldBase):
@@ -839,6 +853,8 @@ class FunctionField(_FieldBase):
             raise ValueError(f"variable {var!r} shadows a symbol of {base}")
         self.base = base
         self.var = var
+        # the shape of the bare variable (see _poly_terms): outside ASCII, a term
+        self._var_shape = 0 if var.isascii() else 2
         self.characteristic = base.characteristic
         # over Q, payloads are (c, N, D) triples run on the integer kernel
         self._over_q = isinstance(base, Rationals)
@@ -1070,40 +1086,58 @@ class FunctionField(_FieldBase):
             raise NotASquare(f"{self.to_str(a)} is not a square in {self}")
         return self.make(rn, rd)
 
-    def to_str(self, a):
-        return self._to_str(a, {})
-
-    def _to_str(self, a, memo):
-        # memo maps (var, denominator) to its string, so that an element
-        # whose coefficients share a denominator prints it once; the var
-        # keeps the levels of a tower apart
-        var = self.var
+    def eval_diagonal(self, ks, xs):
         if self._over_q:
-            # num_den's pair is (c/lc(D))*N over (1/lc(D))*D
-            (p, q), n, d = a
-            if not n:
-                return "0"
-            lc = d[-1]
-            ns = _q_poly_to_str(p, q * lc, n, var)
-            if len(d) == 1:
-                return ns
-            ds = memo.get((var, d))
-            if ds is None:
-                ds = memo[var, d] = _q_poly_to_str(1, lc, d, var)
-            return f"({ns})/({ds})"
-        base = self.base
-        num, den = a
+            # polynomial operands (D = 1): the products k*x^2 summed over
+            # the common denominator q of their contents in one integer
+            # pass, then one content; a fraction sends all to the loop
+            q, top = 1, []
+            for (ck, nk, dk), (cx, nx, dx) in zip(ks, xs):
+                if len(dk) + len(dx) > 2:
+                    break
+                n, m = ck[0] * cx[0] * cx[0], ck[1] * cx[1] * cx[1]
+                if not n:
+                    continue
+                if m != q:
+                    g = gcd(q, m)
+                    top = [a * (m // g) for a in top]
+                    n, q = n * (q // g), q * (m // g)
+                f = _z_mul(nx, nx)
+                if len(nk) > 1:
+                    f = _z_mul(nk, f)
+                top += [0] * (len(f) - len(top))
+                for i, a in enumerate(f):
+                    top[i] += n * a
+            else:
+                if not _z_trim(top):
+                    return self._zero
+                k, top = _z_content(top)
+                return (_q_frac(k, q), tuple(top), (1,))
+        return _FieldBase.eval_diagonal(self, ks, xs)
 
-        def coeff_str(c):
-            return base._to_str(c, memo)
-
-        ns = _poly_to_str(base, num, var, coeff_str)
-        if den == (base.one(),):
-            return ns
+    def _write(self, a, memo, out):
+        # memo maps (var, denominator) to its text and whether that text
+        # has no sign at all, so that an element whose coefficients share
+        # a denominator writes it once; the var keeps the levels apart.  A
+        # denominator of length 1 is 1: monic, or over Q primitive
+        var, vs = self.var, self._var_shape
+        if self._over_q:
+            # num_den's pair is (c/lc(D))*N over (1/lc(D))*D, from integers
+            (p, q), num, den = a
+            base, lc, q = None, den[-1], q * den[-1]
+        else:
+            (num, den), base, p, q, lc = a, self.base, 1, 1, 1
+        if len(den) == 1:
+            return _poly_terms(num, var, vs, out, base, memo, p, q)
+        out.append("(")
+        s = _poly_terms(num, var, vs, out, base, memo, p, q)
         ds = memo.get((var, den))
         if ds is None:
-            ds = memo[var, den] = _poly_to_str(base, den, var, coeff_str)
-        return f"({ns})/({ds})"
+            buf = []
+            clean = _poly_terms(den, var, vs, buf, base, memo, 1, lc) in (0, 2)
+            ds = memo[var, den] = ("".join(buf), clean)
+        out.append(f")/({ds[0]})")
+        return 2 if ds[1] and s in (0, 2) else 4
 
 
 class ConicExtension(_FieldBase):
@@ -1118,13 +1152,9 @@ class ConicExtension(_FieldBase):
     """
 
     def __init__(self, base, d, t):
-        if isinstance(d, FieldElement):
+        if isinstance(d, (FieldElement, int, Fraction)):
             d = base(d).value
-        elif isinstance(d, (int, Fraction)):
-            d = base(d).value
-        if isinstance(t, FieldElement):
-            t = base(t).value
-        elif isinstance(t, (int, Fraction)):
+        if isinstance(t, (FieldElement, int, Fraction)):
             t = base(t).value
         if base.is_zero(d) or base.is_zero(t):
             raise ValueError("conic parameters d, t must be nonzero")
@@ -1271,28 +1301,11 @@ class ConicExtension(_FieldBase):
                 return cand
         raise NotASquare(f"{self.to_str(a)} is not a square")
 
-    def to_str(self, a):
-        # one memo for both parts, so a denominator A and B share is
-        # printed once (see FunctionField._to_str)
-        inner = self.inner
-        A, B = a
-        memo = {}
-        if inner.is_zero(B):
-            return inner._to_str(A, memo)
-        bs = inner._to_str(B, memo)
-        if bs == "1":
-            ypart = "y"
-        elif bs == "-1":
-            ypart = "-y"
-        elif _factor_safe(bs):
-            ypart = bs + "*y"
-        else:
-            ypart = "(" + bs + ")*y"
-        if inner.is_zero(A):
-            return ypart
-        astr = inner._to_str(A, memo)
-        aterm = astr if _term_safe(astr) else "(" + astr + ")"
-        return _join_terms([ypart, aterm])
+    def _write(self, a, memo, out):
+        # A + B*y prints as the polynomial B*y + A, a bare A as itself
+        if self.inner.is_zero(a[1]):
+            return self.inner._write(a[0], memo, out)
+        return _poly_terms(a, "y", 0, out, self.inner, memo)
 
 
 # ---------------------------------------------------------------------------

@@ -254,6 +254,8 @@ class GoodReductionCertificate(NamedTuple):
     diagonal: Tuple[QuaternionElement, ...]
     scaled_diagonal: Optional[Tuple[QuaternionElement, ...]]
     ramification_report: RamificationReport
+    # the least value of a nonzero coordinate of each scaled entry
+    entry_min_values: Optional[Tuple[int, ...]]
 
     @property
     def certified(self) -> bool:
@@ -278,11 +280,12 @@ def good_reduction_certificate(h: SkewHermitianForm, v) -> GoodReductionCertific
     unimodular integral model at v.
 
     Certified needs every scaled entry to have extended value 0 with all
-    coordinates of value >= 0.  Scaling by pi^m adds m to every extended
-    value, so only a common integral entry value e can be cleared, and
-    only by m = -e (`common_integral_value`).  The algebra must be
-    unramified at v; the certificate carries the ramification report that
-    establishes it.  NoCertificate says only that this diagonalization
+    coordinates of value >= 0; the certificate keeps each entry's least
+    coordinate value for the verifier.  Scaling by pi^m adds m to every
+    extended value, so only a common integral entry value e can be
+    cleared, and only by m = -e (`common_integral_value`).  The algebra
+    must be unramified at v; the certificate carries the ramification
+    report that establishes it.  NoCertificate says only that this diagonalization
     has no such scaling; it is not a proof of bad reduction.
 
     The certificate depends only on the form, v and the fault state, and
@@ -319,14 +322,11 @@ def _certify(h: SkewHermitianForm, v) -> GoodReductionCertificate:
             lam = v.uniformizer**m
             scaled = tuple(u * lam for u in entries)
         # extvals checked the level of the entries, which the scaled
-        # entries share, so their coordinates are valued as payloads
-        value = v._value
-        if all(vn == 0 for vn in nrd_values(v, scaled)) and all(
-            value(c.value) >= 0 for u in scaled for c in u.coeffs
-        ):
-            return GoodReductionCertificate(
-                CERTIFIED, m, evals, entries, scaled, report
-            )
-    return GoodReductionCertificate(
-        NO_CERTIFICATE, None, evals, entries, None, report
-    )
+        # entries share, so their coordinates are valued as payloads; an
+        # entry of nrd value 0 is nonzero, and a zero coordinate passes
+        val, iz = v._value, h.algebra.base.is_zero
+        if all(vn == 0 for vn in nrd_values(v, scaled)):
+            mins = tuple(min([val(c.value) for c in u.coeffs if not iz(c.value)]) for u in scaled)
+            if min(mins) >= 0:
+                return GoodReductionCertificate(CERTIFIED, m, evals, entries, scaled, report, mins)
+    return GoodReductionCertificate(NO_CERTIFICATE, None, evals, entries, None, report, None)

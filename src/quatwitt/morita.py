@@ -202,9 +202,9 @@ def _split_reduce_entries(alg: QuaternionAlgebra, entries, point) -> QuadraticFo
     base = alg.base
     x0 = base(point[0])
     y0 = base(point[1])
-    add, sub, mul, div = base.add, base.sub, base.mul, base.div
+    sub, mul, div = base.sub, base.mul, base.div
     x, y = x0.value, y0.value
-    if add(mul(mul(alg.d.value, x), x), mul(mul(alg.t.value, y), y)) != base.from_int(1):
+    if base.eval_diagonal((alg.d.value, alg.t.value), (x, y)) != base.one():
         raise NotOnConic(f"({x0!r}, {y0!r}) does not satisfy the conic equation")
     out = []
     for u in entries:
@@ -325,14 +325,9 @@ def verify_instance(
         raise HypothesisNotCertified(
             f"no unimodular scaling found; entry values {cert.extvals}"
         )
+    # the certificate checked the base level and valued the entries'
+    # coordinates; each level is checked once, and payloads valued directly
     entries = cert.scaled_diagonal
-    # each level is checked once, and the payloads are valued directly
-    base = h.algebra.base
-    v.check_field(base)
-    value, iz = v._value, base.is_zero
-    min_values = tuple(
-        min([value(c.value) for c in u.coeffs if not iz(c.value)]) for u in entries
-    )
     if route == "conic":
         vtil = extend_valuation(v, h.algebra)
         quad = _reduce_diagonal(h.algebra, entries)
@@ -348,7 +343,7 @@ def verify_instance(
                     "no small rational point found; supply one explicitly"
                 )
         quad = _split_reduce_entries(h.algebra, entries, point)
-        values = tuple([value(u.value) for u in quad.entries])
+        values = tuple([v._value(u.value) for u in quad.entries])
         second = second_residue_form(quad, v, values)
         used_point = (h.algebra.base(point[0]), h.algebra.base(point[1]))
     else:
@@ -359,7 +354,7 @@ def verify_instance(
         scaling=cert.scaling,
         extvals=cert.extvals,
         certified_diagonal=entries,
-        entry_min_values=min_values,
+        entry_min_values=cert.entry_min_values,
         route=route,
         point=used_point,
         quad=quad,

@@ -93,11 +93,10 @@ class QuadraticForm:
     def apply(self, vec) -> FieldElement:
         if len(vec) != self.rank:
             raise DimensionMismatch(f"vector length {len(vec)} != rank {self.rank}")
-        out = self.base(0)
-        for u, c in zip(self.entries, vec):
-            c = self.base(c)
-            out = out + u * c * c
-        return out
+        base = self.base
+        return base.el(base.eval_diagonal(
+            [u.value for u in self.entries], [base(c).value for c in vec]
+        ))
 
     def __eq__(self, other):
         return (
@@ -136,10 +135,6 @@ def mat_mul(m1, m2):
             row.append(acc)
         out.append(row)
     return out
-
-
-def mat_transpose(m):
-    return [list(col) for col in zip(*m)]
 
 
 def mat_det(base, m):

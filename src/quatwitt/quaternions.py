@@ -7,9 +7,11 @@ have characteristic different from 2, which every tower field satisfies
 by construction.
 
 Element arithmetic runs on the base field's raw payloads: add, sub, neg,
-conj, is_zero, is_scalar, nrd, inv and mul read each coordinate's
-`.value`, call the base field's add, sub, mul, neg and is_zero, and wrap
-only the result coordinates (or the one nrd) as FieldElements.  A
+conj, is_zero, is_scalar, inv and mul read each coordinate's `.value`,
+call the base field's add, sub, mul, neg and is_zero, and wrap only the
+result coordinates as FieldElements.  nrd is one evaluation of the norm
+form <1, -d, -t, d*t> at the coordinates by the base field's
+eval_diagonal, and wraps only the norm.  A
 central scalar operand, a scalar quaternion or a bare element of the
 base, scales the coordinates; the scalar 1 returns the other operand.
 The field methods are looked up on every operation, so a rebound field
@@ -19,9 +21,10 @@ elements, wrap the base field's shared payloads.  Extended values
 (`nrd_values`, `extvals`) and the ramification report check the
 valuation's level once and then value payloads.
 
-Nothing is cached on a QuaternionAlgebra: an element points back to its
-algebra, so an element kept on the algebra would make every drawn
-algebra cyclic garbage, freed only by the cycle collector.
+No element is cached on a QuaternionAlgebra, only the payloads of its
+norm form: an element points back to its algebra, so an element kept on
+the algebra would make every drawn algebra cyclic garbage, freed only by
+the cycle collector.
 """
 
 from __future__ import annotations
@@ -41,7 +44,6 @@ from .fields import (
     FieldElement,
     FiniteField,
     FunctionField,
-    _join_terms,
     poly_deg,
     poly_divmod,
     poly_monic_irreducible_factors,
@@ -60,9 +62,10 @@ MEMO_SIZE = 64
 
 
 class QuaternionAlgebra:
-    """The quaternion algebra (d, t) over a base field."""
+    """The quaternion algebra (d, t) over a base field, with the payloads
+    (1, -d, -t, d*t) of its reduced norm form."""
 
-    __slots__ = ("base", "d", "t")
+    __slots__ = ("base", "d", "t", "norm_form")
 
     def __init__(self, base, d, t):
         d = base(d)
@@ -72,6 +75,8 @@ class QuaternionAlgebra:
         self.base = base
         self.d = d
         self.t = t
+        dv, tv = d.value, t.value
+        self.norm_form = (base.one(), base.neg(dv), base.neg(tv), base.mul(dv, tv))
 
     def el(self, w=0, a=0, b=0, c=0) -> "QuaternionElement":
         base = self.base
@@ -322,16 +327,11 @@ class QuaternionElement:
 
     def nrd(self) -> FieldElement:
         if self._nrd is None:
+            # w^2 - d*a^2 - t*b^2 + d*t*c^2, the norm form at the coordinates
             alg = self.algebra
-            base = alg.base
-            sub, mul = base.sub, base.mul
             w, a, b, c = self.coeffs
-            w, a, b, c = w.value, a.value, b.value, c.value
-            t = alg.t.value
-            # w^2 - d*a^2 - t*b^2 + d*t*c^2
-            self._nrd = FieldElement(base, sub(
-                sub(mul(w, w), mul(alg.d.value, sub(mul(a, a), mul(t, mul(c, c))))),
-                mul(t, mul(b, b)),
+            self._nrd = FieldElement(alg.base, alg.base.eval_diagonal(
+                alg.norm_form, (w.value, a.value, b.value, c.value)
             ))
         return self._nrd
 
@@ -382,7 +382,7 @@ class QuaternionElement:
                 terms.append(f"{cs}*{name}")
         if not terms:
             return "0"
-        return _join_terms(terms)
+        return terms[0] + "".join(" - " + s[1:] if s[0] == "-" else " + " + s for s in terms[1:])
 
 
 def left_regular_matrix(u: QuaternionElement):

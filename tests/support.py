@@ -296,8 +296,9 @@ def certificate_by_window_scan(h, v):
             continue
         if any(v.value(c) < 0 for u in scaled for c in u.coeffs):
             continue
-        return GoodReductionCertificate(CERTIFIED, m, evals, entries, scaled, report)
-    return GoodReductionCertificate(NO_CERTIFICATE, None, evals, entries, None, report)
+        mins = tuple(min(v.value(c) for c in u.coeffs if not c.is_zero()) for u in scaled)
+        return GoodReductionCertificate(CERTIFIED, m, evals, entries, scaled, report, mins)
+    return GoodReductionCertificate(NO_CERTIFICATE, None, evals, entries, None, report, None)
 
 
 def is_unramified(q, v, budget=DEFAULT_BUDGET):
@@ -511,6 +512,10 @@ class FractionRationals:
         return str(a)
 
 
+def mat_transpose(m):
+    return [list(col) for col in zip(*m)]
+
+
 def q_fraction(payload):
     """The Fraction of a Rationals payload, which must be canonical: a
     pair of ints (n, d) with d > 0 and gcd(n, d) = 1."""
@@ -557,8 +562,6 @@ def to_str_by_num_den(field, payload):
     num_den pair, as Fraction coefficient tuples, through poly_to_str over
     FractionRationals: the printing rule the integer renderer must
     reproduce byte for byte."""
-    from quatwitt.fields import poly_to_str
-
     Q = FractionRationals()
     num, den = q_fraction_form(field.num_den(payload))
     ns = poly_to_str(Q, num, field.var)
@@ -567,81 +570,122 @@ def to_str_by_num_den(field, payload):
     return f"({ns})/({poly_to_str(Q, den, field.var)})"
 
 
-def _join_terms_by_sign(terms):
+# A string printer: terms joined by their signs, each coefficient
+# parenthesised by a scan of its text.  The library's one-pass printer,
+# which reads shapes instead of text, must match it byte for byte.
+
+
+def _join_terms(terms):
     out = terms[0]
     for s in terms[1:]:
-        out += " - " + s[1:] if s.startswith("-") else " + " + s
+        if s.startswith("-"):
+            out += " - " + s[1:]
+        else:
+            out += " + " + s
     return out
 
 
-def _unsigned(s):
-    return s[1:] if s.startswith("-") else s
+_SAFE_CHARS = frozenset("0123456789abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ_/^")
 
 
-def _term_safe_by_chars(s):
-    body = _unsigned(s)
-    return bool(body) and not any(ch in "+-" for ch in body)
+def _factor_safe(s: str) -> bool:
+    body = s[1:] if s.startswith("-") else s
+    return bool(body) and _SAFE_CHARS.issuperset(body)
 
 
-def _factor_safe_by_chars(s):
-    body = _unsigned(s)
-    return bool(body) and all(ch.isalnum() or ch in "_/^" for ch in body)
+def _term_safe(s: str) -> bool:
+    body = s[1:] if s.startswith("-") else s
+    return bool(body) and "+" not in body and "-" not in body
 
 
-def poly_str_by_coefficients(base, cs, var):
-    """A polynomial printed term by term, each coefficient by its own
-    base.to_str: the printing rule before denominators were shared."""
+def poly_to_str(base, cs, var: str) -> str:
+    return _poly_to_str(base, cs, var, base.to_str)
+
+
+def _poly_to_str(base, cs, var: str, coeff_str) -> str:
+    """poly_to_str printing each nonzero coefficient by coeff_str."""
     if not cs:
         return "0"
     terms = []
     for k in range(len(cs) - 1, -1, -1):
-        if base.is_zero(cs[k]):
+        c = cs[k]
+        if base.is_zero(c):
             continue
-        cstr = base.to_str(cs[k])
+        cstr = coeff_str(c)
         if k == 0:
-            terms.append(cstr if _term_safe_by_chars(cstr) else f"({cstr})")
+            terms.append(cstr if _term_safe(cstr) else "(" + cstr + ")")
             continue
         vp = var if k == 1 else f"{var}^{k}"
-        if cstr in ("1", "-1"):
-            terms.append(cstr[:-1] + vp)
-        elif _factor_safe_by_chars(cstr):
-            terms.append(f"{cstr}*{vp}")
+        if cstr == "1":
+            terms.append(vp)
+        elif cstr == "-1":
+            terms.append("-" + vp)
+        elif _factor_safe(cstr):
+            terms.append(cstr + "*" + vp)
         else:
-            terms.append(f"({cstr})*{vp}")
-    return _join_terms_by_sign(terms)
+            terms.append("(" + cstr + ")*" + vp)
+    return _join_terms(terms)
 
 
-def function_str_by_coefficients(field, payload):
-    """An element of a FunctionField over a base other than Rationals
-    printed with each coefficient and each denominator written out anew
-    (poly_str_by_coefficients)."""
+def str_by_reference(field, payload):
+    """A payload of any tower level printed by the string printer above,
+    each coefficient and each part written out anew, down to str of a
+    Fraction over Q: a reference for the one-pass printer at every
+    level."""
+    if isinstance(field, Rationals):
+        return str(q_fraction(payload))
+    if isinstance(field, FiniteField):
+        return str(payload % field.p)
+    if isinstance(field, ConicExtension):
+        # A + B*y: the y-term, then A as a term
+        inner = field.inner
+        A, B = payload
+        if inner.is_zero(B):
+            return str_by_reference(inner, A)
+        bs = str_by_reference(inner, B)
+        if bs == "1":
+            ypart = "y"
+        elif bs == "-1":
+            ypart = "-y"
+        elif _factor_safe(bs):
+            ypart = bs + "*y"
+        else:
+            ypart = "(" + bs + ")*y"
+        if inner.is_zero(A):
+            return ypart
+        astr = str_by_reference(inner, A)
+        aterm = astr if _term_safe(astr) else "(" + astr + ")"
+        return _join_terms([ypart, aterm])
+    if isinstance(field.base, Rationals):
+        return to_str_by_num_den(field, payload)
     num, den = payload
-    ns = poly_str_by_coefficients(field.base, num, field.var)
+
+    def coeff_str(c):
+        return str_by_reference(field.base, c)
+
+    ns = _poly_to_str(field.base, num, field.var, coeff_str)
     if den == (field.base.one(),):
         return ns
-    return f"({ns})/({poly_str_by_coefficients(field.base, den, field.var)})"
+    return f"({ns})/({_poly_to_str(field.base, den, field.var, coeff_str)})"
 
 
-def conic_str_by_parts(conic, payload):
-    """A conic element A + B*y assembled from inner.to_str(A) and
-    inner.to_str(B), each printed on its own."""
-    inner = conic.inner
-    A, B = payload
-    if inner.is_zero(B):
-        return inner.to_str(A)
-    bs = inner.to_str(B)
-    if bs in ("1", "-1"):
-        ypart = bs[:-1] + "y"
-    elif _factor_safe_by_chars(bs):
-        ypart = f"{bs}*y"
-    else:
-        ypart = f"({bs})*y"
-    if inner.is_zero(A):
-        return ypart
-    astr = inner.to_str(A)
-    return _join_terms_by_sign(
-        [ypart, astr if _term_safe_by_chars(astr) else f"({astr})"]
-    )
+@st.composite
+def tower_payloads(draw, field, size=3):
+    """Canonical payloads of Q, F_p or a tower of function fields over
+    them, built from coefficient lists by the field's own make: zero, 1
+    and -1 coefficients and negative leads; over a function field the
+    monic denominator makes the coefficients share denominators."""
+    if isinstance(field, Rationals):
+        fr = draw(st.one_of(st.sampled_from((0, 1, -1)), fractions(9, 4)))
+        return field.from_fraction(Fraction(fr))
+    if isinstance(field, FiniteField):
+        return draw(st.sampled_from((0, 1, field.p - 1)) | st.integers(0, field.p - 1))
+    base = field.base
+    coeffs = tower_payloads(base, 2 if isinstance(base, FunctionField) else size)
+    num = draw(st.lists(coeffs, max_size=size))
+    den = draw(st.lists(coeffs, max_size=size - 1))
+    lead = draw(coeffs.filter(lambda c: not base.is_zero(c)))
+    return field.make(tuple(num), tuple(den) + (lead,))
 
 
 def euclid_op(op, a, b=None):
@@ -819,8 +863,12 @@ def certificate_by_elements(h, v):
         if all(extval_by_elements(v, u) == 0 for u in scaled) and all(
             value_by_wrapping(v, c) >= 0 for u in scaled for c in u.coeffs
         ):
-            return GoodReductionCertificate(CERTIFIED, m, evals, entries, scaled, report)
-    return GoodReductionCertificate(NO_CERTIFICATE, None, evals, entries, None, report)
+            mins = tuple(
+                min(value_by_wrapping(v, c) for c in u.coeffs if not c.is_zero())
+                for u in scaled
+            )
+            return GoodReductionCertificate(CERTIFIED, m, evals, entries, scaled, report, mins)
+    return GoodReductionCertificate(NO_CERTIFICATE, None, evals, entries, None, report, None)
 
 
 def split_reduction_by_elements(alg, entries, point):

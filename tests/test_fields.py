@@ -527,7 +527,9 @@ _RENDER_EXAMPLES = ("0", "1", "-3/4", "-s", "s/2", "-2/(3*s^2 + 1)", "(s - 1/2)/
     )
 )
 def test_q_s_to_str_matches_num_den_printing(payload):
-    assert _QS.to_str(payload) == support.to_str_by_num_den(_QS, payload)
+    text = _QS.to_str(payload)
+    assert text == support.to_str_by_num_den(_QS, payload)
+    assert _QS.parse(text).value == payload
 
 
 def test_q_s_printing_builds_no_fraction(monkeypatch):
@@ -859,7 +861,39 @@ def _conic_texts(draw, coeffs, leads):
 def test_conic_printing_matches_the_part_by_part_reference(name, data):
     C, coeffs, leads = _PRINTING_CONICS[name]
     u = C.parse(data.draw(_conic_texts(coeffs, leads), label="text"))
-    if not isinstance(C.base, Rationals):
-        for part in u.value:
-            assert C.inner.to_str(part) == support.function_str_by_coefficients(C.inner, part)
-    assert C.to_str(u.value) == support.conic_str_by_parts(C, u.value)
+    for part in u.value:
+        assert C.inner.to_str(part) == support.str_by_reference(C.inner, part)
+    assert C.to_str(u.value) == support.str_by_reference(C, u.value)
+    assert C.parse(repr(u)) == u
+
+
+# the levels below a conic that the tests above do not print: Q(s) and
+# the conics over Q, Q(s) and F_p(s) have their own
+_PRINTING_LEVELS = {
+    "F7(s)": FunctionField(FiniteField(7), "s"),
+    "Q(s)(x)": _QSX,
+    "F7(s)(x)": FunctionField(FunctionField(FiniteField(7), "s"), "x"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_PRINTING_LEVELS))
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_printing_matches_the_string_reference_and_parses_back(name, data):
+    """The one-pass printer against the string printer it replaced, on
+    payloads with zero and +-1 coefficients, negative leads and shared
+    denominators; and parse(repr(x)) == x."""
+    field = _PRINTING_LEVELS[name]
+    x = field.el(data.draw(support.tower_payloads(field), label="payload"))
+    assert repr(x) == support.str_by_reference(field, x.value)
+    assert field.parse(repr(x)) == x
+
+
+def test_printing_a_variable_outside_ascii():
+    # a non-ASCII variable is a term, not a factor, so a coefficient that
+    # is a bare power of it is parenthesised one level up
+    K = FunctionField(Rationals(), "\u03c3")
+    L = FunctionField(K, "x")
+    u = L.make((K.gen().value, K.parse("-\u03c3").value, K.one()), (K.one(),))
+    assert repr(L.el(u)) == "x^2 + (-\u03c3)*x + \u03c3"
+    assert L.to_str(u) == support.str_by_reference(L, u)

@@ -1,5 +1,5 @@
-"""The certificate, the point reduction, the second residue form and the
-Witt isotropy search run on raw payloads.  Each is checked here against
+"""The certificate, the point reduction, the second residue form, the
+reduced norm and the Witt isotropy search run on raw payloads.  Each is checked here against
 a reference on wrapped elements from tests/support.py, and the same
 tests run again under python -O."""
 
@@ -22,7 +22,8 @@ from quatwitt.quadforms import FALSE, INDETERMINATE, QuadraticForm, second_resid
 from quatwitt.quaternions import QuaternionAlgebra
 from quatwitt.valuations import GaussValuation, PAdicValuation
 
-_QS = FunctionField(Rationals(), "s")
+_Q = Rationals()
+_QS = FunctionField(_Q, "s")
 # the algebra and valuation of the p = 3 division battery
 _QS_ALGEBRA = QuaternionAlgebra(_QS, -1, _QS.gen())
 _QS_GAUSS = GaussValuation(PAdicValuation(3), _QS)
@@ -77,17 +78,56 @@ def test_point_reduction_and_second_residue_match_elements(p, data):
     assert [r.value for r in second.entries] == [r.value for r in residues]
 
 
+# ---------------------------------------------------------------------------
+# the reduced norm as one evaluation of the norm form
+
+_F7S_BASE = FunctionField(FiniteField(7), "s")
+# polynomials take the integer pass, and one fraction sends a whole
+# evaluation to the loop
+_QS_POLYS = st.lists(support.fractions(9, 4), max_size=3).map(
+    lambda cs: _QS.make(support.q_payloads(cs), ((1, 1),))
+)
+# name: (base field, strategy of coordinate payloads)
+_NORM_FORM_LEVELS = {
+    "Q": (_Q, support.tower_payloads(_Q)),
+    "F7": (FiniteField(7), support.tower_payloads(FiniteField(7))),
+    "Q(s)": (_QS, st.one_of(_QS_POLYS, _QS_POLYS, support.tower_payloads(_QS, 2))),
+    "F7(s)": (_F7S_BASE, support.tower_payloads(_F7S_BASE, 2)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_NORM_FORM_LEVELS))
+@given(data=st.data())
+@settings(max_examples=20, deadline=None)
+def test_norm_form_matches_mul_and_add(name, data):
+    """nrd and eval_diagonal against w^2 - d*a^2 - t*b^2 + d*t*c^2 and
+    sum k*x^2 taken through FieldElement mul and add, with w != 0 and
+    zero coordinates among the draws."""
+    base, coords = _NORM_FORM_LEVELS[name]
+    d, t = (data.draw(coords.filter(lambda c: not base.is_zero(c)), label=k) for k in "dt")
+    alg = QuaternionAlgebra(base, base.el(d), base.el(t))
+    u = alg.el(*(base.el(data.draw(coords, label=k)) for k in "wabc"))
+    assert u.nrd() == support.nrd_formula(u)
+    ks = data.draw(st.lists(coords, max_size=4), label="ks")
+    xs = [data.draw(coords, label="x") for _ in ks]
+    want = base(0)
+    for k, x in zip(ks, xs):
+        want = want + base.el(k) * base.el(x) * base.el(x)
+    assert base.eval_diagonal(ks, xs) == want.value
+
+
 def test_payload_paths_match_their_references_in_optimized_mode():
     tests = Path(__file__).resolve().parent
     src = Path(hermitian.__file__).resolve().parents[1]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(src), str(tests)]))
-    # the fault-free cases of the three tests above
+    # the fault-free cases of the four tests above
     ids = [
         f"{__file__}::{name}"
         for name in (
             *(f"test_certificate_matches_elements_at_the_split_primes[{p}-None]" for p in batteries.SPLIT_PRIMES),
             "test_certificate_matches_elements_at_a_gauss_valuation[None]",
             *(f"test_point_reduction_and_second_residue_match_elements[{p}]" for p in batteries.SPLIT_PRIMES),
+            *(f"test_norm_form_matches_mul_and_add[{name}]" for name in _NORM_FORM_LEVELS),
         )
     ]
     code = (
@@ -104,13 +144,12 @@ def test_payload_paths_match_their_references_in_optimized_mode():
         timeout=600,
     )
     assert proc.returncode == 0, proc.stdout[-3000:] + proc.stderr[-3000:]
-    assert "7 passed" in proc.stdout
+    assert f"{7 + len(_NORM_FORM_LEVELS)} passed" in proc.stdout
 
 
 # ---------------------------------------------------------------------------
 # the Witt isotropy search
 
-_Q = Rationals()
 _F3S = FunctionField(FiniteField(3), "s")
 _F7S = FunctionField(FiniteField(7), "s")
 _CONIC_23 = ConicExtension(_Q, 2, 3)

@@ -20,7 +20,6 @@ from quatwitt.quadforms import (
     QuadraticForm,
     diagonalize,
     mat_mul,
-    mat_transpose,
     reconstruction,
     residue_forms,
     second_residue_form,
@@ -103,7 +102,7 @@ def test_diagonalize_certifies_congruence(raw):
         q, p = diagonalize(Q, gram)
     except Degenerate:
         return
-    lhs = mat_mul(mat_mul(mat_transpose(p), gram), p)
+    lhs = mat_mul(mat_mul(support.mat_transpose(p), gram), p)
     for k in range(3):
         for l in range(3):
             expect = q.entries[k] if k == l else Q(0)
