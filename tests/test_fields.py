@@ -877,7 +877,7 @@ _PRINTING_LEVELS = {
 
 
 @pytest.mark.parametrize("name", sorted(_PRINTING_LEVELS))
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=25, deadline=None)
 @given(data=st.data())
 def test_printing_matches_the_string_reference_and_parses_back(name, data):
     """The one-pass printer against the string printer it replaced, on

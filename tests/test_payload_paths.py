@@ -98,7 +98,7 @@ _NORM_FORM_LEVELS = {
 
 @pytest.mark.parametrize("name", sorted(_NORM_FORM_LEVELS))
 @given(data=st.data())
-@settings(max_examples=20, deadline=None)
+@settings(max_examples=15, deadline=None)
 def test_norm_form_matches_mul_and_add(name, data):
     """nrd and eval_diagonal against w^2 - d*a^2 - t*b^2 + d*t*c^2 and
     sum k*x^2 taken through FieldElement mul and add, with w != 0 and
