@@ -326,8 +326,9 @@ class QuaternionElement:
         return self.coeffs[0] + self.coeffs[0]
 
     def nrd(self) -> FieldElement:
+        """w^2 - d*a^2 - t*b^2 + d*t*c^2: the algebra's norm form at the
+        coordinates, by the base field's eval_diagonal, computed once."""
         if self._nrd is None:
-            # w^2 - d*a^2 - t*b^2 + d*t*c^2, the norm form at the coordinates
             alg = self.algebra
             w, a, b, c = self.coeffs
             self._nrd = FieldElement(alg.base, alg.base.eval_diagonal(
