@@ -957,10 +957,6 @@ class FunctionField(_FieldBase):
     def gen(self) -> FieldElement:
         return self.el(self._gen)
 
-    def from_polys(self, num, den=None) -> FieldElement:
-        den = den if den is not None else (self.base.one(),)
-        return self.el(self.make(num, den))
-
     def add(self, a, b):
         if self._over_q:
             return self._q_add(a, b)

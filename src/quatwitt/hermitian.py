@@ -140,18 +140,6 @@ class SkewHermitianForm:
     def diagonal_entries(self) -> Tuple[QuaternionElement, ...]:
         return tuple(self.gram[k][k] for k in range(self.rank))
 
-    def evaluate(self, xs, ys) -> QuaternionElement:
-        """h(x, y), conjugate-linear in x and linear in y."""
-        n = self.rank
-        if len(xs) != n or len(ys) != n:
-            raise DimensionMismatch(f"vectors must have length {n}")
-        acc = self.algebra.zero()
-        for k in range(n):
-            xc = _as_element(self.algebra, xs[k]).conj()
-            for l in range(n):
-                acc = acc + xc * self.gram[k][l] * _as_element(self.algebra, ys[l])
-        return acc
-
     def scale(self, lam) -> "SkewHermitianForm":
         lam = self.algebra.base(lam)
         if lam.is_zero():
@@ -162,7 +150,9 @@ class SkewHermitianForm:
         )
 
     def transform(self, p) -> "SkewHermitianForm":
-        """Base change conj(P)^t * G * P; P singular raises Degenerate."""
+        """Base change conj(P)^t * G * P; P singular raises Degenerate.
+        Public for callers that move a form off the diagonal, as an
+        isometry certificate and non-diagonal batteries will."""
         n = self.rank
         p = [
             [_as_element(self.algebra, p[r][c]) for c in range(n)] for r in range(n)

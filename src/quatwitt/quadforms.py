@@ -324,7 +324,8 @@ def second_residue_form(q: QuadraticForm, v, values) -> QuadraticForm:
 
 def reconstruction(q: QuadraticForm, v) -> QuadraticForm:
     """A lift of first perp uniformizer*(lift of second), using the
-    value-scaled entries themselves as lifts."""
+    value-scaled entries themselves as lifts.  Public because the
+    benchmark's witt workload checks its forms with it."""
     return QuadraticForm(q.base, [_even_scaled(v, u, v.value(u)) for u in q.entries])
 
 

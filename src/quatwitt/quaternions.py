@@ -44,6 +44,7 @@ from .fields import (
     FieldElement,
     FiniteField,
     FunctionField,
+    _poly_terms,
     poly_deg,
     poly_divmod,
     poly_monic_irreducible_factors,
@@ -322,9 +323,6 @@ class QuaternionElement:
             FieldElement(base, neg(c.value)),
         ))
 
-    def trd(self) -> FieldElement:
-        return self.coeffs[0] + self.coeffs[0]
-
     def nrd(self) -> FieldElement:
         """w^2 - d*a^2 - t*b^2 + d*t*c^2: the algebra's norm form at the
         coordinates, by the base field's eval_diagonal, computed once."""
@@ -364,26 +362,27 @@ class QuaternionElement:
         return hash((self.algebra, self.coeffs))
 
     def __repr__(self):
-        terms = []
+        # each basis term is written as the one-term polynomial c or c*name
+        # by the tower's printer, which places parentheses and signs from
+        # the coefficient's shape; a later term's minus becomes the
+        # separator, as between the terms of a polynomial
+        base = self.algebra.base
+        zero = base.zero()
+        out, memo, shape = [], {}, -1
         for name, c in zip(_BASIS_NAMES, self.coeffs):
             if c.is_zero():
                 continue
-            cs = repr(c)
-            if name == "1":
-                terms.append(cs)
-            elif cs == "1":
-                terms.append(name)
-            elif cs == "-1":
-                terms.append(f"-{name}")
-            elif any(ch in cs for ch in "+-*/ ") and not (
-                cs.startswith("-") and not any(ch in cs[1:] for ch in "+-*/ ")
-            ):
-                terms.append(f"({cs})*{name}")
-            else:
-                terms.append(f"{cs}*{name}")
-        if not terms:
-            return "0"
-        return terms[0] + "".join(" - " + s[1:] if s[0] == "-" else " + " + s for s in terms[1:])
+            if shape >= 0:
+                out.append(" + ")
+            at = len(out)
+            cs = (c.value,) if name == "1" else (zero, c.value)
+            s = _poly_terms(cs, name, 0, out, base, memo)
+            if shape < 0:
+                shape = s
+            elif s & 1:
+                out[at - 1] = " - "
+                out[at] = out[at][1:]
+        return "".join(out) if out else "0"
 
 
 def left_regular_matrix(u: QuaternionElement):

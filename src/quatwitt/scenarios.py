@@ -10,10 +10,12 @@ reduction in one of two modes.  The conic generator draws (or pins) an
 algebra over a function field whose residue algebra is division; its
 forms are verified through the conic function field.  The point
 generator draws an algebra over Q whose conic has a small point; its
-forms are verified by specializing at that point.  `generator_setup`
-builds a scenario's mode, once per fault state, and checks everything
-that does not depend on the instance; `generate_instance` runs one
-attempt loop for both modes.
+forms are verified by specializing at that point, and its draws, tests
+included, run on ints and int pairs, never through the field protocol.
+`generator_setup` builds a scenario's mode, once per fault state, and
+checks everything that does not depend on the instance; a mode gives
+its algebra draw, its coordinate draw and, in point mode, its point
+test, and `generate_instance` runs one attempt loop for both modes.
 Every instance derives from (seed, index) alone, so a batch is
 reproducible and can be sharded across processes.
 """
@@ -34,6 +36,7 @@ from .fields import (
     FiniteField,
     FunctionField,
     Rationals,
+    _q_frac,
 )
 from .hermitian import (
     SkewHermitianForm,
@@ -358,14 +361,17 @@ class Generator(NamedTuple):
     """What every instance of a scenario is drawn from.
 
     `draw(rng)` proposes (algebra, point), with point None in conic mode,
-    or returns None to reject the attempt; `spice`, if any, multiplies
-    each drawn coordinate by the payload of a random field element."""
+    or returns None to reject the attempt; `coords(rng)` draws the
+    payloads of one entry's coordinates a, b, c; `off_point(point, a, b,
+    c)`, in point mode, tells that the entry's specialization
+    a*y0 - b*x0 - c at the point does not vanish."""
 
     mode: str
     field: object
     valuation: object
     draw: Callable
-    spice: Optional[Callable]
+    coords: Callable
+    off_point: Optional[Callable]
 
 
 # the scenario keys a generator is built from
@@ -454,14 +460,27 @@ def _conic_setup(sc, field, v) -> Generator:
     def spice(rng):
         return rng.choice((one, one, one, s, s1))
 
-    return Generator("conic", field, v, draw, spice)
+    def coords(rng):
+        return _draw_coords(rng, v, field, spice)
+
+    return Generator("conic", field, v, draw, coords, None)
 
 
 def _point_setup(sc, field, v) -> Generator:
     """Algebras (d, t) over Q with unit parameters, t chosen so that the
     conic d*x^2 + t*y^2 = 1 passes through a small point (x0, y0); each
-    instance draws its own, so a pinned algebra is refused.  The draw
-    runs on payloads and wraps only the algebra and point it proposes."""
+    instance draws its own, so a pinned algebra is refused.
+
+    The draws run on the ints and int pairs they make.  The p-adic value
+    of a nonzero integer n is the exponent of p in n, so n is a unit
+    exactly when p does not divide n, and p divides 0: `d % p` tests that
+    d is a nonzero unit, and a reduced fraction is one when p divides
+    neither its numerator nor its denominator.  t = (1 - d*x0^2)/y0^2 is
+    reduced from one integer quotient and tested that way, and a
+    coordinate triple has least value 0 when some coordinate is prime to
+    p.  With x0 = xn/xd and y0 = yn/yd, a*y0 - b*x0 - c vanishes exactly
+    when a*yn*xd - b*xn*yd - c*xd*yd does.  Only the algebra and the
+    point proposed are wrapped."""
     if not isinstance(field, Rationals):
         raise ScenarioError("the point generator draws algebras over the rationals")
     if sc.get("algebra") is not None:
@@ -469,13 +488,14 @@ def _point_setup(sc, field, v) -> Generator:
             "the point generator draws its own algebras; "
             "a pinned 'algebra' needs the conic generator"
         )
+    p = v.p
 
     def small_fraction(rng, nonzero):
         # the payload of num/den: the reduced pair, denominator positive
         for _ in range(40):
             num = rng.randint(-_COORD_BOUND, _COORD_BOUND)
             den = rng.randint(1, 5)
-            if den % v.p == 0:
+            if den % p == 0:
                 continue
             if nonzero and num == 0:
                 continue
@@ -483,26 +503,36 @@ def _point_setup(sc, field, v) -> Generator:
             return num // g, den // g
         return field.one()
 
-    mul, iz = field.mul, field.is_zero
-
     def draw(rng):
-        d = field.from_int(rng.randint(-_COORD_BOUND, _COORD_BOUND))
-        if iz(d) or v._value(d) != 0:
+        d = rng.randint(-_COORD_BOUND, _COORD_BOUND)
+        if not d % p:
             return None
-        x0 = small_fraction(rng, False)
-        y0 = small_fraction(rng, True)
-        t = field.div(field.sub(field.one(), mul(mul(d, x0), x0)), mul(y0, y0))
-        if iz(t) or v._value(t) != 0:
+        xn, xd = small_fraction(rng, False)
+        yn, yd = small_fraction(rng, True)
+        t = _q_frac((xd * xd - d * xn * xn) * yd * yd, xd * xd * yn * yn)
+        if not (t[0] % p and t[1] % p):
             return None
-        alg = QuaternionAlgebra(field, field.el(d), field.el(t))
-        return alg, (field.el(x0), field.el(y0))
+        alg = QuaternionAlgebra(field, field.el((d, 1)), field.el(t))
+        return alg, (field.el((xn, xd)), field.el((yn, yd)))
 
-    return Generator("point", field, v, draw, None)
+    def coords(rng):
+        while True:
+            a, b, c = (
+                rng.randint(-_COORD_BOUND, _COORD_BOUND) for _ in range(3)
+            )
+            if a % p or b % p or c % p:
+                return (a, 1), (b, 1), (c, 1)
+
+    def off_point(point, a, b, c):
+        (xn, xd), (yn, yd) = point[0].value, point[1].value
+        return a[0] * yn * xd - b[0] * xn * yd != c[0] * xd * yd
+
+    return Generator("point", field, v, draw, coords, off_point)
 
 
 def _draw_coords(rng, v, base, spice):
-    """The payloads of a nonzero coordinate triple from [-9, 9] with a
-    unit entry."""
+    """The payloads of a nonzero coordinate triple from [-9, 9], each
+    multiplied by a spice, with a unit entry."""
     mul, iz = base.mul, base.is_zero
     while True:
         a, b, c = (
@@ -510,29 +540,24 @@ def _draw_coords(rng, v, base, spice):
         )
         if a == 0 and b == 0 and c == 0:
             continue
-        coords = [base.from_int(x) for x in (a, b, c)]
-        if spice is not None:
-            coords = [mul(x, spice(rng)) for x in coords]
+        coords = [mul(base.from_int(x), spice(rng)) for x in (a, b, c)]
         if min(v._value(x) for x in coords if not iz(x)) == 0:
             return coords
 
 
 def _draw_entries(rng, gen: Generator, alg, point, n):
     """n pure quaternions of nonzero reduced norm, each from at most 60
-    coordinate draws; with a point, the specialization a*y0 - b*x0 - c at
-    it must not vanish either.  None if some entry runs out of draws.
-    The draws run on payloads; a candidate is wrapped for its reduced
-    norm, which stays memoized on the entries kept."""
-    base = gen.field
-    zero = base.zero()
-    mul, sub = base.mul, base.sub
+    coordinate draws by `gen.coords`; with a point, `gen.off_point` must
+    hold too.  None if some entry runs out of draws.  A candidate is
+    wrapped for its reduced norm, which stays memoized on the entries
+    kept."""
+    zero = gen.field.zero()
+    coords, off_point = gen.coords, gen.off_point
     entries = []
     for _l in range(n):
         for _draw in range(60):
-            a, b, c = _draw_coords(rng, gen.valuation, base, gen.spice)
-            if point is not None and base.is_zero(
-                sub(sub(mul(a, point[1].value), mul(b, point[0].value)), c)
-            ):
+            a, b, c = coords(rng)
+            if point is not None and not off_point(point, a, b, c):
                 continue
             u = _wrap(alg, zero, a, b, c)
             if u.nrd().is_zero():

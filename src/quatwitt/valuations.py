@@ -78,9 +78,6 @@ class _ValuationBase:
         if field is not self.domain and field != self.domain:
             raise LevelMismatch(f"element is not at the level of {self!r}")
 
-    def is_unit(self, a: FieldElement) -> bool:
-        return self.value(a) == 0
-
 
 class PAdicValuation(_ValuationBase):
     """The p-adic valuation on the rationals, p an odd prime."""

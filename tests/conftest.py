@@ -1,6 +1,7 @@
 import pytest
 from hypothesis import settings
 
+import support
 from quatwitt import scenarios
 from quatwitt.fields import FiniteField, FunctionField, Rationals
 from quatwitt.valuations import GaussValuation, PAdicValuation
@@ -38,6 +39,13 @@ def fresh_generators():
     scenarios._generator.cache_clear()
     yield
     scenarios._generator.cache_clear()
+
+
+@pytest.fixture(scope="session")
+def optimized_outcomes():
+    # the tests registered by support.optimized, run once per session in
+    # one python -O interpreter
+    return support.run_optimized()
 
 
 @pytest.fixture(scope="session")

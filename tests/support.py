@@ -1,7 +1,13 @@
 """Shared strategies and small builders for the test suite."""
 
+import json
 import math
+import os
+import subprocess
+import sys
+import tempfile
 from fractions import Fraction
+from pathlib import Path
 
 from hypothesis import strategies as st
 
@@ -326,6 +332,34 @@ def nrd_formula(u):
     w, a, b, c = u.coeffs
     d, t = u.algebra.d, u.algebra.t
     return w * w - d * a * a - t * b * b + d * t * c * c
+
+
+def trd(u):
+    """The reduced trace 2w of w + a*i + b*j + c*ij."""
+    return u.coeffs[0] + u.coeffs[0]
+
+
+def is_unit(v, a):
+    """Whether the field element a has value 0 at v."""
+    return v.value(a) == 0
+
+
+def evaluate_form(h, xs, ys):
+    """h(x, y) = sum conj(x_k) * h_kl * y_l, conjugate-linear in x and
+    linear in y; entries of xs and ys go through the algebra's coercion."""
+    from quatwitt.errors import DimensionMismatch
+    from quatwitt.hermitian import _as_element
+
+    n = h.rank
+    if len(xs) != n or len(ys) != n:
+        raise DimensionMismatch(f"vectors must have length {n}")
+    alg = h.algebra
+    acc = alg.zero()
+    for k in range(n):
+        xc = _as_element(alg, xs[k]).conj()
+        for l in range(n):
+            acc = acc + xc * h.gram[k][l] * _as_element(alg, ys[l])
+    return acc
 
 
 def general_product(u, w):
@@ -813,6 +847,95 @@ def point_algebras(p):
     ).filter(lambda drawn: drawn is not None)
 
 
+def point_instance_by_field_ops(sc, index):
+    """scenarios.generate_instance for a point-generator scenario, with
+    the point draw and the entry loop as they ran before they drew ints:
+    d, t, the point test and each coordinate's unit test go through the
+    Rationals protocol and PAdicValuation._value.  A reference for the
+    integer draws, which must give the same instance."""
+    import random
+    from math import gcd
+
+    from quatwitt import scenarios
+    from quatwitt.hermitian import SkewHermitianForm, common_integral_value, good_reduction_certificate
+    from quatwitt.quaternions import QuaternionAlgebra, _wrap, extvals
+
+    field = scenarios.scenario_field(sc)
+    v = scenarios.scenario_valuation(sc, field)
+    bound = scenarios._COORD_BOUND
+    mul, sub, iz = field.mul, field.sub, field.is_zero
+
+    def small_fraction(rng, nonzero):
+        for _ in range(40):
+            num = rng.randint(-bound, bound)
+            den = rng.randint(1, 5)
+            if den % v.p == 0:
+                continue
+            if nonzero and num == 0:
+                continue
+            g = gcd(num, den)
+            return num // g, den // g
+        return field.one()
+
+    def draw(rng):
+        d = field.from_int(rng.randint(-bound, bound))
+        if iz(d) or v._value(d) != 0:
+            return None
+        x0 = small_fraction(rng, False)
+        y0 = small_fraction(rng, True)
+        t = field.div(sub(field.one(), mul(mul(d, x0), x0)), mul(y0, y0))
+        if iz(t) or v._value(t) != 0:
+            return None
+        alg = QuaternionAlgebra(field, field.el(d), field.el(t))
+        return alg, (field.el(x0), field.el(y0))
+
+    def draw_coords(rng):
+        while True:
+            a, b, c = (rng.randint(-bound, bound) for _ in range(3))
+            if a == 0 and b == 0 and c == 0:
+                continue
+            coords = [field.from_int(x) for x in (a, b, c)]
+            if min(v._value(x) for x in coords if not iz(x)) == 0:
+                return coords
+
+    def draw_entries(rng, alg, point, n):
+        entries = []
+        for _l in range(n):
+            for _draw in range(60):
+                a, b, c = draw_coords(rng)
+                if iz(sub(sub(mul(a, point[1].value), mul(b, point[0].value)), c)):
+                    continue
+                u = _wrap(alg, field.zero(), a, b, c)
+                if u.nrd().is_zero():
+                    continue
+                entries.append(u)
+                break
+            else:
+                return None
+        return entries
+
+    rng = random.Random(f"{sc.get('seed', 0)}:{index}")
+    for _attempt in range(scenarios._MAX_ATTEMPTS):
+        drawn = draw(rng)
+        if drawn is None:
+            continue
+        alg, point = drawn
+        n = sc.get("rank") or rng.randint(1, 3)
+        entries = draw_entries(rng, alg, point, n)
+        if entries is None:
+            continue
+        m = rng.choice((-1, 0, 1))
+        e = common_integral_value(extvals(v, entries))
+        if e is None or e >= 1:
+            continue
+        h = SkewHermitianForm.diagonal(alg, [u * v.uniformizer**m for u in entries])
+        if not good_reduction_certificate(h, v).certified:
+            continue
+        meta = {"index": index, "mode": "point", "twist": m}
+        return scenarios.Instance(field, v, alg, h, point, meta)
+    return None
+
+
 def pure_entries_up_to(alg, pi, coeffs, top=3):
     """Pure quaternions with coordinates drawn from `coeffs` and all three
     multiplied by pi^k for one k in 0..top, so entry values spread over
@@ -897,3 +1020,65 @@ def padic_second_residue_by_fractions(v, entries):
             w = Fraction(*u.value) / Fraction(p) ** m
             out.append(v.residue_field(w.numerator * pow(w.denominator, -1, p)))
     return out
+
+
+# ---------------------------------------------------------------------------
+# one python -O interpreter for the checks that must hold without asserts
+
+_ROOT = Path(__file__).resolve().parents[1]
+_OPTIMIZED = {}
+
+
+def optimized(test_file, *names):
+    """Register the tests `names` of `test_file` for the shared python -O
+    session and return their node ids.  Test modules register at import,
+    so every id of a run is known when its first test asks for the
+    session's outcomes."""
+    rel = Path(test_file).resolve().relative_to(_ROOT).as_posix()
+    ids = [f"{rel}::{name}" for name in names]
+    _OPTIMIZED.update(dict.fromkeys(ids))
+    return ids
+
+
+class _Outcomes:
+    """A pytest plugin keeping each test's outcome: "passed", "skipped",
+    or the phase and text of its failure."""
+
+    def __init__(self):
+        self.seen = {}
+
+    def pytest_runtest_logreport(self, report):
+        if report.failed:
+            self.seen[report.nodeid] = f"{report.when} failed: {report.longreprtext[-3000:]}"
+        elif report.when == "call" or report.skipped:
+            self.seen.setdefault(report.nodeid, report.outcome)
+
+
+def run_optimized():
+    """Run every registered test in one python -O interpreter; returns
+    {node id: outcome}.  Tests rerun there check that a check which must
+    fire does so without assert statements; pytest still rewrites the
+    asserts of the test modules themselves."""
+    import quatwitt
+
+    src = Path(quatwitt.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(src), str(_ROOT / "tests")]))
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "outcomes.json"
+        code = (
+            "import json, sys, pytest, support\n"
+            "if not sys.flags.optimize: sys.exit('not optimized')\n"
+            "seen = support._Outcomes()\n"
+            f"pytest.main(['-q', '-p', 'no:cacheprovider', *{list(_OPTIMIZED)!r}], plugins=[seen])\n"
+            f"open({str(out)!r}, 'w').write(json.dumps(seen.seen))\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-O", "-c", code],
+            capture_output=True,
+            text=True,
+            env=env,
+            cwd=_ROOT,
+            timeout=600,
+        )
+        assert proc.returncode == 0 and out.exists(), proc.stdout[-3000:] + proc.stderr[-3000:]
+        return json.loads(out.read_text())

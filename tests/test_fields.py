@@ -1,23 +1,18 @@
 """Exact arithmetic in the field tower: rationals, finite fields,
 rational function fields, and conic extensions."""
 
-import json
 import math
-import os
 import pickle
 import random
-import subprocess
-import sys
 import time
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import support
-from quatwitt import batteries, fields
+from quatwitt import batteries
 from quatwitt.errors import (
     CertificateFailed,
     DivisionByZero,
@@ -179,29 +174,24 @@ def test_q_kernel_matches_the_fraction_oracle(pair):
             Q.sqrt(a)
 
 
-def test_q_inverse_of_zero_raises_in_optimized_mode():
-    src = Path(fields.__file__).resolve().parents[1]
-    code = (
-        "import sys\n"
-        "from quatwitt.errors import DivisionByZero\n"
-        "from quatwitt.fields import Rationals\n"
-        "if not sys.flags.optimize: sys.exit('not optimized')\n"
-        "Q = Rationals()\n"
-        "for op in (Q.inv, lambda z: Q.div(Q.one(), z)):\n"
-        "    try:\n"
-        "        op(Q.zero())\n"
-        "    except DivisionByZero:\n"
-        "        continue\n"
-        "    sys.exit('no DivisionByZero')\n"
-    )
-    proc = subprocess.run(
-        [sys.executable, "-O", "-c", code],
-        capture_output=True,
-        text=True,
-        env=dict(os.environ, PYTHONPATH=str(src)),
-        timeout=120,
-    )
-    assert proc.returncode == 0, proc.stderr
+def test_q_inverse_of_zero_raises():
+    Q = Rationals()
+    for op in (Q.inv, lambda z: Q.div(Q.one(), z)):
+        with pytest.raises(DivisionByZero):
+            op(Q.zero())
+
+
+# the checks that must fire under python -O too, rerun in the shared
+# python -O session
+_OPTIMIZED = support.optimized(
+    __file__,
+    "test_q_inverse_of_zero_raises",
+    "test_integer_kernel_wrong_gcd_is_a_failed_check",
+)
+
+
+def test_q_inverse_of_zero_raises_in_optimized_mode(optimized_outcomes):
+    assert optimized_outcomes[_OPTIMIZED[0]] == "passed"
 
 
 def test_q_arithmetic_builds_no_fraction(monkeypatch):
@@ -471,24 +461,8 @@ def test_integer_kernel_wrong_gcd_is_a_failed_check(monkeypatch):
     _assert_wrong_gcd_fails(support.wrong_gcd_outcomes(monkeypatch.setattr))
 
 
-def test_integer_kernel_wrong_gcd_survives_optimized_mode():
-    tests = Path(__file__).resolve().parent
-    src = Path(fields.__file__).resolve().parents[1]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(src), str(tests)]))
-    code = (
-        "import json, sys, support\n"
-        "if not sys.flags.optimize: sys.exit('not optimized')\n"
-        "print(json.dumps(support.wrong_gcd_outcomes(setattr)))\n"
-    )
-    proc = subprocess.run(
-        [sys.executable, "-O", "-c", code],
-        capture_output=True,
-        text=True,
-        env=env,
-        timeout=120,
-    )
-    assert proc.returncode == 0, proc.stderr
-    _assert_wrong_gcd_fails(json.loads(proc.stdout))
+def test_integer_kernel_wrong_gcd_survives_optimized_mode(optimized_outcomes):
+    assert optimized_outcomes[_OPTIMIZED[1]] == "passed"
 
 
 def test_function_field_str_frozen(K):
@@ -649,7 +623,7 @@ _QS_PAYLOADS = st.builds(
 _QSX_ELEMENTS = st.one_of(
     st.just(_QSX(0)),
     st.builds(
-        _QSX.from_polys,
+        lambda num, den: _QSX.el(_QSX.make(num, den)),
         st.lists(_QS_PAYLOADS, max_size=3),
         st.lists(_QS_PAYLOADS, min_size=1, max_size=3).filter(
             lambda cs: not all(map(_QS.is_zero, cs))

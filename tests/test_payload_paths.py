@@ -1,25 +1,23 @@
 """The certificate, the point reduction, the second residue form, the
-reduced norm and the Witt isotropy search run on raw payloads.  Each is checked here against
-a reference on wrapped elements from tests/support.py, and the same
-tests run again under python -O."""
+reduced norm and the Witt isotropy search run on raw payloads, and the
+point generator draws on ints.  Each is checked here against a reference
+on wrapped elements or field operations from tests/support.py, and the
+same tests run again in the shared python -O session."""
 
-import os
-import subprocess
-import sys
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import support
-from quatwitt import batteries, faults, hermitian
+from quatwitt import batteries, faults
 from quatwitt.fields import ConicExtension, FiniteField, FunctionField, Rationals
 from quatwitt.hermitian import SkewHermitianForm, good_reduction_certificate
 from quatwitt.morita import _split_reduce_entries
 from quatwitt.quadforms import FALSE, INDETERMINATE, QuadraticForm, second_residue_form, witt_trivial
 from quatwitt.quaternions import QuaternionAlgebra
+from quatwitt.scenarios import generate_instance, instance_descriptor
 from quatwitt.valuations import GaussValuation, PAdicValuation
 
 _Q = Rationals()
@@ -116,35 +114,56 @@ def test_norm_form_matches_mul_and_add(name, data):
     assert base.eval_diagonal(ks, xs) == want.value
 
 
-def test_payload_paths_match_their_references_in_optimized_mode():
-    tests = Path(__file__).resolve().parent
-    src = Path(hermitian.__file__).resolve().parents[1]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(src), str(tests)]))
-    # the fault-free cases of the four tests above
-    ids = [
-        f"{__file__}::{name}"
-        for name in (
-            *(f"test_certificate_matches_elements_at_the_split_primes[{p}-None]" for p in batteries.SPLIT_PRIMES),
-            "test_certificate_matches_elements_at_a_gauss_valuation[None]",
-            *(f"test_point_reduction_and_second_residue_match_elements[{p}]" for p in batteries.SPLIT_PRIMES),
-            *(f"test_norm_form_matches_mul_and_add[{name}]" for name in _NORM_FORM_LEVELS),
-        )
-    ]
-    code = (
-        "import sys, pytest\n"
-        "if not sys.flags.optimize: sys.exit('not optimized')\n"
-        f"sys.exit(pytest.main(['-q', '-p', 'no:cacheprovider', *{ids!r}]))\n"
+# ---------------------------------------------------------------------------
+# the point generator's integer draws
+
+_DRAW_PRIMES = (3, 5, 7, 11, 101)
+
+
+def _point_instances_match(p, seed, rank, indices):
+    sc = batteries.point_scenario(p, seed=seed)
+    if rank is not None:
+        sc = dict(sc, rank=rank)
+    for index in indices:
+        got = instance_descriptor(generate_instance(sc, index))
+        assert got == instance_descriptor(support.point_instance_by_field_ops(sc, index))
+
+
+@pytest.mark.parametrize("p", _DRAW_PRIMES)
+def test_point_draws_match_the_field_op_reference(p):
+    for seed in (1, 2, 42):
+        for rank in (None, 1, 2, 3):
+            _point_instances_match(p, seed, rank, range(20))
+
+
+@given(
+    st.integers(0, 2**32),
+    st.integers(0, 10**6),
+    st.sampled_from(_DRAW_PRIMES + (13, 17)),
+    st.sampled_from((None, 1, 2, 3)),
+)
+@settings(max_examples=40)
+def test_point_draws_match_the_field_op_reference_at_random_seeds(seed, index, p, rank):
+    _point_instances_match(p, seed, rank, (index,))
+
+
+# the fault-free cases of the tests above, rerun in the shared python -O
+# session
+_OPTIMIZED_PAYLOAD = support.optimized(
+    __file__,
+    *(f"test_certificate_matches_elements_at_the_split_primes[{p}-None]" for p in batteries.SPLIT_PRIMES),
+    "test_certificate_matches_elements_at_a_gauss_valuation[None]",
+    *(f"test_point_reduction_and_second_residue_match_elements[{p}]" for p in batteries.SPLIT_PRIMES),
+    *(f"test_norm_form_matches_mul_and_add[{name}]" for name in _NORM_FORM_LEVELS),
+    *(f"test_point_draws_match_the_field_op_reference[{p}]" for p in _DRAW_PRIMES),
+    "test_point_draws_match_the_field_op_reference_at_random_seeds",
+)
+
+
+def test_payload_paths_match_their_references_in_optimized_mode(optimized_outcomes):
+    assert [optimized_outcomes.get(i) for i in _OPTIMIZED_PAYLOAD] == ["passed"] * (
+        8 + len(_NORM_FORM_LEVELS) + len(_DRAW_PRIMES)
     )
-    proc = subprocess.run(
-        [sys.executable, "-O", "-c", code],
-        capture_output=True,
-        text=True,
-        env=env,
-        cwd=tests.parent,
-        timeout=600,
-    )
-    assert proc.returncode == 0, proc.stdout[-3000:] + proc.stderr[-3000:]
-    assert f"{7 + len(_NORM_FORM_LEVELS)} passed" in proc.stdout
 
 
 # ---------------------------------------------------------------------------
@@ -233,24 +252,17 @@ def test_witt_search_matches_elements_on_random_forms_over_fp_s(p, top, data):
     _check_witt_search(QuadraticForm(field, entries), data.draw(st.integers(0, top), label="budget"))
 
 
-def test_witt_search_matches_elements_in_optimized_mode():
-    tests = Path(__file__).resolve().parent
-    src = Path(hermitian.__file__).resolve().parents[1]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(src), str(tests)]))
-    # every search test above is fault-free
-    code = (
-        "import sys, pytest\n"
-        "if not sys.flags.optimize: sys.exit('not optimized')\n"
-        f"sys.exit(pytest.main(['-q', '-p', 'no:cacheprovider', {__file__!r}, "
-        "'-k', 'witt_search_matches_elements and not optimized']))\n"
-    )
-    proc = subprocess.run(
-        [sys.executable, "-O", "-c", code],
-        capture_output=True,
-        text=True,
-        env=env,
-        cwd=tests.parent,
-        timeout=600,
-    )
-    assert proc.returncode == 0, proc.stdout[-3000:] + proc.stderr[-3000:]
-    assert f"{len(_WITT_CASES) + 7} passed" in proc.stdout
+# every search test above is fault-free
+_OPTIMIZED_WITT = support.optimized(
+    __file__,
+    *(f"test_witt_search_matches_elements[{case}]" for case in _WITT_CASES),
+    *(f"test_witt_search_matches_elements_at_small_budgets_over_fp_s[{p}]" for p in (3, 5, 7)),
+    "test_witt_search_matches_elements_on_random_forms_over_q",
+    "test_witt_search_matches_elements_on_random_forms_over_q_s",
+    "test_witt_search_matches_elements_on_random_forms_over_fp_s[3-300]",
+    "test_witt_search_matches_elements_on_random_forms_over_fp_s[7-100]",
+)
+
+
+def test_witt_search_matches_elements_in_optimized_mode(optimized_outcomes):
+    assert [optimized_outcomes.get(i) for i in _OPTIMIZED_WITT] == ["passed"] * (len(_WITT_CASES) + 7)

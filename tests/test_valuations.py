@@ -36,7 +36,7 @@ def test_padic_frozen_values(Q, v3):
     assert v3.value(Q(Fraction(5, 7))) == 0
     assert v3.value(Q(0)) == INF
     assert v3.uniformizer == Q(3)
-    assert v3.is_unit(Q(2)) and not v3.is_unit(Q(3))
+    assert support.is_unit(v3, Q(2)) and not support.is_unit(v3, Q(3))
 
 
 def test_padic_residue(Q, v3):
