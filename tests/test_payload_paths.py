@@ -117,6 +117,8 @@ def test_norm_form_matches_mul_and_add(name, data):
 # ---------------------------------------------------------------------------
 # the point generator's integer draws
 
+# the split primes, and two above the coordinate bound 9, where every
+# nonzero draw is a unit
 _DRAW_PRIMES = (3, 5, 7, 11, 101)
 
 
