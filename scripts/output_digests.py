@@ -7,7 +7,8 @@ byte-identical outputs.
 
 For each of the seven batches of `quatwitt.batteries` it prints the
 digest of the `run_instance` records of the first --trials instances,
-clean and under each seeded fault.  Then it prints the digest of
+clean and under each seeded fault, and the clean digests of point batches
+at p = 11 and p = 101.  Then it prints the digest of
 `verify-theorem --json` stdout for the division and split batches at
 p = 3, at --jobs 1 and --jobs 2.  Last it prints the exit code and
 digest of single-shot subcommands whose forms are not diagonal, so that
@@ -48,6 +49,10 @@ from quatwitt.batteries import (
     point_scenario,
 )
 from quatwitt.scenarios import run_instance
+
+# point batches beyond the seven, clean only: primes above the coordinate
+# bound 9, so every nonzero coordinate, d and numerator drawn is a unit
+CLEAN_ONLY_POINT_PRIMES = (11, 101)
 
 _Q = {"kind": "rationals"}
 _F7S = {"kind": "function", "base": {"kind": "finite", "p": 7}, "variable": "s"}
@@ -121,6 +126,9 @@ def main(argv=None):
             names = (fault,) if fault else ()
             digest = records_digest(sc, args.trials, names)
             print(f"records {label:<18} {fault or 'clean':<18} {digest}")
+    for p in CLEAN_ONLY_POINT_PRIMES:
+        digest = records_digest(point_scenario(p, args.trials, args.seed), args.trials, ())
+        print(f"records {f'split p={p}':<18} {'clean':<18} {digest}")
     picked = [(label, sc) for label, sc in every if label in ("division p=3 d=-1", "split p=3")]
     with tempfile.TemporaryDirectory() as tmp:
         for label, sc in picked:

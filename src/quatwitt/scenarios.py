@@ -38,14 +38,10 @@ from .fields import (
     Rationals,
     _q_frac,
 )
-from .hermitian import (
-    SkewHermitianForm,
-    common_integral_value,
-    good_reduction_certificate,
-)
+from .hermitian import SkewHermitianForm, good_reduction_certificate
 from .morita import VerificationReport, verify_instance
 from .quadforms import QuadraticForm
-from .quaternions import MEMO_SIZE, QuaternionAlgebra, _wrap, extvals, ramification
+from .quaternions import MEMO_SIZE, QuaternionAlgebra, _wrap, ramification
 from .valuations import (
     ConicValuation,
     GaussValuation,
@@ -360,11 +356,15 @@ class Instance(NamedTuple):
 class Generator(NamedTuple):
     """What every instance of a scenario is drawn from.
 
-    `draw(rng)` proposes (algebra, point), with point None in conic mode,
-    or returns None to reject the attempt; `coords(rng)` draws the
-    payloads of one entry's coordinates a, b, c; `off_point(point, a, b,
-    c)`, in point mode, tells that the entry's specialization
-    a*y0 - b*x0 - c at the point does not vanish."""
+    `draw(rng)` proposes the parameters of an algebra (and, in point
+    mode, of a point), or returns None to reject the attempt;
+    `coords(rng)` draws the payloads of one entry's coordinates a, b, c;
+    `off_point(params, a, b, c)`, in point mode, tells that the entry's
+    specialization a*y0 - b*x0 - c at the point does not vanish;
+    `unit_norm(params, a, b, c)` is None when the reduced norm of
+    a*i + b*j + c*ij is 0, and otherwise tells whether it is a v-unit;
+    `build(params)` wraps the proposal as (algebra, point), with point
+    None in conic mode."""
 
     mode: str
     field: object
@@ -372,10 +372,16 @@ class Generator(NamedTuple):
     draw: Callable
     coords: Callable
     off_point: Optional[Callable]
+    unit_norm: Callable
+    build: Callable
 
 
 # the scenario keys a generator is built from
 GENERATOR_KEYS = ("field", "valuation", "generator", "algebra")
+
+# the encoder json.dumps(..., sort_keys=True, separators=(",", ":"))
+# builds afresh on each call
+_KEY_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
 
 
 def generator_setup(sc: dict) -> Generator:
@@ -396,11 +402,7 @@ def generator_setup(sc: dict) -> Generator:
     bad scenario is one input error rather than an error record per
     instance."""
     try:
-        key = json.dumps(
-            {k: sc[k] for k in GENERATOR_KEYS if k in sc},
-            sort_keys=True,
-            separators=(",", ":"),
-        )
+        key = _KEY_ENCODER.encode({k: sc[k] for k in GENERATOR_KEYS if k in sc})
     except (TypeError, ValueError) as e:
         raise ScenarioError(f"scenario is not JSON data: {e}") from e
     return _generator(key, faults.active_names())
@@ -420,7 +422,9 @@ def _conic_setup(sc, field, v) -> Generator:
     """Algebras (d, t) over a function field with v-unit parameters and a
     division residue algebra: the scenario's pinned algebra, or d a small
     integer and t linear in the variable s; each coordinate is multiplied
-    by 1, s or s + 1."""
+    by 1, s or s + 1.  The division test needs the algebra, so the
+    proposal is the algebra itself; an entry's reduced norm is the norm
+    form evaluated on the coordinate payloads and valued as a payload."""
     if not isinstance(field, FunctionField):
         raise ScenarioError(
             "the conic generator draws algebras over a function field"
@@ -441,7 +445,7 @@ def _conic_setup(sc, field, v) -> Generator:
             )
 
         def draw(rng):
-            return pinned, None
+            return pinned
 
     else:
 
@@ -453,9 +457,10 @@ def _conic_setup(sc, field, v) -> Generator:
             if v.value(t) != 0:
                 return None
             alg = QuaternionAlgebra(field, d, t)
-            return (alg, None) if division_residue(alg) else None
+            return alg if division_residue(alg) else None
 
     one, s, s1 = field.one(), gen.value, (gen + 1).value
+    evaluate, iz, value = field.eval_diagonal, field.is_zero, v._value
 
     def spice(rng):
         return rng.choice((one, one, one, s, s1))
@@ -463,7 +468,14 @@ def _conic_setup(sc, field, v) -> Generator:
     def coords(rng):
         return _draw_coords(rng, v, field, spice)
 
-    return Generator("conic", field, v, draw, coords, None)
+    def unit_norm(alg, a, b, c):
+        n = evaluate(alg.norm_form[1:], (a, b, c))
+        return None if iz(n) else value(n) == 0
+
+    def build(alg):
+        return alg, None
+
+    return Generator("conic", field, v, draw, coords, None, unit_norm, build)
 
 
 def _point_setup(sc, field, v) -> Generator:
@@ -471,16 +483,21 @@ def _point_setup(sc, field, v) -> Generator:
     conic d*x^2 + t*y^2 = 1 passes through a small point (x0, y0); each
     instance draws its own, so a pinned algebra is refused.
 
-    The draws run on the ints and int pairs they make.  The p-adic value
-    of a nonzero integer n is the exponent of p in n, so n is a unit
-    exactly when p does not divide n, and p divides 0: `d % p` tests that
-    d is a nonzero unit, and a reduced fraction is one when p divides
-    neither its numerator nor its denominator.  t = (1 - d*x0^2)/y0^2 is
-    reduced from one integer quotient and tested that way, and a
-    coordinate triple has least value 0 when some coordinate is prime to
-    p.  With x0 = xn/xd and y0 = yn/yd, a*y0 - b*x0 - c vanishes exactly
-    when a*yn*xd - b*xn*yd - c*xd*yd does.  Only the algebra and the
-    point proposed are wrapped."""
+    The draws and their tests run on the ints and int pairs they make.
+    The p-adic value of a nonzero integer n is the exponent of p in n, so
+    n is a unit exactly when p does not divide n, and p divides 0:
+    `d % p` tests that d is a nonzero unit, and a reduced fraction is one
+    when p divides neither its numerator nor its denominator.
+    t = (1 - d*x0^2)/y0^2 is reduced from one integer quotient and tested
+    that way, and a coordinate triple has least value 0 when some
+    coordinate is prime to p.  The proposal is the ints
+    (d, tn, td, xn, xd, yn, yd) of d, t = tn/td, x0 = xn/xd and
+    y0 = yn/yd.  a*y0 - b*x0 - c vanishes exactly when
+    a*yn*xd - b*xn*yd - c*xd*yd does.  The reduced norm of a*i + b*j +
+    c*ij is -d*a^2 - t*b^2 + d*t*c^2, and td times it is
+    N = d*(tn*c^2 - td*a^2) - tn*b^2; td is a unit, so the norm is 0
+    exactly when N is, and a unit exactly when p does not divide N.
+    Only the attempt that passes wraps its algebra and point."""
     if not isinstance(field, Rationals):
         raise ScenarioError("the point generator draws algebras over the rationals")
     if sc.get("algebra") is not None:
@@ -509,11 +526,10 @@ def _point_setup(sc, field, v) -> Generator:
             return None
         xn, xd = small_fraction(rng, False)
         yn, yd = small_fraction(rng, True)
-        t = _q_frac((xd * xd - d * xn * xn) * yd * yd, xd * xd * yn * yn)
-        if not (t[0] % p and t[1] % p):
+        tn, td = _q_frac((xd * xd - d * xn * xn) * yd * yd, xd * xd * yn * yn)
+        if not (tn % p and td % p):
             return None
-        alg = QuaternionAlgebra(field, field.el((d, 1)), field.el(t))
-        return alg, (field.el((xn, xd)), field.el((yn, yd)))
+        return d, tn, td, xn, xd, yn, yd
 
     def coords(rng):
         while True:
@@ -523,11 +539,22 @@ def _point_setup(sc, field, v) -> Generator:
             if a % p or b % p or c % p:
                 return (a, 1), (b, 1), (c, 1)
 
-    def off_point(point, a, b, c):
-        (xn, xd), (yn, yd) = point[0].value, point[1].value
+    def off_point(params, a, b, c):
+        _d, _tn, _td, xn, xd, yn, yd = params
         return a[0] * yn * xd - b[0] * xn * yd != c[0] * xd * yd
 
-    return Generator("point", field, v, draw, coords, off_point)
+    def unit_norm(params, a, b, c):
+        d, tn, td = params[:3]
+        a, b, c = a[0], b[0], c[0]
+        n = d * (tn * c * c - td * a * a) - tn * b * b
+        return None if n == 0 else n % p != 0
+
+    def build(params):
+        d, tn, td, xn, xd, yn, yd = params
+        alg = QuaternionAlgebra(field, field.el((d, 1)), field.el((tn, td)))
+        return alg, (field.el((xn, xd)), field.el((yn, yd)))
+
+    return Generator("point", field, v, draw, coords, off_point, unit_norm, build)
 
 
 def _draw_coords(rng, v, base, spice):
@@ -545,28 +572,29 @@ def _draw_coords(rng, v, base, spice):
             return coords
 
 
-def _draw_entries(rng, gen: Generator, alg, point, n):
-    """n pure quaternions of nonzero reduced norm, each from at most 60
-    coordinate draws by `gen.coords`; with a point, `gen.off_point` must
-    hold too.  None if some entry runs out of draws.  A candidate is
-    wrapped for its reduced norm, which stays memoized on the entries
-    kept."""
-    zero = gen.field.zero()
-    coords, off_point = gen.coords, gen.off_point
-    entries = []
+def _draw_entries(rng, gen: Generator, params, n):
+    """The coordinate payloads of n pure quaternions of nonzero reduced
+    norm, each from at most 60 coordinate draws by `gen.coords`; in point
+    mode `gen.off_point` must hold too.  Returns them with whether every
+    reduced norm is a unit (`gen.unit_norm`), or None if some entry runs
+    out of draws.  Nothing is wrapped."""
+    coords, off_point, unit_norm = gen.coords, gen.off_point, gen.unit_norm
+    triples = []
+    units = True
     for _l in range(n):
         for _draw in range(60):
             a, b, c = coords(rng)
-            if point is not None and not off_point(point, a, b, c):
+            if off_point is not None and not off_point(params, a, b, c):
                 continue
-            u = _wrap(alg, zero, a, b, c)
-            if u.nrd().is_zero():
+            unit = unit_norm(params, a, b, c)
+            if unit is None:
                 continue
-            entries.append(u)
+            units = units and unit
+            triples.append((a, b, c))
             break
         else:
             return None
-    return entries
+    return triples, units
 
 
 def generate_instance(sc: dict, index: int) -> Instance:
@@ -575,34 +603,38 @@ def generate_instance(sc: dict, index: int) -> Instance:
 
     Each attempt draws an algebra (and a point), `rank` entries (or a
     random rank from 1 to 3) and a twist by the uniformizer power
-    m in {-1, 0, 1}, then tests in this order: the extended values of
-    the untwisted entries, then the twisted diagonal form, then its
-    certificate.  A central twist moves every extended value by m, so
-    the certificate's value test (`common_integral_value`) gives the same
-    answer on the untwisted entries; an attempt whose entries share no
-    integral value, or share one of at least 1, is dropped before any
-    form is built.  Only a form that certifies good reduction is kept."""
+    m in {-1, 0, 1}, then tests in this order: that every entry's reduced
+    norm is a unit, then the twisted diagonal form, then its certificate.
+    Drawn coordinates have least value 0 and d, t are units, so every
+    reduced norm has value >= 0, and the entries share one integral
+    extended value e < 1 (the certificate's value test,
+    `common_integral_value`, which a central twist moves by m on every
+    entry) exactly when every norm is a unit; any other attempt would
+    leave a coordinate of negative value once the certificate scaled it,
+    and is dropped on the drawn payloads.  Only the attempt that passes
+    wraps its algebra, point and twisted entries (coordinate payloads
+    times pi^m); only a form that certifies good reduction is kept."""
     gen = generator_setup(sc)
     rng = random.Random(f"{sc.get('seed', 0)}:{index}")
     v = gen.valuation
+    zero, mul = gen.field.zero(), gen.field.mul
     for _attempt in range(_MAX_ATTEMPTS):
-        drawn = gen.draw(rng)
+        params = gen.draw(rng)
+        if params is None:
+            continue
+        n = sc.get("rank") or rng.randint(1, 3)
+        drawn = _draw_entries(rng, gen, params, n)
         if drawn is None:
             continue
-        alg, point = drawn
-        n = sc.get("rank") or rng.randint(1, 3)
-        entries = _draw_entries(rng, gen, alg, point, n)
-        if entries is None:
-            continue
         m = rng.choice((-1, 0, 1))
-        # drawn coordinates have minimum value 0, so a common value e >= 1
-        # would leave a coordinate of value -e once the certificate scales
-        # the twisted entries by pi^(-e - m): that form cannot certify
-        e = common_integral_value(extvals(v, entries))
-        if e is None or e >= 1:
+        triples, units = drawn
+        if not units:
             continue
-        twist = v.uniformizer**m
-        h = SkewHermitianForm.diagonal(alg, [u * twist for u in entries])
+        alg, point = gen.build(params)
+        if m:
+            twist = (v.uniformizer**m).value
+            triples = [(mul(a, twist), mul(b, twist), mul(c, twist)) for a, b, c in triples]
+        h = SkewHermitianForm.diagonal(alg, [_wrap(alg, zero, a, b, c) for a, b, c in triples])
         if not good_reduction_certificate(h, v).certified:
             continue
         return Instance(

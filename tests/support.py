@@ -853,12 +853,10 @@ def point_instance_by_field_ops(sc, index):
     d, t, the point test and each coordinate's unit test go through the
     Rationals protocol and PAdicValuation._value.  A reference for the
     integer draws, which must give the same instance."""
-    import random
     from math import gcd
 
     from quatwitt import scenarios
-    from quatwitt.hermitian import SkewHermitianForm, common_integral_value, good_reduction_certificate
-    from quatwitt.quaternions import QuaternionAlgebra, _wrap, extvals
+    from quatwitt.quaternions import QuaternionAlgebra, _wrap
 
     field = scenarios.scenario_field(sc)
     v = scenarios.scenario_valuation(sc, field)
@@ -898,15 +896,79 @@ def point_instance_by_field_ops(sc, index):
             if min(v._value(x) for x in coords if not iz(x)) == 0:
                 return coords
 
+    def candidate(rng, alg, point):
+        a, b, c = draw_coords(rng)
+        if iz(sub(sub(mul(a, point[1].value), mul(b, point[0].value)), c)):
+            return None
+        return _wrap(alg, field.zero(), a, b, c)
+
+    return _instance_by_elements(sc, index, "point", field, v, draw, candidate)
+
+
+def conic_instance_by_field_ops(sc, index):
+    """scenarios.generate_instance for a conic-generator scenario, on
+    elements, as it ran before it decided attempts on payloads: each
+    coordinate is a FieldElement product with its spice and valued by
+    `v.value`, every candidate is wrapped for its reduced norm, and the
+    attempt's value test is extvals + common_integral_value on the
+    wrapped entries.  A reference for the unit-norm hook, which must give
+    the same instance."""
+    from quatwitt import scenarios
+    from quatwitt.quaternions import QuaternionAlgebra, ramification
+
+    field = scenarios.scenario_field(sc)
+    v = scenarios.scenario_valuation(sc, field)
+    bound = scenarios._COORD_BOUND
+    s = field.gen()
+    one = field(1)
+    spices = (one, one, one, s, s + 1)
+    pinned = sc.get("algebra")
+    if pinned is not None:
+        pinned = scenarios.build_algebra(pinned, field)
+
+    def draw(rng):
+        if pinned is not None:
+            return pinned, None
+        d = field(rng.choice((-1, 2, -2, 3, -3, 5, -5)))
+        if v.value(d) != 0:
+            return None
+        t = s * rng.choice((1, 1, 1, 2)) + rng.randint(-4, 4)
+        if v.value(t) != 0:
+            return None
+        alg = QuaternionAlgebra(field, d, t)
+        report = ramification(alg, v)
+        return None if report.ramified or report.split_over_residue else (alg, None)
+
+    def candidate(rng, alg, _point):
+        while True:
+            a, b, c = (rng.randint(-bound, bound) for _ in range(3))
+            if a == 0 and b == 0 and c == 0:
+                continue
+            coords = [field(x) * rng.choice(spices) for x in (a, b, c)]
+            if min(v.value(x) for x in coords if not x.is_zero()) == 0:
+                return alg.el(0, *coords)
+
+    return _instance_by_elements(sc, index, "conic", field, v, draw, candidate)
+
+
+def _instance_by_elements(sc, index, mode, field, v, draw, candidate):
+    """The attempt loop both field-op references share, on wrapped
+    entries: `draw(rng)` proposes (algebra, point) or None, and
+    `candidate(rng, algebra, point)` draws one wrapped entry or None; an
+    attempt keeps its entries when their extended values share one
+    integral value below 1."""
+    import random
+
+    from quatwitt import scenarios
+    from quatwitt.hermitian import SkewHermitianForm, common_integral_value, good_reduction_certificate
+    from quatwitt.quaternions import extvals
+
     def draw_entries(rng, alg, point, n):
         entries = []
         for _l in range(n):
             for _draw in range(60):
-                a, b, c = draw_coords(rng)
-                if iz(sub(sub(mul(a, point[1].value), mul(b, point[0].value)), c)):
-                    continue
-                u = _wrap(alg, field.zero(), a, b, c)
-                if u.nrd().is_zero():
+                u = candidate(rng, alg, point)
+                if u is None or u.nrd().is_zero():
                     continue
                 entries.append(u)
                 break
@@ -931,7 +993,7 @@ def point_instance_by_field_ops(sc, index):
         h = SkewHermitianForm.diagonal(alg, [u * v.uniformizer**m for u in entries])
         if not good_reduction_certificate(h, v).certified:
             continue
-        meta = {"index": index, "mode": "point", "twist": m}
+        meta = {"index": index, "mode": mode, "twist": m}
         return scenarios.Instance(field, v, alg, h, point, meta)
     return None
 

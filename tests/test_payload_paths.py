@@ -1,9 +1,11 @@
 """The certificate, the point reduction, the second residue form, the
-reduced norm and the Witt isotropy search run on raw payloads, and the
-point generator draws on ints.  Each is checked here against a reference
-on wrapped elements or field operations from tests/support.py, and the
-same tests run again in the shared python -O session."""
+reduced norm, the Witt isotropy search and the conic generator's
+attempts run on raw payloads, and the point generator draws on ints.
+Each is checked here against a reference on wrapped elements or field
+operations from tests/support.py, and the same tests run again in the
+shared python -O session."""
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -13,11 +15,11 @@ from hypothesis import strategies as st
 import support
 from quatwitt import batteries, faults
 from quatwitt.fields import ConicExtension, FiniteField, FunctionField, Rationals
-from quatwitt.hermitian import SkewHermitianForm, good_reduction_certificate
+from quatwitt.hermitian import SkewHermitianForm, common_integral_value, good_reduction_certificate
 from quatwitt.morita import _split_reduce_entries
 from quatwitt.quadforms import FALSE, INDETERMINATE, QuadraticForm, second_residue_form, witt_trivial
-from quatwitt.quaternions import QuaternionAlgebra
-from quatwitt.scenarios import generate_instance, instance_descriptor
+from quatwitt.quaternions import QuaternionAlgebra, extvals
+from quatwitt.scenarios import generate_instance, generator_setup, instance_descriptor
 from quatwitt.valuations import GaussValuation, PAdicValuation
 
 _Q = Rationals()
@@ -149,6 +151,95 @@ def test_point_draws_match_the_field_op_reference_at_random_seeds(seed, index, p
     _point_instances_match(p, seed, rank, (index,))
 
 
+# ---------------------------------------------------------------------------
+# the conic generator's payload draws, and the unit-norm hook
+
+
+# the four division batteries, and p = 3 with no pinned algebra, whose
+# draws test d, t and the residue algebra
+_CONIC_BATCHES = batteries.DIVISION_BATCHES + ((3, None),)
+
+
+@pytest.mark.parametrize("p, d", _CONIC_BATCHES)
+def test_conic_draws_match_the_element_reference(p, d):
+    for seed in (1, 2, 42):
+        sc = batteries.conic_scenario(p, d, seed=seed)
+        if d is None:
+            sc = {k: x for k, x in sc.items() if k != "algebra"}
+        for rank in (None, 1, 2, 3):
+            ranked = sc if rank is None else dict(sc, rank=rank)
+            for index in range(10):
+                got = instance_descriptor(generate_instance(ranked, index))
+                assert got == instance_descriptor(support.conic_instance_by_field_ops(ranked, index))
+
+
+def _triples(alg, point):
+    """Integer coordinate triples: any, or a multiple of
+    (t*y0, d*x0, 1), whose reduced norm -d*a^2 - t*b^2 + d*t*c^2 is 0
+    on the conic d*x0^2 + t*y0^2 = 1."""
+    d, t = (Fraction(*alg.d.value), Fraction(*alg.t.value))
+    x0, y0 = (Fraction(*c.value) for c in point)
+    a, b = t * y0, d * x0
+    lcm = a.denominator * b.denominator // math.gcd(a.denominator, b.denominator)
+    isotropic = (int(a * lcm), int(b * lcm), lcm)
+    coord = st.integers(-30, 30)
+    return st.one_of(
+        st.tuples(coord, coord, coord),
+        st.integers(-3, 3).map(lambda k: tuple(k * x for x in isotropic)),
+    )
+
+
+def _check_unit_norm_hook(gen, params, alg, v, triples):
+    """gen.unit_norm on the payloads of each triple is None exactly when
+    the wrapped entry's reduced norm is 0; on the others every hook holds
+    exactly when their extvals share one integral value below 1, the
+    test `common_integral_value` makes in the certificate."""
+    hooks, entries = [], []
+    for a, b, c in triples:
+        u = alg.el(0, a, b, c)
+        hook = gen.unit_norm(params, *(x.value for x in u.coeffs[1:]))
+        assert (hook is None) == u.nrd().is_zero()
+        if hook is not None:
+            hooks.append(hook)
+            entries.append(u)
+    if entries:
+        e = common_integral_value(extvals(v, entries))
+        assert all(hooks) == (e is not None and e < 1)
+
+
+@pytest.mark.parametrize("p", _DRAW_PRIMES)
+@given(data=st.data())
+@settings(max_examples=40)
+def test_unit_norm_hook_matches_extended_values(p, data):
+    gen = generator_setup(batteries.point_scenario(p))
+    alg, point = data.draw(support.point_algebras(p), label="algebra")
+    (tn, td), ((xn, xd), (yn, yd)) = alg.t.value, (c.value for c in point)
+    params = (alg.d.value[0], tn, td, xn, xd, yn, yd)
+    triples = data.draw(st.lists(_triples(alg, point), min_size=1, max_size=3), label="triples")
+    _check_unit_norm_hook(gen, params, alg, gen.valuation, triples)
+
+
+def _integral_polys(p):
+    """Polynomials in s of degree <= 1 with integer coefficients, times 1
+    or p: Gauss value 0, 1 or infinity."""
+    return st.builds(
+        lambda cs, k: sum((_QS(c) * _QS.gen() ** i for i, c in enumerate(cs)), _QS(0)) * p**k,
+        st.lists(st.integers(-9, 9), min_size=1, max_size=2),
+        st.integers(0, 1),
+    )
+
+
+@pytest.mark.parametrize("p, d", batteries.DIVISION_BATCHES)
+@given(data=st.data())
+@settings(max_examples=25)
+def test_conic_unit_norm_hook_matches_extended_values(p, d, data):
+    gen = generator_setup(batteries.conic_scenario(p, d))
+    alg = gen.draw(None)
+    coord = _integral_polys(p)
+    triples = data.draw(st.lists(st.tuples(coord, coord, coord), min_size=1, max_size=3), label="triples")
+    _check_unit_norm_hook(gen, alg, alg, gen.valuation, triples)
+
+
 # the fault-free cases of the tests above, rerun in the shared python -O
 # session
 _OPTIMIZED_PAYLOAD = support.optimized(
@@ -159,12 +250,13 @@ _OPTIMIZED_PAYLOAD = support.optimized(
     *(f"test_norm_form_matches_mul_and_add[{name}]" for name in _NORM_FORM_LEVELS),
     *(f"test_point_draws_match_the_field_op_reference[{p}]" for p in _DRAW_PRIMES),
     "test_point_draws_match_the_field_op_reference_at_random_seeds",
+    *(f"test_conic_draws_match_the_element_reference[{p}-{d}]" for p, d in _CONIC_BATCHES),
 )
 
 
 def test_payload_paths_match_their_references_in_optimized_mode(optimized_outcomes):
     assert [optimized_outcomes.get(i) for i in _OPTIMIZED_PAYLOAD] == ["passed"] * (
-        8 + len(_NORM_FORM_LEVELS) + len(_DRAW_PRIMES)
+        8 + len(_NORM_FORM_LEVELS) + len(_DRAW_PRIMES) + len(_CONIC_BATCHES)
     )
 
 

@@ -449,6 +449,31 @@ def test_generation_certifies_only_entries_of_one_integral_value(monkeypatch):
     assert [c.extvals for c in seen if not c.certified] == []
 
 
+def test_generation_wraps_and_certifies_only_the_instances_it_returns(monkeypatch):
+    # attempts are decided on the drawn payloads, in both modes: the only
+    # entries wrapped and the only forms certified are those of the
+    # instances returned, none for the attempts dropped before them
+    wrapped, certified = [], []
+    wrap, certify = scenarios._wrap, scenarios.good_reduction_certificate
+
+    def wrapping(*args):
+        wrapped.append(args)
+        return wrap(*args)
+
+    def recording(h, v):
+        certified.append(h)
+        return certify(h, v)
+
+    monkeypatch.setattr(scenarios, "_wrap", wrapping)
+    monkeypatch.setattr(scenarios, "good_reduction_certificate", recording)
+    scs = [batteries.point_scenario(p) for p in batteries.SPLIT_PRIMES]
+    scs += [batteries.conic_scenario(p, d) for p, d in batteries.DIVISION_BATCHES]
+    forms = [generate_instance(sc, i).form for sc in scs for i in range(10)]
+    assert len(certified) == len(forms)
+    assert all(h is form for h, form in zip(certified, forms))
+    assert len(wrapped) == sum(h.rank for h in forms)
+
+
 def test_split_instances_coerce_no_coordinate_through_the_field(monkeypatch):
     # generated entries are wrapped from payloads, and the literals 0 and
     # 1 of zero(), one() and the basis wrap the field's shared payloads
