@@ -14,8 +14,10 @@ forms are verified by specializing at that point, and its draws, tests
 included, run on ints and int pairs, never through the field protocol.
 `generator_setup` builds a scenario's mode, once per fault state, and
 checks everything that does not depend on the instance; a mode gives
-its algebra draw, its coordinate draw and, in point mode, its point
-test, and `generate_instance` runs one attempt loop for both modes.
+its algebra draw, its coordinate draw, in point mode its point test,
+its unit-norm test and the build of what it drew, and
+`generate_instance` runs one attempt loop for both modes, deciding
+each attempt on the drawn payloads and wrapping only the one it keeps.
 Every instance derives from (seed, index) alone, so a batch is
 reproducible and can be sharded across processes.
 """
@@ -606,14 +608,16 @@ def generate_instance(sc: dict, index: int) -> Instance:
     m in {-1, 0, 1}, then tests in this order: that every entry's reduced
     norm is a unit, then the twisted diagonal form, then its certificate.
     Drawn coordinates have least value 0 and d, t are units, so every
-    reduced norm has value >= 0, and the entries share one integral
-    extended value e < 1 (the certificate's value test,
-    `common_integral_value`, which a central twist moves by m on every
-    entry) exactly when every norm is a unit; any other attempt would
-    leave a coordinate of negative value once the certificate scaled it,
-    and is dropped on the drawn payloads.  Only the attempt that passes
-    wraps its algebra, point and twisted entries (coordinate payloads
-    times pi^m); only a form that certifies good reduction is kept."""
+    reduced norm has value >= 0, and every norm is a unit exactly when
+    the entries share one integral extended value e < 1.  No other
+    attempt can certify: a central twist moves every extended value by
+    m, the certificate's value test (`common_integral_value`) needs a
+    shared integral value, and a shared e >= 1 would leave a coordinate
+    of value -e once the certificate scaled the entries by pi^(-e - m).
+    So the unit test runs on the drawn payloads, and only the attempt
+    that passes wraps its algebra, point and twisted entries (coordinate
+    payloads times pi^m); only a form that certifies good reduction is
+    kept."""
     gen = generator_setup(sc)
     rng = random.Random(f"{sc.get('seed', 0)}:{index}")
     v = gen.valuation

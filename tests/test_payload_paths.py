@@ -177,10 +177,10 @@ def _triples(alg, point):
     """Integer coordinate triples: any, or a multiple of
     (t*y0, d*x0, 1), whose reduced norm -d*a^2 - t*b^2 + d*t*c^2 is 0
     on the conic d*x0^2 + t*y0^2 = 1."""
-    d, t = (Fraction(*alg.d.value), Fraction(*alg.t.value))
+    d, t = Fraction(*alg.d.value), Fraction(*alg.t.value)
     x0, y0 = (Fraction(*c.value) for c in point)
     a, b = t * y0, d * x0
-    lcm = a.denominator * b.denominator // math.gcd(a.denominator, b.denominator)
+    lcm = math.lcm(a.denominator, b.denominator)
     isotropic = (int(a * lcm), int(b * lcm), lcm)
     coord = st.integers(-30, 30)
     return st.one_of(
@@ -221,7 +221,7 @@ def test_unit_norm_hook_matches_extended_values(p, data):
 
 def _integral_polys(p):
     """Polynomials in s of degree <= 1 with integer coefficients, times 1
-    or p: Gauss value 0, 1 or infinity."""
+    or p: Gauss value >= 0, and >= 1 on every multiple of p."""
     return st.builds(
         lambda cs, k: sum((_QS(c) * _QS.gen() ** i for i, c in enumerate(cs)), _QS(0)) * p**k,
         st.lists(st.integers(-9, 9), min_size=1, max_size=2),
