@@ -35,8 +35,9 @@ Rationals the FunctionField arithmetic runs on integers too: mul
 multiplies the contents and cancels the gcds of N1 with D2 and of N2
 with D1 (Henrici, JACM 3, 1956), add brings both operands over a common
 denominator and cancels only what can still be shared, inv swaps N and
-D.  The gcds go by the primitive pseudo-remainder sequence and are
-divided out exactly.  A sum or product of two polynomials, D = 1 on both
+D.  The gcds go by the primitive pseudo-remainder sequence, down to a
+linear operand, which one evaluation decides, and are divided out
+exactly.  A sum or product of two polynomials, D = 1 on both
 sides, is one integer pass plus one content, with no polynomial gcd: a
 product of primitive polynomials is primitive (Gauss's lemma).  So is
 eval_diagonal, the value sum k_i*x_i^2 of a diagonal form such as the
@@ -720,14 +721,28 @@ def _z_prem(f, g):
 def _z_gcd(f, g):
     """The gcd over Q of two primitive integer polynomials with positive
     leads, as such a polynomial, by the primitive pseudo-remainder
-    sequence (Knuth, TAOCP vol. 2, 4.6.1; Brown, JACM 18, 1971)."""
+    sequence (Knuth, TAOCP vol. 2, 4.6.1; Brown, JACM 18, 1971).
+
+    Once the shorter operand is linear, g = u + w*s, it is irreducible,
+    so the gcd is g when g divides f and 1 otherwise; by the factor
+    theorem g divides f exactly when f(-u/w) = 0, which one Horner pass
+    on ints decides as w^n * f(-u/w) = sum of f_k * (-u)^k * w^(n-k),
+    n the degree of f."""
     if len(f) < len(g):
         f, g = g, f
-    while len(g) > 1:
+    while len(g) > 2:
         r = _z_prem(f, g)
         if not r:
             return g
         f, g = g, _z_content(r)[1]
+    if len(g) == 2:
+        u, w = g
+        acc, wk = 0, 1
+        for c in reversed(f):
+            acc = acc * -u + c * wk
+            wk *= w
+        if not acc:
+            return g
     return [1]
 
 

@@ -14,12 +14,16 @@ forms are verified by specializing at that point, and its draws, tests
 included, run on ints and int pairs, never through the field protocol.
 `generator_setup` builds a scenario's mode, once per fault state, and
 checks everything that does not depend on the instance; a mode gives
-its algebra draw, its coordinate draw, in point mode its point test,
-its unit-norm test and the build of what it drew, and
+its algebra draw, its coordinate draw, in point mode its point test and
+its unit-norm test (conic mode needs none: a division residue algebra
+makes every drawn norm a unit), and the build of what it drew, and
 `generate_instance` runs one attempt loop for both modes, deciding
 each attempt on the drawn payloads and wrapping only the one it keeps.
 Every instance derives from (seed, index) alone, so a batch is
-reproducible and can be sharded across processes.
+reproducible and can be sharded across processes.  Every draw is
+`_below(rng, n)`, the integer in [0, n) that `random.Random.randrange(n)`
+would return from the same state, so the stream is `randint`'s and
+`choice`'s without their argument handling.
 """
 
 from __future__ import annotations
@@ -59,7 +63,12 @@ BATCH_KEYS = frozenset(
 )
 
 _COORD_BOUND = 9
+# a coordinate is one of the 2*_COORD_BOUND + 1 integers in [-9, 9]
+_COORD_SPAN = 2 * _COORD_BOUND + 1
 _MAX_ATTEMPTS = 400
+# the conic generator's draws of d and of the lead of t = lead*s + k
+_CONIC_D = (-1, 2, -2, 3, -3, 5, -5)
+_CONIC_T_LEAD = (1, 1, 1, 2)
 
 # input bounds: generation and verification cost grow with the rank, and
 # a batch runs `trials` instances
@@ -363,8 +372,10 @@ class Generator(NamedTuple):
     `coords(rng)` draws the payloads of one entry's coordinates a, b, c;
     `off_point(params, a, b, c)`, in point mode, tells that the entry's
     specialization a*y0 - b*x0 - c at the point does not vanish;
-    `unit_norm(params, a, b, c)` is None when the reduced norm of
-    a*i + b*j + c*ij is 0, and otherwise tells whether it is a v-unit;
+    `unit_norm(params, a, b, c)`, in point mode, is None when the
+    reduced norm of a*i + b*j + c*ij is 0, and otherwise tells whether
+    it is a v-unit; a mode without it draws only entries whose reduced
+    norm is a nonzero unit (see `_conic_setup`);
     `build(params)` wraps the proposal as (algebra, point), with point
     None in conic mode."""
 
@@ -374,7 +385,7 @@ class Generator(NamedTuple):
     draw: Callable
     coords: Callable
     off_point: Optional[Callable]
-    unit_norm: Callable
+    unit_norm: Optional[Callable]
     build: Callable
 
 
@@ -425,8 +436,16 @@ def _conic_setup(sc, field, v) -> Generator:
     division residue algebra: the scenario's pinned algebra, or d a small
     integer and t linear in the variable s; each coordinate is multiplied
     by 1, s or s + 1.  The division test needs the algebra, so the
-    proposal is the algebra itself; an entry's reduced norm is the norm
-    form evaluated on the coordinate payloads and valued as a payload."""
+    proposal is the algebra itself.
+
+    There is no unit-norm test, since every drawn entry passes it.  The
+    reduced norm of a*i + b*j + c*ij is the norm form <-d, -t, d*t> at
+    (a, b, c), and its residue form <-dbar, -tbar, dbar*tbar> is
+    anisotropic because the residue algebra is division.  `_draw_coords`
+    returns only triples of least value 0, whose residues are not all 0,
+    so the residue of the reduced norm is not 0: v(nrd) = 0, and nrd is
+    not 0.  The certificate still rechecks every reduced norm from the
+    coordinates."""
     if not isinstance(field, FunctionField):
         raise ScenarioError(
             "the conic generator draws algebras over a function field"
@@ -452,32 +471,28 @@ def _conic_setup(sc, field, v) -> Generator:
     else:
 
         def draw(rng):
-            d = field(rng.choice((-1, 2, -2, 3, -3, 5, -5)))
+            d = field(_CONIC_D[_below(rng, len(_CONIC_D))])
             if v.value(d) != 0:
                 return None
-            t = gen * rng.choice((1, 1, 1, 2)) + rng.randint(-4, 4)
+            t = gen * _CONIC_T_LEAD[_below(rng, len(_CONIC_T_LEAD))] + _below(rng, 9) - 4
             if v.value(t) != 0:
                 return None
             alg = QuaternionAlgebra(field, d, t)
             return alg if division_residue(alg) else None
 
-    one, s, s1 = field.one(), gen.value, (gen + 1).value
-    evaluate, iz, value = field.eval_diagonal, field.is_zero, v._value
+    one = field.one()
+    spices = (one, one, one, gen.value, (gen + 1).value)
 
     def spice(rng):
-        return rng.choice((one, one, one, s, s1))
+        return spices[_below(rng, len(spices))]
 
     def coords(rng):
         return _draw_coords(rng, v, field, spice)
 
-    def unit_norm(alg, a, b, c):
-        n = evaluate(alg.norm_form[1:], (a, b, c))
-        return None if iz(n) else value(n) == 0
-
     def build(alg):
         return alg, None
 
-    return Generator("conic", field, v, draw, coords, None, unit_norm, build)
+    return Generator("conic", field, v, draw, coords, None, None, build)
 
 
 def _point_setup(sc, field, v) -> Generator:
@@ -512,8 +527,8 @@ def _point_setup(sc, field, v) -> Generator:
     def small_fraction(rng, nonzero):
         # the payload of num/den: the reduced pair, denominator positive
         for _ in range(40):
-            num = rng.randint(-_COORD_BOUND, _COORD_BOUND)
-            den = rng.randint(1, 5)
+            num = _below(rng, _COORD_SPAN) - _COORD_BOUND
+            den = _below(rng, 5) + 1
             if den % p == 0:
                 continue
             if nonzero and num == 0:
@@ -523,7 +538,7 @@ def _point_setup(sc, field, v) -> Generator:
         return field.one()
 
     def draw(rng):
-        d = rng.randint(-_COORD_BOUND, _COORD_BOUND)
+        d = _below(rng, _COORD_SPAN) - _COORD_BOUND
         if not d % p:
             return None
         xn, xd = small_fraction(rng, False)
@@ -535,9 +550,7 @@ def _point_setup(sc, field, v) -> Generator:
 
     def coords(rng):
         while True:
-            a, b, c = (
-                rng.randint(-_COORD_BOUND, _COORD_BOUND) for _ in range(3)
-            )
+            a, b, c = _draw_ints(rng)
             if a % p or b % p or c % p:
                 return (a, 1), (b, 1), (c, 1)
 
@@ -559,14 +572,34 @@ def _point_setup(sc, field, v) -> Generator:
     return Generator("point", field, v, draw, coords, off_point, unit_norm, build)
 
 
+def _below(rng, n):
+    """An integer in [0, n), n >= 1, drawn from rng.getrandbits exactly
+    as `random.Random.randrange(n)` draws it: k = n.bit_length() bits at
+    a time until they read below n.  So randint(a, b) is
+    _below(rng, b - a + 1) + a and choice(seq) is
+    seq[_below(rng, len(seq))], from the same state to the same state."""
+    k = n.bit_length()
+    r = rng.getrandbits(k)
+    while r >= n:
+        r = rng.getrandbits(k)
+    return r
+
+
+def _draw_ints(rng):
+    """Three integers from [-9, 9], in order."""
+    return (
+        _below(rng, _COORD_SPAN) - _COORD_BOUND,
+        _below(rng, _COORD_SPAN) - _COORD_BOUND,
+        _below(rng, _COORD_SPAN) - _COORD_BOUND,
+    )
+
+
 def _draw_coords(rng, v, base, spice):
     """The payloads of a nonzero coordinate triple from [-9, 9], each
     multiplied by a spice, with a unit entry."""
     mul, iz = base.mul, base.is_zero
     while True:
-        a, b, c = (
-            rng.randint(-_COORD_BOUND, _COORD_BOUND) for _ in range(3)
-        )
+        a, b, c = _draw_ints(rng)
         if a == 0 and b == 0 and c == 0:
             continue
         coords = [mul(base.from_int(x), spice(rng)) for x in (a, b, c)]
@@ -578,8 +611,9 @@ def _draw_entries(rng, gen: Generator, params, n):
     """The coordinate payloads of n pure quaternions of nonzero reduced
     norm, each from at most 60 coordinate draws by `gen.coords`; in point
     mode `gen.off_point` must hold too.  Returns them with whether every
-    reduced norm is a unit (`gen.unit_norm`), or None if some entry runs
-    out of draws.  Nothing is wrapped."""
+    reduced norm is a unit (`gen.unit_norm`; with no such test, as in
+    conic mode, every drawn norm is a nonzero unit), or None if some
+    entry runs out of draws.  Nothing is wrapped."""
     coords, off_point, unit_norm = gen.coords, gen.off_point, gen.unit_norm
     triples = []
     units = True
@@ -588,10 +622,11 @@ def _draw_entries(rng, gen: Generator, params, n):
             a, b, c = coords(rng)
             if off_point is not None and not off_point(params, a, b, c):
                 continue
-            unit = unit_norm(params, a, b, c)
-            if unit is None:
-                continue
-            units = units and unit
+            if unit_norm is not None:
+                unit = unit_norm(params, a, b, c)
+                if unit is None:
+                    continue
+                units = units and unit
             triples.append((a, b, c))
             break
         else:
@@ -614,10 +649,11 @@ def generate_instance(sc: dict, index: int) -> Instance:
     m, the certificate's value test (`common_integral_value`) needs a
     shared integral value, and a shared e >= 1 would leave a coordinate
     of value -e once the certificate scaled the entries by pi^(-e - m).
-    So the unit test runs on the drawn payloads, and only the attempt
-    that passes wraps its algebra, point and twisted entries (coordinate
-    payloads times pi^m); only a form that certifies good reduction is
-    kept."""
+    So the unit test runs on the drawn payloads (in point mode; a conic
+    mode draw always passes it), and only the attempt that passes wraps
+    its algebra, point and twisted entries (coordinate payloads times
+    pi^m); only a form that certifies good reduction is kept.  The
+    draws are `_below` calls, one stream per instance."""
     gen = generator_setup(sc)
     rng = random.Random(f"{sc.get('seed', 0)}:{index}")
     v = gen.valuation
@@ -626,11 +662,11 @@ def generate_instance(sc: dict, index: int) -> Instance:
         params = gen.draw(rng)
         if params is None:
             continue
-        n = sc.get("rank") or rng.randint(1, 3)
+        n = sc.get("rank") or _below(rng, 3) + 1
         drawn = _draw_entries(rng, gen, params, n)
         if drawn is None:
             continue
-        m = rng.choice((-1, 0, 1))
+        m = _below(rng, 3) - 1
         triples, units = drawn
         if not units:
             continue

@@ -113,6 +113,10 @@ class PAdicValuation(_ValuationBase):
 
     def _value(self, payload):
         n, d = payload
+        p = self.p
+        # a fraction prime to p is a unit; p divides 0
+        if n % p and d % p:
+            return 0
         if not n:
             return INF
         return self._vp(n) - self._vp(d)

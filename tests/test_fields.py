@@ -36,6 +36,8 @@ from quatwitt.fields import (
     poly_mul,
     poly_trim,
     _power_cost,
+    _z_cancel,
+    _z_gcd,
 )
 
 
@@ -448,6 +450,66 @@ def test_integer_kernel_payloads_stay_canonical(p, r):
     _assert_canonical_triple(b)
     for op, *args in _kernel_cases(a, b):
         _assert_canonical_triple(getattr(_QS, op)(*args))
+
+
+def _z_product(f, g):
+    out = [0] * (len(f) + len(g) - 1)
+    for i, a in enumerate(f):
+        for j, b in enumerate(g):
+            out[i + j] += a * b
+    return out
+
+
+def _primitive(f):
+    k = math.gcd(*f)
+    return [c // k for c in f]
+
+
+# u + w*s, primitive with w >= 1: u = 0 only as s itself
+_LINEAR = st.tuples(st.integers(-30, 30), st.integers(1, 12)).filter(lambda uw: math.gcd(*uw) == 1).map(list)
+
+
+def _z_polys(lo, hi):
+    """Primitive integer polynomials with positive leads, of degree lo
+    to hi."""
+    return st.builds(
+        lambda low, lead: _primitive(low + [lead]),
+        st.lists(st.integers(-20, 20), min_size=lo, max_size=hi),
+        st.integers(1, 20),
+    )
+
+
+# (f, g) with g linear: f any primitive polynomial of degree 1 to 8
+# (degree 1 for two linear operands), or g times one of degree 0 to 7
+_LINEAR_GCD_PAIRS = _LINEAR.flatmap(
+    lambda g: st.tuples(
+        st.one_of(_z_polys(1, 8), _z_polys(0, 7).map(lambda h: _z_product(g, h))),
+        st.just(g),
+    )
+)
+
+
+@settings(max_examples=120)
+@given(_LINEAR_GCD_PAIRS)
+@example(([-9, 0, 4], [-3, 2]))  # (2s - 3)(2s + 3), lead w > 1
+@example(([5, 3], [5, 3]))  # two equal linear operands
+@example(([1, 2], [-1, 3]))  # two coprime linear operands
+@example(([-7, 0, 0, 0, 0, 0, 0, 0, 1], [-7, 1]))  # degree 8, s - 7 does not divide
+@example((_z_product([-2, 1], [1, 1, 1, 1, 1, 1, 1, 1]), [-2, 1]))  # degree 8, s - 2 divides
+def test_linear_gcd_and_cancel_match_sympy(pair):
+    """With one operand linear, _z_gcd (either order) is sympy's gcd, and
+    _z_cancel divides both by it."""
+    sympy = pytest.importorskip("sympy")
+    s = sympy.Symbol("s")
+    f, g = pair
+    F, G = (sympy.Poly(list(reversed(cs)), s, domain="ZZ") for cs in (f, g))
+    H = sympy.gcd(F, G)
+    want = list(reversed(H.all_coeffs()))
+    assert list(_z_gcd(f, g)) == want
+    assert list(_z_gcd(g, f)) == want
+    cf, cg = _z_cancel(f, g)
+    assert list(cf) == list(reversed(F.exquo(H).all_coeffs()))
+    assert list(cg) == list(reversed(G.exquo(H).all_coeffs()))
 
 
 def _assert_wrong_gcd_fails(outcomes):

@@ -5,7 +5,9 @@ Each is checked here against a reference on wrapped elements or field
 operations from tests/support.py, and the same tests run again in the
 shared python -O session."""
 
+import functools
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -18,7 +20,7 @@ from quatwitt.fields import ConicExtension, FiniteField, FunctionField, Rational
 from quatwitt.hermitian import SkewHermitianForm, common_integral_value, good_reduction_certificate
 from quatwitt.morita import _split_reduce_entries
 from quatwitt.quadforms import FALSE, INDETERMINATE, QuadraticForm, second_residue_form, witt_trivial
-from quatwitt.quaternions import QuaternionAlgebra, extvals
+from quatwitt.quaternions import QuaternionAlgebra, extvals, ramification
 from quatwitt.scenarios import generate_instance, generator_setup, instance_descriptor
 from quatwitt.valuations import GaussValuation, PAdicValuation
 
@@ -152,7 +154,7 @@ def test_point_draws_match_the_field_op_reference_at_random_seeds(seed, index, p
 
 
 # ---------------------------------------------------------------------------
-# the conic generator's payload draws, and the unit-norm hook
+# the generators' payload draws and the point generator's unit-norm hook
 
 
 # the four division batteries, and p = 3 with no pinned algebra, whose
@@ -229,15 +231,55 @@ def _integral_polys(p):
     )
 
 
-@pytest.mark.parametrize("p, d", batteries.DIVISION_BATCHES)
+def _norm_values_of_least_value_zero(alg, v, triples):
+    """v(nrd(a*i + b*j + c*ij)) for each triple (a, b, c) whose least
+    coordinate value is 0."""
+    return [
+        v.value(alg.el(0, a, b, c).nrd())
+        for a, b, c in triples
+        if min(v.value(x) for x in (a, b, c)) == 0
+    ]
+
+
+@functools.lru_cache(maxsize=None)
+def _conic_generator_and_algebras(p, d):
+    """The generator of a conic battery and its algebras: the pinned one,
+    or with d None the distinct ones of the first 40 draws."""
+    sc = batteries.conic_scenario(p, d or "-1")
+    if d is None:
+        sc = {k: x for k, x in sc.items() if k != "algebra"}
+    gen = generator_setup(sc)
+    drawn = (gen.draw(random.Random(seed)) for seed in range(40))
+    return gen, tuple(dict.fromkeys(alg for alg in drawn if alg is not None))
+
+
+@pytest.mark.parametrize("p, d", _CONIC_BATCHES)
 @given(data=st.data())
 @settings(max_examples=25)
-def test_conic_unit_norm_hook_matches_extended_values(p, d, data):
-    gen = generator_setup(batteries.conic_scenario(p, d))
-    alg = gen.draw(None)
+def test_drawn_norms_are_units_over_a_division_residue(p, d, data):
+    """Why the conic generator has no unit-norm test: over its algebras,
+    whose residue algebras are division, every triple of least value 0
+    has a reduced norm of value 0.  The triples are integral polynomials
+    and the generator's own coordinate draws."""
+    gen, algebras = _conic_generator_and_algebras(p, d)
+    alg = data.draw(st.sampled_from(algebras), label="algebra")
     coord = _integral_polys(p)
-    triples = data.draw(st.lists(st.tuples(coord, coord, coord), min_size=1, max_size=3), label="triples")
-    _check_unit_norm_hook(gen, alg, alg, gen.valuation, triples)
+    drawn = st.integers(0, 2**32).map(lambda seed: tuple(map(_QS.el, gen.coords(random.Random(seed)))))
+    triples = data.draw(st.lists(st.one_of(st.tuples(coord, coord, coord), drawn), min_size=1, max_size=4), label="triples")
+    values = _norm_values_of_least_value_zero(alg, gen.valuation, triples)
+    assert values == [0] * len(values)
+
+
+def test_a_split_residue_algebra_has_norms_of_positive_value():
+    """The negative control: over (1, s) at p = 3, whose residue algebra
+    splits, some integer triple of least value 0 has a nonzero reduced
+    norm of positive value, such as (3, 2, 1) with nrd -9 - 3*s."""
+    alg = QuaternionAlgebra(_QS, 1, _QS.gen())
+    assert ramification(alg, _QS_GAUSS).split_over_residue
+    box = range(-3, 4)
+    triples = [(_QS(a), _QS(b), _QS(c)) for a in box for b in box for c in box]
+    values = _norm_values_of_least_value_zero(alg, _QS_GAUSS, triples)
+    assert any(0 < e < math.inf for e in values)
 
 
 # the fault-free cases of the tests above, rerun in the shared python -O

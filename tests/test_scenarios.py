@@ -11,6 +11,8 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from quatwitt import batteries, faults, hermitian, morita, quaternions, scenarios
 from quatwitt.errors import ScenarioError
@@ -299,6 +301,45 @@ def test_generated_coordinates_stay_in_the_pool():
             triple = [c for c in u.coeffs[1:] if not c.is_zero()]
             assert triple
             assert min(v.value(c) for c in triple) in (-1, 0, 1)
+
+
+@settings(max_examples=60)
+@given(st.integers(0, 2**64), st.lists(st.integers(1, 1000), min_size=1, max_size=12))
+def test_below_draws_the_stream_of_randrange(seed, ns):
+    """_below(rng, n) is randrange(n) from an equal-seeded random.Random,
+    and leaves the same state behind, so a run of draws stays aligned."""
+    rng, ref = random.Random(seed), random.Random(seed)
+    for n in ns:
+        assert scenarios._below(rng, n) == ref.randrange(n)
+    assert rng.getstate() == ref.getstate()
+
+
+@settings(max_examples=60)
+@given(
+    st.integers(0, 2**64),
+    st.lists(
+        st.one_of(
+            st.tuples(st.integers(-20, 20), st.integers(0, 40)).map(lambda ak: ("randint", ak[0], ak[0] + ak[1])),
+            st.lists(st.integers(-9, 9), min_size=1, max_size=9).map(lambda seq: ("choice", tuple(seq))),
+        ),
+        min_size=1,
+        max_size=12,
+    ),
+)
+def test_below_reproduces_randint_and_choice(seed, calls):
+    """_below(rng, b - a + 1) + a is randint(a, b), and
+    seq[_below(rng, len(seq))] is choice(seq), the two calls the
+    generators made before; the reference generators in tests/support.py
+    still make them."""
+    rng, ref = random.Random(seed), random.Random(seed)
+    for name, *args in calls:
+        if name == "randint":
+            a, b = args
+            assert scenarios._below(rng, b - a + 1) + a == ref.randint(a, b)
+        else:
+            (seq,) = args
+            assert seq[scenarios._below(rng, len(seq))] == ref.choice(seq)
+    assert rng.getstate() == ref.getstate()
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import support
@@ -82,6 +82,35 @@ def test_padic_residue_is_multiplicative_on_units(a, b):
     lhs = v.residue(Q(a) * Q(b))
     rhs = v.residue(Q(a)) * v.residue(Q(b))
     assert (lhs - rhs).is_zero()
+
+
+def _padic(p):
+    # F_2 is outside scope, so p = 2 skips the constructor; `_value`
+    # reads only p
+    if p == 2:
+        v = object.__new__(PAdicValuation)
+        v.p = 2
+        return v
+    return PAdicValuation(p)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 13, 101])
+@given(
+    st.integers(-10**6, 10**6).filter(bool),
+    st.integers(1, 10**6),
+    st.integers(-5, 5),
+)
+@example(1, 1, 3)
+@example(-1, 1, -2)
+@example(1, 1, 0)
+def test_padic_payload_value_matches_sympy_multiplicity(p, n, d, k):
+    """_value of the reduced payload of (n/d)*p^k, negatives and exact
+    powers of p among them, is the exponent of p in its numerator less
+    that in its denominator; the unit test must read both."""
+    sympy = pytest.importorskip("sympy")
+    x = Fraction(n, d) * Fraction(p) ** k
+    want = sympy.multiplicity(p, x.numerator) - sympy.multiplicity(p, x.denominator)
+    assert _padic(p)._value((x.numerator, x.denominator)) == want
 
 
 # ---------------------------------------------------------------------------
