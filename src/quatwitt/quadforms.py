@@ -14,11 +14,14 @@ rank or the rank-2 discriminant test); a bounded isotropy search runs
 first through exact square tests on entry pairs, then through a small
 deterministic coordinate enumeration, and running out of candidates
 yields `indeterminate`.  The search runs on raw payloads: each
-coordinate's payload is built once per search, each candidate's value
-is summed with the field's own add and mul, and only an isotropic
-vector is wrapped, to split off its hyperbolic plane.  The coordinate
-pool is bounded by the remaining budget, so over F_p(s) no more of its
-p^2 linear polynomials are built than the budget can reach.
+coordinate's payload is built once per search (over Q once per shell
+radius), each candidate's value is the field's `eval_diagonal`, the
+norm-form evaluation `nrd` and `QuadraticForm.apply` use, and only an
+isotropic vector is wrapped, to split off its hyperbolic plane.  Over Q
+each shell of the integer cube is yielded directly, not filtered from
+the cube.  The coordinate pool is bounded by the remaining budget, so
+over F_p(s) no more of its p^2 linear polynomials are built than the
+budget can reach.
 
 The residue forms scale, divide and reduce each entry's payload, with
 the level checked once per form, and the finite-field decision
@@ -403,17 +406,37 @@ def _pool_vectors(base, coords, rank: int, limit: int):
             yield vec
 
 
+def _shell(span, rank: int, prefix=()):
+    """prefix + t for each t in span^rank (rank >= 1) with span[0] or
+    span[-1] among its coordinates, lazily, in lexicographic order.
+
+    A vector is in the shell when its first coordinate is an end of span
+    and its tail is anything, or its first coordinate is inside and its
+    tail is in the shell of rank - 1.
+    """
+    if rank == 1:
+        yield prefix + (span[0],)
+        yield prefix + (span[-1],)
+        return
+    last = len(span) - 1
+    for i, c in enumerate(span):
+        head = prefix + (c,)
+        if i == 0 or i == last:
+            yield from map(head.__add__, itertools.product(span, repeat=rank - 1))
+        else:
+            yield from _shell(span, rank - 1, head)
+
+
 def _candidate_vectors(base, rank: int, limit: int):
     """Deterministic stream of coordinate payload vectors for the isotropy
     search, of which the caller evaluates at most the first `limit`; each
-    coordinate's payload is built once."""
+    coordinate's payload is built once.  Over Q the vectors are the
+    integer shells max |c_i| = r for r = 1, ..., 7, each yielded lazily
+    in lexicographic order from its radius's payloads -r, ..., r."""
     if isinstance(base, Rationals):
-        coord = {c: base.from_int(c) for c in range(-7, 8)}
         for radius in range(1, 8):
-            span = range(-radius, radius + 1)
-            for vec in itertools.product(span, repeat=rank):
-                if max(map(abs, vec), default=0) == radius:
-                    yield tuple(map(coord.__getitem__, vec))
+            span = [base.from_int(c) for c in range(-radius, radius + 1)]
+            yield from _shell(span, rank)
     elif isinstance(base, FunctionField) and isinstance(base.base, FiniteField):
         # 0, the nonzero constants, then c0 + c1*s with c1 != 0: p^2
         # coordinates in all, built lazily, as far as the limit reaches
@@ -450,8 +473,10 @@ def _finite_field_witt(base: FiniteField, entries) -> str:
 
 def _witt(base, entries, budget: int, spent: int):
     """The verdict on diag(entries), given as payloads, and the candidates
-    spent so far.  Each candidate is evaluated on payloads; only an
-    isotropic vector and the entries are wrapped, to split off its plane."""
+    spent so far.  Each candidate is evaluated on payloads by the field's
+    `eval_diagonal`, whose arithmetic is exact at every level, so its
+    zero test is the test on the summed products u*c*c; only an isotropic
+    vector and the entries are wrapped, to split off its plane."""
     if isinstance(base, FiniteField):
         return _finite_field_witt(base, entries), spent
     entries = _pair_split(base, entries)
@@ -463,16 +488,12 @@ def _witt(base, entries, budget: int, spent: int):
     if m == 2:
         # the pair scan already ruled out a square -u1*u2
         return FALSE, spent
-    add, mul, is_zero = base.add, base.mul, base.is_zero
-    zero = base.zero()
+    value, is_zero = base.eval_diagonal, base.is_zero
     for vec in _candidate_vectors(base, m, max(budget - spent, 0)):
         if spent >= budget:
             return INDETERMINATE, spent
         spent += 1
-        acc = zero
-        for u, c in zip(entries, vec):
-            acc = add(acc, mul(u, mul(c, c)))
-        if is_zero(acc):
+        if is_zero(value(entries, vec)):
             gram = _complement_gram(
                 base, [base.el(u) for u in entries], [base.el(c) for c in vec]
             )

@@ -224,13 +224,14 @@ def _candidate_elements(base, rank):
 
 def witt_by_element_search(q, budget=DEFAULT_BUDGET):
     """witt_trivial's pair scan and isotropy search on FieldElements:
-    each candidate is evaluated by QuadraticForm.apply.  A reference for
-    the payload search in quadforms, over fields that are not finite."""
+    each candidate's value u_1*c_1*c_1 + ... is summed with the element
+    operators, not with the field's eval_diagonal, which the library
+    search calls.  A reference for the payload search in quadforms, over
+    fields that are not finite."""
     from quatwitt.quadforms import (
         FALSE,
         INDETERMINATE,
         TRUE,
-        QuadraticForm,
         Verdict,
         _complement_gram,
     )
@@ -261,12 +262,11 @@ def witt_by_element_search(q, budget=DEFAULT_BUDGET):
             return TRUE, spent
         if m % 2 == 1 or m == 2:
             return FALSE, spent
-        form = QuadraticForm(base, entries)
         for vec in _candidate_elements(base, m):
             if spent >= budget:
                 return INDETERMINATE, spent
             spent += 1
-            if form.apply(vec).is_zero():
+            if sum((u * c * c for u, c in zip(entries, vec)), base(0)).is_zero():
                 sub, _p = diagonalize(base, _complement_gram(base, entries, vec))
                 return search(list(sub.entries), spent)
         return INDETERMINATE, spent

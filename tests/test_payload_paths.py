@@ -6,6 +6,7 @@ operations from tests/support.py, and the same tests run again in the
 shared python -O session."""
 
 import functools
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -19,7 +20,14 @@ from quatwitt import batteries, faults
 from quatwitt.fields import ConicExtension, FiniteField, FunctionField, Rationals
 from quatwitt.hermitian import SkewHermitianForm, common_integral_value, good_reduction_certificate
 from quatwitt.morita import _split_reduce_entries
-from quatwitt.quadforms import FALSE, INDETERMINATE, QuadraticForm, second_residue_form, witt_trivial
+from quatwitt.quadforms import (
+    FALSE,
+    INDETERMINATE,
+    QuadraticForm,
+    _candidate_vectors,
+    second_residue_form,
+    witt_trivial,
+)
 from quatwitt.quaternions import QuaternionAlgebra, extvals, ramification
 from quatwitt.scenarios import generate_instance, generator_setup, instance_descriptor
 from quatwitt.valuations import GaussValuation, PAdicValuation
@@ -318,8 +326,14 @@ _WITT_CASES = {
     "Q-definite-budget-2000": (_Q, ["1", "1", "1", "1"], 2000, (INDETERMINATE, 2000)),
     "Q-isotropic": (_Q, ["1", "1", "-2", "-3"], 2000, (FALSE, 2)),
     "Q-isotropic-twice": (_Q, ["3", "-7", "-5", "1/2", "3", "1"], 300, (FALSE, 253)),
+    # no isotropic vector in the 728 of radius 1; the first is at 1411
+    "Q-rank-6-radius-2": (_Q, ["-1", "6", "-2", "-2", "6", "6"], 3000, (FALSE, 2051)),
     "Qs-isotropic": (_QS, ["1", "1", "-2", "s"], 2000, (FALSE, 3)),
     "Qs-exhausted": (_QS, ["1", "1", "1", "s"], 300, (INDETERMINATE, 300)),
+    # entries that are not polynomials take eval_diagonal's element loop
+    "Qs-fractions": (_QS, ["1/(s + 1)", "2", "s/(s + 1)", "-1"], 2000, (FALSE, 163)),
+    # polynomials with unequal contents: the integer pass rescales its sum
+    "Qs-contents": (_QS, ["5", "1/2", "s/3", "-(2*s + 3)/6"], 2000, (FALSE, 1459)),
     "F7s-isotropic": (_F7S, ["s", "1", "2", "4"], 3000, (FALSE, 2451)),
     "F7s-exhausted": (_F7S, ["1", "s", "s + 1", "s^2 + 2"], 300, (INDETERMINATE, 300)),
     # its isotropic vector has a linear polynomial for a coordinate
@@ -340,6 +354,15 @@ def test_witt_search_matches_elements(case):
     field, entries, budget, want = _WITT_CASES[case]
     q = QuadraticForm(field, [field.parse(e) for e in entries])
     assert _check_witt_search(q, budget) == want
+
+
+@pytest.mark.parametrize("rank", range(1, 7))
+def test_q_candidate_shells_match_the_filtered_cube(rank):
+    # the payload stream yields each shell directly; the reference
+    # filters the cube [-r, r]^rank down to max |c_i| = r
+    want = itertools.islice(support._candidate_elements(_Q, rank), 20000)
+    got = itertools.islice(_candidate_vectors(_Q, rank, 20000), 20000)
+    assert list(got) == [tuple(c.value for c in vec) for vec in want]
 
 
 @pytest.mark.parametrize("p", [3, 5, 7])

@@ -1,6 +1,7 @@
 """Diagonal quadratic forms, diagonalization, residue forms, and the
 Witt-triviality oracle."""
 
+import itertools
 import random
 import time
 from fractions import Fraction
@@ -18,6 +19,7 @@ from quatwitt.quadforms import (
     INDETERMINATE,
     TRUE,
     QuadraticForm,
+    _candidate_vectors,
     diagonalize,
     mat_mul,
     reconstruction,
@@ -310,6 +312,14 @@ def test_witt_search_over_a_large_f_p_s_does_not_stall(p):
     verdict = witt_trivial(q, budget=1)
     assert time.perf_counter() - start < 1.0
     assert verdict == (INDETERMINATE, 1)
+
+
+def test_q_candidate_shells_at_a_large_rank_do_not_stall(Q):
+    # each shell is yielded lazily: no inner shell of rank 23 is built
+    start = time.perf_counter()
+    vecs = list(itertools.islice(_candidate_vectors(Q, 24, 2000), 2000))
+    assert time.perf_counter() - start < 1.0
+    assert len(vecs) == 2000 and all(len(v) == 24 for v in vecs)
 
 
 def test_is_unramified(Q, v3):
