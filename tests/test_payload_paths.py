@@ -319,7 +319,7 @@ _CONIC_23 = ConicExtension(_Q, 2, 3)
 
 # name: (field, entries, budget, (state, searched)); the isotropic cases
 # find a vector, split off its plane and decide the complement, the
-# rank-6 one twice
+# rank-6 ones twice
 _WITT_CASES = {
     "Q-definite-budget-1": (_Q, ["1", "1", "1", "1"], 1, (INDETERMINATE, 1)),
     "Q-definite-budget-500": (_Q, ["1", "1", "1", "1"], 500, (INDETERMINATE, 500)),

@@ -315,7 +315,8 @@ def test_witt_search_over_a_large_f_p_s_does_not_stall(p):
 
 
 def test_q_candidate_shells_at_a_large_rank_do_not_stall(Q):
-    # each shell is yielded lazily: no inner shell of rank 23 is built
+    # the stream starts at once: no shell of rank 24 or 23 is built
+    # before its first vector is yielded
     start = time.perf_counter()
     vecs = list(itertools.islice(_candidate_vectors(Q, 24, 2000), 2000))
     assert time.perf_counter() - start < 1.0
