@@ -400,15 +400,16 @@ def cmd_verify_theorem(args) -> int:
 # argument parsing
 
 
-def _add_common(sub):
-    sub.add_argument("--scenario", required=True, help="path to a JSON scenario file")
-    sub.add_argument("--json", action="store_true", help="print one canonical JSON document")
-    sub.add_argument(
-        "--inject-fault",
-        action="append",
-        choices=faults.FAULT_NAMES,
-        help=argparse.SUPPRESS,
-    )
+# (name, handler, help) of each subcommand
+_COMMANDS = (
+    ("residue", cmd_residue, "ramification report for a quaternion algebra"),
+    ("certify", cmd_certify, "search for a good-reduction certificate"),
+    ("reduce", cmd_reduce, "reduce a form to a quadratic form over the conic field"),
+    ("split-reduce", cmd_split_reduce, "reduce through a rational point of the conic"),
+    ("residue-forms", cmd_residue_forms, "first and second residue forms at a valuation"),
+    ("witt-equal", cmd_witt_equal, "compare Witt classes of two diagonal forms"),
+    ("verify-theorem", cmd_verify_theorem, "randomized batch verification"),
+)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -418,40 +419,21 @@ def build_parser() -> argparse.ArgumentParser:
         "skew-hermitian forms over quaternion algebras",
     )
     subs = parser.add_subparsers(dest="command", required=True)
-
-    sub = subs.add_parser("residue", help="ramification report for a quaternion algebra")
-    _add_common(sub)
-    sub.set_defaults(func=cmd_residue)
-
-    sub = subs.add_parser("certify", help="search for a good-reduction certificate")
-    _add_common(sub)
-    sub.set_defaults(func=cmd_certify)
-
-    sub = subs.add_parser("reduce", help="reduce a form to a quadratic form over the conic field")
-    _add_common(sub)
-    sub.set_defaults(func=cmd_reduce)
-
-    sub = subs.add_parser("split-reduce", help="reduce through a rational point of the conic")
-    _add_common(sub)
-    sub.set_defaults(func=cmd_split_reduce)
-
-    sub = subs.add_parser("residue-forms", help="first and second residue forms at a valuation")
-    _add_common(sub)
-    sub.set_defaults(func=cmd_residue_forms)
-
-    sub = subs.add_parser("witt-equal", help="compare Witt classes of two diagonal forms")
-    _add_common(sub)
-    sub.add_argument("--budget", type=int, default=None, help="isotropy search budget")
-    sub.set_defaults(func=cmd_witt_equal)
-
-    sub = subs.add_parser("verify-theorem", help="randomized batch verification")
-    _add_common(sub)
-    sub.add_argument("--trials", type=int, default=None, help="number of instances")
-    sub.add_argument("--seed", type=int, default=None, help="override the scenario seed")
-    sub.add_argument("--budget", type=int, default=None, help="isotropy search budget")
-    sub.add_argument("--jobs", type=int, default=1, help="worker process count")
-    sub.set_defaults(func=cmd_verify_theorem)
-
+    for name, func, text in _COMMANDS:
+        sub = subs.add_parser(name, help=text)
+        sub.add_argument("--scenario", required=True, help="path to a JSON scenario file")
+        sub.add_argument("--json", action="store_true", help="print one canonical JSON document")
+        sub.add_argument(
+            "--inject-fault", action="append", choices=faults.FAULT_NAMES, help=argparse.SUPPRESS
+        )
+        if name == "verify-theorem":
+            sub.add_argument("--trials", type=int, default=None, help="number of instances")
+            sub.add_argument("--seed", type=int, default=None, help="override the scenario seed")
+        if name in ("witt-equal", "verify-theorem"):
+            sub.add_argument("--budget", type=int, default=None, help="isotropy search budget")
+        if name == "verify-theorem":
+            sub.add_argument("--jobs", type=int, default=1, help="worker process count")
+        sub.set_defaults(func=func)
     return parser
 
 

@@ -1212,10 +1212,6 @@ class ConicExtension(_FieldBase):
     def y_gen(self) -> FieldElement:
         return self.el(self._y)
 
-    def pair(self, a):
-        """The (A, B) pair of a payload as inner FieldElements."""
-        return self.inner.el(a[0]), self.inner.el(a[1])
-
     def add(self, a, b):
         inner = self.inner
         return (inner.add(a[0], b[0]), inner.add(a[1], b[1]))

@@ -30,7 +30,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import NamedTuple, Optional, Tuple
 
-from . import faults
+from . import quaternions
 from .errors import (
     AlgebraMismatch,
     CertificateFailed,
@@ -57,8 +57,8 @@ NO_CERTIFICATE = "no-certificate"
 class SkewHermitianForm:
     """A nondegenerate skew-hermitian Gram matrix over a quaternion algebra."""
 
-    # _certificate holds (v, fault state, certificate) from the last
-    # good_reduction_certificate call that returned
+    # _certificate holds (v, ramification memo, certificate) from the
+    # last good_reduction_certificate call that returned
     __slots__ = ("algebra", "gram", "_diagonal", "_certificate")
 
     def __init__(self, algebra: QuaternionAlgebra, gram):
@@ -141,6 +141,8 @@ class SkewHermitianForm:
         return tuple(self.gram[k][k] for k in range(self.rank))
 
     def scale(self, lam) -> "SkewHermitianForm":
+        """The central twist lam*h, whose Morita image is lam times h's;
+        public for a proof of bad reduction, which compares twists."""
         lam = self.algebra.base(lam)
         if lam.is_zero():
             raise ZeroScalar("scaling by zero destroys the form")
@@ -278,19 +280,27 @@ def good_reduction_certificate(h: SkewHermitianForm, v) -> GoodReductionCertific
     report that establishes it.  NoCertificate says only that this diagonalization
     has no such scaling; it is not a proof of bad reduction.
 
-    The certificate depends only on the form, v and the fault state, and
-    a form is immutable, so it is computed once: the form keeps the last
-    one returned, and a call with the same v object under an equal fault
-    state returns it.  An exception is not kept, so a failing call fails
-    again.
+    The certificate depends only on the form and v, and a form is
+    immutable, so it is computed once: the form keeps the last one
+    returned, with the ramification memo that was in force, and a call
+    with the same v object while that memo still is returns it.  Code
+    that replaces a step of the certificate also replaces that memo,
+    which retires the kept certificate.  An exception is not kept, so a
+    failing call fails again.
     """
-    state = faults.active_names()
     memo = h._certificate
-    if memo is not None and memo[0] is v and memo[1] == state:
+    ramification_memo = quaternions._ramification
+    if memo is not None and memo[0] is v and memo[1] is ramification_memo:
         return memo[2]
     cert = _certify(h, v)
-    h._certificate = (v, state, cert)
+    h._certificate = (v, ramification_memo, cert)
     return cert
+
+
+def _scale_entries(v, entries, m):
+    """The entries times the central scalar pi^m of v."""
+    lam = v.uniformizer**m
+    return tuple(u * lam for u in entries)
 
 
 def _certify(h: SkewHermitianForm, v) -> GoodReductionCertificate:
@@ -304,13 +314,7 @@ def _certify(h: SkewHermitianForm, v) -> GoodReductionCertificate:
     e = common_integral_value(evals)
     if e is not None:
         m = -e
-        if faults.is_active(faults.DROP_UNIT_REP):
-            # corrupted variant for sensitivity tests: the scaling is
-            # found but never applied to the diagonal
-            scaled = entries
-        else:
-            lam = v.uniformizer**m
-            scaled = tuple(u * lam for u in entries)
+        scaled = _scale_entries(v, entries, m)
         # extvals checked the level of the entries, which the scaled
         # entries share, so their coordinates are valued as payloads; an
         # entry of nrd value 0 is nonzero, and a zero coordinate passes

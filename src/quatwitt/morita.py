@@ -257,7 +257,7 @@ def extend_valuation(v, alg: QuaternionAlgebra):
     A parameter of odd value leaves no unit conic model: the algebra is
     then ramified, or it splits over the completion and the reduction
     should run through a rational point instead.  Exceptions are not
-    memoized, so that branch runs, under the current faults, every time.
+    memoized, so that branch runs every time.
     """
     vd = v.value(alg.d)
     vt = v.value(alg.t)

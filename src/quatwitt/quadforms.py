@@ -33,7 +33,6 @@ from __future__ import annotations
 import itertools
 from typing import NamedTuple
 
-from . import faults
 from .errors import CertificateFailed, Degenerate, DimensionMismatch
 from .fields import (
     ConicExtension,
@@ -75,12 +74,6 @@ class QuadraticForm:
     def rank(self) -> int:
         return len(self.entries)
 
-    def det(self) -> FieldElement:
-        out = self.base(1)
-        for e in self.entries:
-            out = out * e
-        return out
-
     def scaled(self, c) -> "QuadraticForm":
         c = self.base(c)
         return QuadraticForm(self.base, [c * e for e in self.entries])
@@ -92,14 +85,6 @@ class QuadraticForm:
         if other.base != self.base:
             raise DimensionMismatch("direct sum needs a common base field")
         return QuadraticForm(self.base, self.entries + other.entries)
-
-    def apply(self, vec) -> FieldElement:
-        if len(vec) != self.rank:
-            raise DimensionMismatch(f"vector length {len(vec)} != rank {self.rank}")
-        base = self.base
-        return base.el(base.eval_diagonal(
-            [u.value for u in self.entries], [base(c).value for c in vec]
-        ))
 
     def __eq__(self, other):
         return (
@@ -268,10 +253,6 @@ def diagonalize(base, gram):
 def _residue_slot(m) -> int:
     """The residue form an entry of value m reduces into: 0 for the
     first, 1 for the second."""
-    if faults.is_active(faults.SKIP_EVEN_SCALING):
-        # corrupted variant for sensitivity tests: classify by the raw
-        # value with no even-power scaling
-        return 0 if m == 0 else 1
     return m % 2
 
 
@@ -291,8 +272,7 @@ def _residue_entry(v, u, m, slot) -> FieldElement:
     """The residue entry that the payload u of v's domain, of value m,
     contributes to its slot's form: the even-scaled u, divided by the
     uniformizer for the second form.  The caller has checked u's level."""
-    if not faults.is_active(faults.SKIP_EVEN_SCALING):
-        u = _even_scale(v, u, m)
+    u = _even_scale(v, u, m)
     if slot:
         u = v.domain.div(u, v.uniformizer.value)
     return v.residue_field.el(v._residue(u))

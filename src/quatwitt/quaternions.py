@@ -33,7 +33,6 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import NamedTuple, Optional, Tuple
 
-from . import faults
 from .errors import (
     AlgebraMismatch,
     QuatwittError,
@@ -398,16 +397,10 @@ def left_regular_matrix(u: QuaternionElement):
     return [[cols[j][i] for j in range(4)] for i in range(4)]
 
 
-def extval(v, u: QuaternionElement) -> Fraction:
-    """The value (1/2) v(nrd(u)) of the extended valuation on the algebra.
-
-    Returns INF on the zero element.
-    """
-    return extvals(v, (u,))[0]
-
-
 def extvals(v, elements) -> Tuple[Fraction, ...]:
-    """extval of each element; equal values share one Fraction."""
+    """The value (1/2) v(nrd(u)) of the extended valuation on the algebra
+    of each element u, INF on the zero element; equal values share one
+    Fraction."""
     return tuple(map(_half, nrd_values(v, elements)))
 
 
@@ -495,25 +488,19 @@ def ramification(alg: QuaternionAlgebra, v) -> RamificationReport:
     the residue algebra is then the quaternion algebra of their residues,
     and `split_over_residue` records whether that algebra splits.
 
-    The report depends only on (alg, v) and the fault state, so it is
-    computed once per such triple and then looked up by value.
+    The report depends only on (alg, v), so it is computed once per pair
+    and then looked up by value in `_ramification`, which is looked up
+    when the call runs.
     """
-    return _ramification(alg, v, faults.active_names())
+    return _ramification(alg, v)
 
 
 @lru_cache(maxsize=MEMO_SIZE)
-def _ramification(alg: QuaternionAlgebra, v, fault_state) -> RamificationReport:
-    # the fault state is part of the key: drop-unit-rep is read here, and
-    # a conic valuation's values read negate-fast-path.  The report is
+def _ramification(alg: QuaternionAlgebra, v) -> RamificationReport:
     # built on payloads, with the level checked once here
     vd, vt = _parameter_values(alg, v)
     tc = tame_class(alg, v, vd, vt)
-    if faults.DROP_UNIT_REP in fault_state:
-        # corrupted variant for sensitivity tests: the raw parameters are
-        # treated as unit representatives without any scaling
-        rep = (alg.d, alg.t)
-    else:
-        rep = _unit_parameters(alg, v, vd, vt)
+    rep = _unit_parameters(alg, v, vd, vt)
     if rep is None:
         return RamificationReport(
             ramified=True,

@@ -12,11 +12,11 @@ forms are verified through the conic function field.  The point
 generator draws an algebra over Q whose conic has a small point; its
 forms are verified by specializing at that point, and its draws, tests
 included, run on ints and int pairs, never through the field protocol.
-`generator_setup` builds a scenario's mode, once per fault state, and
-checks everything that does not depend on the instance; a mode gives
-its algebra draw, its coordinate draw, in point mode its point test and
-its unit-norm test (conic mode needs none: a division residue algebra
-makes every drawn norm a unit), and the build of what it drew, and
+`generator_setup` builds a scenario's mode once, and checks everything
+that does not depend on the instance; a mode gives its algebra draw,
+its coordinate draw, in point mode its point test and its unit-norm
+test (conic mode needs none: a division residue algebra makes every
+drawn norm a unit), and the build of what it drew, and
 `generate_instance` runs one attempt loop for both modes, deciding
 each attempt on the drawn payloads and wrapping only the one it keeps.
 Every instance derives from (seed, index) alone, so a batch is
@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import json
 import random
+from contextlib import contextmanager
 from functools import lru_cache
 from math import gcd
 from typing import Callable, NamedTuple, Optional, Tuple
@@ -80,6 +81,15 @@ MAX_TRIALS = 100_000
 # field and valuation descriptors
 
 
+@contextmanager
+def _input_error():
+    """Raise an error of the block as a ScenarioError, an input error."""
+    try:
+        yield
+    except (QuatwittError, ValueError) as e:
+        raise ScenarioError(str(e)) from e
+
+
 def build_field(desc):
     if not isinstance(desc, dict) or "kind" not in desc:
         raise ScenarioError("field descriptor needs a 'kind'")
@@ -89,28 +99,19 @@ def build_field(desc):
     if kind == "finite":
         if not _is_int(desc.get("p")):
             raise ScenarioError("finite field descriptor needs an integer 'p'")
-        try:
+        with _input_error():
             return FiniteField(desc["p"])
-        except (QuatwittError, ValueError) as e:
-            raise ScenarioError(str(e)) from e
     if kind == "function":
         base = build_field(desc.get("base", {"kind": "rationals"}))
-        var = desc.get("variable", "s")
-        try:
-            return FunctionField(base, var)
-        except (QuatwittError, ValueError) as e:
-            raise ScenarioError(str(e)) from e
+        with _input_error():
+            return FunctionField(base, desc.get("variable", "s"))
     if kind == "conic":
         base = build_field(desc.get("base", {"kind": "rationals"}))
         for key in ("d", "t"):
             if key not in desc:
                 raise ScenarioError(f"conic field descriptor needs {key!r}")
-        try:
-            d = parse_element(base, desc["d"])
-            t = parse_element(base, desc["t"])
-            return ConicExtension(base, d, t)
-        except (QuatwittError, ValueError) as e:
-            raise ScenarioError(str(e)) from e
+        with _input_error():
+            return ConicExtension(base, parse_element(base, desc["d"]), parse_element(base, desc["t"]))
     raise ScenarioError(f"unknown field kind {kind!r}")
 
 
@@ -144,27 +145,20 @@ def build_valuation(desc, field):
             raise ScenarioError("a p-adic valuation lives on the rationals")
         if not _is_int(desc.get("p")):
             raise ScenarioError("p-adic descriptor needs an integer 'p'")
-        try:
+        with _input_error():
             return PAdicValuation(desc["p"])
-        except (QuatwittError, ValueError) as e:
-            raise ScenarioError(str(e)) from e
     if kind == "gauss":
         if not isinstance(field, FunctionField):
             raise ScenarioError("a Gauss valuation lives on a function field")
         inner = build_valuation(desc.get("inner", {}), field.base)
-        try:
+        with _input_error():
             return GaussValuation(inner, field)
-        except (QuatwittError, ValueError) as e:
-            raise ScenarioError(str(e)) from e
     if kind == "conic-half-norm":
         if not isinstance(field, ConicExtension):
             raise ScenarioError("a conic valuation lives on a conic extension")
         inner_val = build_valuation(desc.get("inner", {}), field.base)
-        try:
-            gauss = GaussValuation(inner_val, field.inner)
-            return ConicValuation(gauss, field)
-        except (QuatwittError, ValueError) as e:
-            raise ScenarioError(str(e)) from e
+        with _input_error():
+            return ConicValuation(GaussValuation(inner_val, field.inner), field)
     raise ScenarioError(f"unknown valuation kind {kind!r}")
 
 
@@ -195,12 +189,10 @@ def build_algebra(desc, field) -> QuaternionAlgebra:
     for key in ("d", "t"):
         if key not in desc:
             raise ScenarioError(f"algebra descriptor needs {key!r}")
-    try:
+    with _input_error():
         return QuaternionAlgebra(
             field, parse_element(field, desc["d"]), parse_element(field, desc["t"])
         )
-    except (QuatwittError, ValueError) as e:
-        raise ScenarioError(str(e)) from e
 
 
 def algebra_descriptor(alg: QuaternionAlgebra) -> dict:
@@ -210,10 +202,7 @@ def algebra_descriptor(alg: QuaternionAlgebra) -> dict:
 def _quaternion_from_dict(alg, entry) -> "object":
     if not isinstance(entry, dict):
         raise ScenarioError("quaternion entry must be an object of coordinates")
-    coords = []
-    for key in ("w", "a", "b", "c"):
-        coords.append(parse_element(alg.base, entry.get(key, "0")))
-    return alg.from_coeffs(coords)
+    return alg.from_coeffs([parse_element(alg.base, entry.get(key, "0")) for key in "wabc"])
 
 
 def quaternion_descriptor(u) -> dict:
@@ -228,17 +217,13 @@ def quaternion_descriptor(u) -> dict:
 def build_form(desc, alg) -> SkewHermitianForm:
     if not isinstance(desc, dict):
         raise ScenarioError("form descriptor must be an object")
-    try:
+    with _input_error():
         if "diag" in desc:
             entries = [_quaternion_from_dict(alg, e) for e in desc["diag"]]
             return SkewHermitianForm.diagonal(alg, entries)
         if "gram" in desc:
-            gram = [
-                [_quaternion_from_dict(alg, e) for e in row] for row in desc["gram"]
-            ]
+            gram = [[_quaternion_from_dict(alg, e) for e in row] for row in desc["gram"]]
             return SkewHermitianForm(alg, gram)
-    except (QuatwittError, ValueError) as e:
-        raise ScenarioError(str(e)) from e
     raise ScenarioError("form descriptor needs 'diag' or 'gram'")
 
 
@@ -254,12 +239,8 @@ def build_quad(desc, field) -> QuadraticForm:
     # a string or an object would be read by character or by key
     if not isinstance(desc["entries"], (list, tuple)):
         raise ScenarioError("'entries' must be a list of elements")
-    try:
-        return QuadraticForm(
-            field, [parse_element(field, e) for e in desc["entries"]]
-        )
-    except (QuatwittError, ValueError) as e:
-        raise ScenarioError(str(e)) from e
+    with _input_error():
+        return QuadraticForm(field, [parse_element(field, e) for e in desc["entries"]])
 
 
 def quad_descriptor(q: QuadraticForm) -> dict:
@@ -398,7 +379,7 @@ _KEY_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
 
 
 def generator_setup(sc: dict) -> Generator:
-    """A scenario's generator, built once per scenario and fault state.
+    """A scenario's generator, built once per scenario.
 
     Building it checks every precondition that does not depend on the
     instance index: the generator matches the field, only the conic
@@ -406,23 +387,21 @@ def generator_setup(sc: dict) -> Generator:
     parameters, is unramified and has a division residue algebra.
 
     The memo key is the canonical JSON of the scenario's
-    `GENERATOR_KEYS` and the active faults, which the pinned check
-    reads; the draws read the faults when they run.  The generator is
-    built from that JSON alone, so nothing outside the key can reach it.
-    A `ScenarioError` is not memoized, so a bad scenario raises on every
-    call: each instance of a batch asks for the generator under its own
-    faults, and `verify-theorem` also asks once before the batch, so a
-    bad scenario is one input error rather than an error record per
-    instance."""
+    `GENERATOR_KEYS`, and the generator is built from that JSON alone,
+    so nothing outside the key can reach it.  A `ScenarioError` is not
+    memoized, so a bad scenario raises on every call: each instance of a
+    batch asks for the generator, and `verify-theorem` also asks once
+    before the batch, so a bad scenario is one input error rather than
+    an error record per instance."""
     try:
         key = _KEY_ENCODER.encode({k: sc[k] for k in GENERATOR_KEYS if k in sc})
     except (TypeError, ValueError) as e:
         raise ScenarioError(f"scenario is not JSON data: {e}") from e
-    return _generator(key, faults.active_names())
+    return _generator(key)
 
 
 @lru_cache(maxsize=MEMO_SIZE)
-def _generator(key: str, fault_state) -> Generator:
+def _generator(key: str) -> Generator:
     sc = json.loads(key)
     field = scenario_field(sc)
     v = scenario_valuation(sc, field)

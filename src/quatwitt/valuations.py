@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import math
 
-from . import faults
 from .errors import (
     LevelMismatch,
     NegativeValue,
@@ -256,14 +255,7 @@ class ConicValuation(_ValuationBase):
 
     def _value(self, payload):
         A, B = payload
-        va, vb = self.inner._value(A), self.inner._value(B)
-        if faults.is_active(faults.NEGATE_FAST_PATH):
-            if va is INF:
-                return vb
-            if vb is INF:
-                return va
-            return max(va, vb)
-        return min(va, vb)
+        return min(self.inner._value(A), self.inner._value(B))
 
     def _residue(self, payload):
         v = self._value(payload)

@@ -33,9 +33,8 @@ def pytest_terminal_summary(terminalreporter):
 
 @pytest.fixture(autouse=True)
 def fresh_generators():
-    # generator_setup memoizes one generator per scenario and fault state;
-    # starting every test from an empty memo keeps the tests independent
-    # of their order
+    # generator_setup memoizes one generator per scenario; starting every
+    # test from an empty memo keeps the tests independent of their order
     scenarios._generator.cache_clear()
     yield
     scenarios._generator.cache_clear()

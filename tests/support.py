@@ -287,7 +287,7 @@ def certificate_by_window_scan(h, v):
         GoodReductionCertificate,
         diagonalize_h,
     )
-    from quatwitt.quaternions import extval, ramification
+    from quatwitt.quaternions import ramification
 
     report = ramification(h.algebra, v)
     entries, _p = diagonalize_h(h)
@@ -385,6 +385,32 @@ def reduce_entry_by_division(field, u, x, y):
     _w, a, b, c = u.coeffs
     lin = field(a) * y - field(b) * x - field(c)
     return lin, field(u.nrd()) / lin
+
+
+# ---------------------------------------------------------------------------
+# small functions that only the tests call
+
+
+def form_det(q):
+    """The product of a diagonal quadratic form's entries."""
+    out = q.base(1)
+    for e in q.entries:
+        out = out * e
+    return out
+
+
+def form_apply(q, vec):
+    """q(vec) for a diagonal quadratic form q, through eval_diagonal."""
+    base = q.base
+    return base.el(base.eval_diagonal([u.value for u in q.entries], [base(c).value for c in vec]))
+
+
+def extval(v, u):
+    """(1/2) v(nrd(u)), the extended value of one quaternion; INF on the
+    zero element."""
+    from quatwitt.quaternions import extvals
+
+    return extvals(v, (u,))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -809,7 +835,7 @@ def value_by_wrapping(v, a):
 
         return poly_value(num) - poly_value(den)
     if isinstance(v, ConicValuation):
-        A, B = v.domain.pair(a.value)
+        A, B = (v.domain.inner.el(c) for c in a.value)
         return min(value_by_wrapping(v.inner, A), value_by_wrapping(v.inner, B))
     if isinstance(v, TransportedConicValuation):
         return value_by_wrapping(v.target, v.target.domain.el(v._push(a.value)))

@@ -28,7 +28,6 @@ from quatwitt.quadforms import mat_det
 from quatwitt.quaternions import (
     QuaternionAlgebra,
     QuaternionElement,
-    extval,
     left_regular_matrix,
 )
 from quatwitt.valuations import GaussValuation, PAdicValuation
@@ -468,7 +467,7 @@ def test_value_precheck_agrees_with_the_certificate(fault, data):
     entries = data.draw(st.lists(pure, min_size=n, max_size=n))
     m = data.draw(st.sampled_from((-1, 0, 1)))
     with faults.injected(*((fault,) if fault else ())):
-        e = common_integral_value([extval(v, u) for u in entries])
+        e = common_integral_value([support.extval(v, u) for u in entries])
         twist = v.uniformizer**m
         h = SkewHermitianForm.diagonal(alg, [u * twist for u in entries])
         cert = good_reduction_certificate(h, v)

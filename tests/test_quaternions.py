@@ -14,7 +14,6 @@ from quatwitt.fields import FieldElement, FiniteField, FunctionField, Rationals
 from quatwitt.quadforms import mat_det
 from quatwitt.quaternions import (
     QuaternionAlgebra,
-    extval,
     left_regular_matrix,
     ramification,
     residue_algebra_splits,
@@ -122,7 +121,7 @@ def test_zero_divisors_in_a_split_algebra(Q):
         u.inv()
     v3 = PAdicValuation(3)
     with pytest.raises(ZeroElement):
-        extval(v3, u)
+        support.extval(v3, u)
 
 
 @given(support.quaternions(QuaternionAlgebra(Rationals(), 2, 3)))
@@ -138,16 +137,16 @@ def test_left_regular_matrix_determinant(u):
 
 def test_extval_frozen(Q, v3):
     alg = QuaternionAlgebra(Q, Q(-1), Q(1))
-    assert extval(v3, alg.i()) == 0
-    assert extval(v3, alg.i() * 3) == 1
-    assert extval(v3, alg.el(0, 3, 1, 1)) == 0
-    assert extval(v3, alg.zero()) == INF
+    assert support.extval(v3, alg.i()) == 0
+    assert support.extval(v3, alg.i() * 3) == 1
+    assert support.extval(v3, alg.el(0, 3, 1, 1)) == 0
+    assert support.extval(v3, alg.zero()) == INF
 
 
 def test_extval_halves_odd_norm_values(Q, v3):
     alg = QuaternionAlgebra(Q, Q(-1), Q(3))
     # nrd(j) = -3 has value 1
-    assert extval(v3, alg.j()) == Fraction(1, 2)
+    assert support.extval(v3, alg.j()) == Fraction(1, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -343,7 +342,7 @@ def test_scalar_product_leaves_the_nrd_memo_unset(Q, v3):
         assert scaled._nrd is None
         assert scaled.nrd() == support.nrd_formula(scaled) == n * scaled.coeffs[1] ** 2
         assert (lam * u)._nrd is None
-    assert extval(v3, u * Q(3) ** -1) == extval(v3, u) - 1
+    assert support.extval(v3, u * Q(3) ** -1) == support.extval(v3, u) - 1
     # u*1 is u itself, memo and all: as an element of the base, as an int,
     # as pi^0 and as the scalar quaternion 1
     for lam in (Q(1), 1, v3.uniformizer**0, _A23.one()):

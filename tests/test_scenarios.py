@@ -200,9 +200,9 @@ def test_ramification_report_is_computed_once_per_algebra(monkeypatch):
     computed = []
     fresh = quaternions._ramification.__wrapped__
 
-    def counted(alg, v, fault_state):
+    def counted(alg, v):
         computed.append(alg)
-        return fresh(alg, v, fault_state)
+        return fresh(alg, v)
 
     memo = functools.lru_cache(maxsize=quaternions.MEMO_SIZE)(counted)
     monkeypatch.setattr(quaternions, "_ramification", memo)
@@ -561,12 +561,15 @@ def test_generator_is_built_once_per_scenario_and_fault_state():
     # seed, trials and the order of the keys are not part of the key
     other = batteries.conic_scenario(3, "-1", trials=5, seed=9)
     assert scenarios.generator_setup(dict(reversed(list(other.items())))) is gen
+    clean_memo = scenarios._generator
     with faults.injected(faults.DROP_UNIT_REP):
         faulted = scenarios.generator_setup(sc)
         assert faulted is not gen
         assert scenarios.generator_setup(sc) is faulted
+    # the faulted memo is gone, and the clean one still holds its entry
+    assert scenarios._generator is clean_memo
+    assert clean_memo.cache_info().currsize == 1
     assert scenarios.generator_setup(sc) is gen
-    assert scenarios._generator.cache_info().currsize == 2
     # the instances of a batch share the generator's valuation and algebra
     first, second = generate_instance(sc, 0), generate_instance(sc, 1)
     assert first.valuation is second.valuation is gen.valuation

@@ -1,6 +1,7 @@
 """Checks on the library's source text."""
 
 import ast
+import re
 from pathlib import Path
 
 import quatwitt
@@ -39,5 +40,61 @@ def test_library_imports_no_process_pool():
         for name, node in _library_nodes()
         for module in modules(node)
         if module.split(".")[0] in ("concurrent", "multiprocessing")
+    ]
+    assert found == []
+
+
+# the library modules that may name the seeded faults: the faults
+# themselves, the hidden CLI flag, the sweep, and the batch worker
+_FAULT_MODULES = ("faults.py", "cli.py", "batteries.py", "scenarios.py")
+
+
+def _imports_faults(node):
+    if isinstance(node, ast.Import):
+        return any(alias.name == "quatwitt.faults" for alias in node.names)
+    if isinstance(node, ast.ImportFrom):
+        module = node.module or ""
+        if module in ("faults", "quatwitt.faults"):
+            return True
+        if (node.level and not module) or module == "quatwitt":
+            return any(alias.name == "faults" for alias in node.names)
+    return False
+
+
+def test_only_the_fault_modules_import_faults():
+    found = [
+        f"{name}:{node.lineno}"
+        for name, node in _library_nodes()
+        if _imports_faults(node) and name not in _FAULT_MODULES
+    ]
+    assert found == []
+
+
+def test_only_run_instance_names_faults_in_scenarios():
+    # the generator, the certificate and the verifier hold clean code and
+    # memo keys free of fault state; the batch worker sets the faults of
+    # its payload
+    from quatwitt import scenarios
+
+    tree = ast.parse(Path(scenarios.__file__).read_text(encoding="utf-8"))
+    found = [
+        f"scenarios.py:{node.lineno}"
+        for top in tree.body
+        if not (isinstance(top, ast.FunctionDef) and top.name == "run_instance")
+        and not _imports_faults(top)
+        for node in ast.walk(top)
+        if isinstance(node, ast.Name) and node.id == "faults"
+    ]
+    assert found == []
+
+
+def test_no_other_library_module_mentions_faults():
+    package = Path(quatwitt.__file__).resolve().parent
+    found = [
+        f"{path.name}:{lineno}"
+        for path in sorted(package.rglob("*.py"))
+        if path.name not in _FAULT_MODULES
+        for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1)
+        if re.search(r"\bfault", line, re.IGNORECASE)
     ]
     assert found == []
