@@ -107,11 +107,8 @@ def cmd_residue(args) -> int:
         "tame_class": element_str(rep.tame_class),
     }
     if rep.unit_rep is not None:
-        payload["unit_rep"] = [element_str(rep.unit_rep[0]), element_str(rep.unit_rep[1])]
-        payload["residue_params"] = [
-            element_str(rep.residue_params[0]),
-            element_str(rep.residue_params[1]),
-        ]
+        payload["unit_rep"] = [element_str(x) for x in rep.unit_rep]
+        payload["residue_params"] = [element_str(x) for x in rep.residue_params]
         payload["split_over_residue"] = rep.split_over_residue
     if args.json:
         _emit_json(payload)
@@ -139,9 +136,7 @@ def cmd_certify(args) -> int:
     }
     if cert.certified:
         payload["scaling"] = cert.scaling
-        payload["scaled_diagonal"] = [
-            quaternion_descriptor(u) for u in cert.scaled_diagonal
-        ]
+        payload["scaled_diagonal"] = [quaternion_descriptor(u) for u in cert.scaled_diagonal]
     if args.json:
         _emit_json(payload)
     elif cert.certified:
@@ -181,12 +176,8 @@ def cmd_residue_forms(args) -> int:
     q = build_quad(_need(sc, "quad"), field)
     pair = residue_forms(q, v)
     if args.json:
-        _emit_json(
-            {
-                "first": [element_str(u) for u in pair.first.entries],
-                "second": [element_str(u) for u in pair.second.entries],
-            }
-        )
+        forms = pair._asdict().items()
+        _emit_json({name: [element_str(u) for u in form.entries] for name, form in forms})
     else:
         print(f"first residue form  {pair.first!r}")
         print(f"second residue form {pair.second!r}")
@@ -400,7 +391,6 @@ def cmd_verify_theorem(args) -> int:
 # argument parsing
 
 
-# (name, handler, help) of each subcommand
 _COMMANDS = (
     ("residue", cmd_residue, "ramification report for a quaternion algebra"),
     ("certify", cmd_certify, "search for a good-reduction certificate"),
@@ -440,9 +430,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    fault_names = tuple(getattr(args, "inject_fault", None) or ())
     try:
-        for name in fault_names:
+        for name in args.inject_fault or ():
             faults.activate(name)
         ret = args.func(args)
         sys.stdout.flush()

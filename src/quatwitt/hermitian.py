@@ -281,12 +281,10 @@ def good_reduction_certificate(h: SkewHermitianForm, v) -> GoodReductionCertific
     has no such scaling; it is not a proof of bad reduction.
 
     The certificate depends only on the form and v, and a form is
-    immutable, so it is computed once: the form keeps the last one
-    returned, with the ramification memo that was in force, and a call
-    with the same v object while that memo still is returns it.  Code
-    that replaces a step of the certificate also replaces that memo,
-    which retires the kept certificate.  An exception is not kept, so a
-    failing call fails again.
+    immutable, so the form keeps the last one returned with the
+    ramification memo then in force; a call with the same v object
+    under that memo returns it.  An exception is not kept, so a failing
+    call fails again.
     """
     memo = h._certificate
     ramification_memo = quaternions._ramification

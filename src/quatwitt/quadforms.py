@@ -16,12 +16,11 @@ deterministic coordinate enumeration, and running out of candidates
 yields `indeterminate`.  The search runs on raw payloads: each
 coordinate's payload is built once per search (over Q once per shell
 radius), each candidate's value is the field's `eval_diagonal`, the
-norm-form evaluation `nrd` and `QuadraticForm.apply` use, and only an
-isotropic vector is wrapped, to split off its hyperbolic plane.  Over Q
-each shell of the integer cube is yielded directly, not filtered from
-the cube.  The coordinate pool is bounded by the remaining budget, so
-over F_p(s) no more of its p^2 linear polynomials are built than the
-budget can reach.
+norm-form evaluation `nrd` uses, and only an isotropic vector is
+wrapped, to split off its hyperbolic plane.  Over Q each shell of the
+integer cube is yielded directly, not filtered from the cube.  The
+coordinate pool is bounded by the remaining budget, so over F_p(s) no
+more of its p^2 linear polynomials are built than the budget can reach.
 
 The residue forms scale, divide and reduce each entry's payload, with
 the level checked once per form, and the finite-field decision

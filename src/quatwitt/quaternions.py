@@ -488,9 +488,8 @@ def ramification(alg: QuaternionAlgebra, v) -> RamificationReport:
     the residue algebra is then the quaternion algebra of their residues,
     and `split_over_residue` records whether that algebra splits.
 
-    The report depends only on (alg, v), so it is computed once per pair
-    and then looked up by value in `_ramification`, which is looked up
-    when the call runs.
+    The report depends only on (alg, v), so `_ramification` computes it
+    once per pair and then looks it up by value.
     """
     return _ramification(alg, v)
 

@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import json
 import random
-from contextlib import contextmanager
 from functools import lru_cache
 from math import gcd
 from typing import Callable, NamedTuple, Optional, Tuple
@@ -81,15 +80,6 @@ MAX_TRIALS = 100_000
 # field and valuation descriptors
 
 
-@contextmanager
-def _input_error():
-    """Raise an error of the block as a ScenarioError, an input error."""
-    try:
-        yield
-    except (QuatwittError, ValueError) as e:
-        raise ScenarioError(str(e)) from e
-
-
 def build_field(desc):
     if not isinstance(desc, dict) or "kind" not in desc:
         raise ScenarioError("field descriptor needs a 'kind'")
@@ -99,19 +89,28 @@ def build_field(desc):
     if kind == "finite":
         if not _is_int(desc.get("p")):
             raise ScenarioError("finite field descriptor needs an integer 'p'")
-        with _input_error():
+        try:
             return FiniteField(desc["p"])
+        except (QuatwittError, ValueError) as e:
+            raise ScenarioError(str(e)) from e
     if kind == "function":
         base = build_field(desc.get("base", {"kind": "rationals"}))
-        with _input_error():
-            return FunctionField(base, desc.get("variable", "s"))
+        var = desc.get("variable", "s")
+        try:
+            return FunctionField(base, var)
+        except (QuatwittError, ValueError) as e:
+            raise ScenarioError(str(e)) from e
     if kind == "conic":
         base = build_field(desc.get("base", {"kind": "rationals"}))
         for key in ("d", "t"):
             if key not in desc:
                 raise ScenarioError(f"conic field descriptor needs {key!r}")
-        with _input_error():
-            return ConicExtension(base, parse_element(base, desc["d"]), parse_element(base, desc["t"]))
+        try:
+            d = parse_element(base, desc["d"])
+            t = parse_element(base, desc["t"])
+            return ConicExtension(base, d, t)
+        except (QuatwittError, ValueError) as e:
+            raise ScenarioError(str(e)) from e
     raise ScenarioError(f"unknown field kind {kind!r}")
 
 
@@ -145,20 +144,27 @@ def build_valuation(desc, field):
             raise ScenarioError("a p-adic valuation lives on the rationals")
         if not _is_int(desc.get("p")):
             raise ScenarioError("p-adic descriptor needs an integer 'p'")
-        with _input_error():
+        try:
             return PAdicValuation(desc["p"])
+        except (QuatwittError, ValueError) as e:
+            raise ScenarioError(str(e)) from e
     if kind == "gauss":
         if not isinstance(field, FunctionField):
             raise ScenarioError("a Gauss valuation lives on a function field")
         inner = build_valuation(desc.get("inner", {}), field.base)
-        with _input_error():
+        try:
             return GaussValuation(inner, field)
+        except (QuatwittError, ValueError) as e:
+            raise ScenarioError(str(e)) from e
     if kind == "conic-half-norm":
         if not isinstance(field, ConicExtension):
             raise ScenarioError("a conic valuation lives on a conic extension")
         inner_val = build_valuation(desc.get("inner", {}), field.base)
-        with _input_error():
-            return ConicValuation(GaussValuation(inner_val, field.inner), field)
+        try:
+            gauss = GaussValuation(inner_val, field.inner)
+            return ConicValuation(gauss, field)
+        except (QuatwittError, ValueError) as e:
+            raise ScenarioError(str(e)) from e
     raise ScenarioError(f"unknown valuation kind {kind!r}")
 
 
@@ -189,10 +195,12 @@ def build_algebra(desc, field) -> QuaternionAlgebra:
     for key in ("d", "t"):
         if key not in desc:
             raise ScenarioError(f"algebra descriptor needs {key!r}")
-    with _input_error():
+    try:
         return QuaternionAlgebra(
             field, parse_element(field, desc["d"]), parse_element(field, desc["t"])
         )
+    except (QuatwittError, ValueError) as e:
+        raise ScenarioError(str(e)) from e
 
 
 def algebra_descriptor(alg: QuaternionAlgebra) -> dict:
@@ -217,13 +225,15 @@ def quaternion_descriptor(u) -> dict:
 def build_form(desc, alg) -> SkewHermitianForm:
     if not isinstance(desc, dict):
         raise ScenarioError("form descriptor must be an object")
-    with _input_error():
+    try:
         if "diag" in desc:
             entries = [_quaternion_from_dict(alg, e) for e in desc["diag"]]
             return SkewHermitianForm.diagonal(alg, entries)
         if "gram" in desc:
             gram = [[_quaternion_from_dict(alg, e) for e in row] for row in desc["gram"]]
             return SkewHermitianForm(alg, gram)
+    except (QuatwittError, ValueError) as e:
+        raise ScenarioError(str(e)) from e
     raise ScenarioError("form descriptor needs 'diag' or 'gram'")
 
 
@@ -239,8 +249,12 @@ def build_quad(desc, field) -> QuadraticForm:
     # a string or an object would be read by character or by key
     if not isinstance(desc["entries"], (list, tuple)):
         raise ScenarioError("'entries' must be a list of elements")
-    with _input_error():
-        return QuadraticForm(field, [parse_element(field, e) for e in desc["entries"]])
+    try:
+        return QuadraticForm(
+            field, [parse_element(field, e) for e in desc["entries"]]
+        )
+    except (QuatwittError, ValueError) as e:
+        raise ScenarioError(str(e)) from e
 
 
 def quad_descriptor(q: QuadraticForm) -> dict:

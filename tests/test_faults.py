@@ -2,6 +2,7 @@
 a clean run, and no memo answers across a change of the active faults."""
 
 import functools
+import inspect
 from collections import Counter
 
 import pytest
@@ -33,6 +34,11 @@ def test_every_seam_names_an_attribute_of_its_owner():
     assert {row[0] for row in faults.SEAMS} == set(faults.FAULT_NAMES)
     for owner, attr in faults.MEMOS:
         assert callable(getattr(owner, attr).__wrapped__)
+
+
+def test_the_memo_keys_hold_no_fault_state():
+    assert list(inspect.signature(quaternions._ramification).parameters) == ["alg", "v"]
+    assert list(inspect.signature(scenarios._generator).parameters) == ["key"]
 
 
 # a clean instance of each route and the seams it reaches: the conic
