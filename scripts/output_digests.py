@@ -38,7 +38,7 @@ import os
 import sys
 import tempfile
 
-from quatwitt import cli
+from quatwitt import cli, faults
 from quatwitt.batteries import (
     DIVISION_BATCHES,
     FAULTS,
@@ -97,10 +97,10 @@ def batches(trials, seed):
     ] + [(f"split p={p}", point_scenario(p, trials, seed)) for p in SPLIT_PRIMES]
 
 
-def records_digest(sc, trials, fault_names):
+def records_digest(sc, trials):
     h = hashlib.sha256()
     for index in range(trials):
-        record = run_instance(sc, index, fault_names)
+        record = run_instance(sc, index)
         h.update(json.dumps(record, sort_keys=True, separators=(",", ":")).encode())
         h.update(b"\n")
     return h.hexdigest()
@@ -123,11 +123,11 @@ def main(argv=None):
     every = batches(args.trials, args.seed)
     for label, sc in every:
         for fault in (None,) + FAULTS:
-            names = (fault,) if fault else ()
-            digest = records_digest(sc, args.trials, names)
+            with faults.injected(*((fault,) if fault else ())):
+                digest = records_digest(sc, args.trials)
             print(f"records {label:<18} {fault or 'clean':<18} {digest}")
     for p in CLEAN_ONLY_POINT_PRIMES:
-        digest = records_digest(point_scenario(p, args.trials, args.seed), args.trials, ())
+        digest = records_digest(point_scenario(p, args.trials, args.seed), args.trials)
         print(f"records {f'split p={p}':<18} {'clean':<18} {digest}")
     picked = [(label, sc) for label, sc in every if label in ("division p=3 d=-1", "split p=3")]
     with tempfile.TemporaryDirectory() as tmp:

@@ -224,8 +224,11 @@ def _classify(record: dict) -> str:
     return "indeterminate"
 
 
-def _run_shard(sc: dict, start: int, stop: int, fault_names, budget):
-    return [run_instance(sc, i, fault_names, budget) for i in range(start, stop)]
+def _run_shard(sc: dict, start: int, stop: int, budget):
+    # budget is passed only when set, so a positional wrapper of
+    # run_instance, such as the benchmark's tracer, still fits
+    extra = {} if budget is None else {"budget": budget}
+    return [run_instance(sc, i, **extra) for i in range(start, stop)]
 
 
 def _usable_cpus() -> int:
@@ -249,7 +252,7 @@ def _shards(trials: int, jobs: int) -> list:
     return [(start, min(start + size, trials)) for start in range(0, trials, size)]
 
 
-def _fork_shard(sc: dict, start: int, stop: int, fault_names, budget):
+def _fork_shard(sc: dict, start: int, stop: int, budget):
     """Fork a child that runs one shard and writes it to a pipe as JSON,
     {"records": [...]} or, on an exception, {"traceback": "..."}.
     Returns (pid, read end)."""
@@ -269,7 +272,7 @@ def _fork_shard(sc: dict, start: int, stop: int, fault_names, budget):
     try:
         os.close(read)
         try:
-            reply = {"records": _run_shard(sc, start, stop, fault_names, budget)}
+            reply = {"records": _run_shard(sc, start, stop, budget)}
         except Exception:
             import traceback
 
@@ -297,7 +300,7 @@ def _shard_records(text: str, status: int, start: int, stop: int) -> list:
     )
 
 
-def run_batch(sc: dict, trials: int, fault_names=(), budget=None, jobs: int = 1):
+def run_batch(sc: dict, trials: int, *, budget=None, jobs: int = 1):
     """Verify `trials` generated instances and tally the outcomes.
 
     Instances depend only on (scenario, index), so the indices split into
@@ -307,14 +310,15 @@ def run_batch(sc: dict, trials: int, fault_names=(), budget=None, jobs: int = 1)
     order and reaps it, so one worker forks nothing.  If any shard fails,
     every child still running is killed and reaped before the error
     propagates.  Forking is safe because the caller runs no other thread,
-    as the CLI does not.
+    as the CLI does not.  The children inherit this process's active
+    faults, so the batch runs under whatever faults its caller set.
     """
     shards = _shards(trials, jobs)
     pending = []  # (start, stop, pid, read end) of each unreaped child
     try:
         for start, stop in shards[1:]:
-            pending.append((start, stop, *_fork_shard(sc, start, stop, fault_names, budget)))
-        records = _run_shard(sc, *shards[0], fault_names, budget)
+            pending.append((start, stop, *_fork_shard(sc, start, stop, budget)))
+        records = _run_shard(sc, *shards[0], budget)
         while pending:
             start, stop, pid, read = pending[0]
             with open(read, "r", encoding="utf-8", closefd=False) as fp:
@@ -351,11 +355,8 @@ def cmd_verify_theorem(args) -> int:
         check_budget(budget)
     check_jobs(args.jobs)
     generator_setup(sc)
-    fault_names = tuple(args.inject_fault or ())
     start = time.monotonic()
-    records, counts, counterexample = run_batch(
-        sc, trials, fault_names=fault_names, budget=budget, jobs=args.jobs
-    )
+    records, counts, counterexample = run_batch(sc, trials, budget=budget, jobs=args.jobs)
     elapsed = time.monotonic() - start
     payload = {
         "trials": trials,

@@ -97,10 +97,12 @@ def active_names():
 
 @contextmanager
 def injected(*names):
-    for name in names:
-        activate(name)
+    """Activate `names` for the block, then restore the set it found."""
+    found = set(_active)
     try:
+        for name in names:
+            activate(name)
         yield
     finally:
-        for name in names:
-            deactivate(name)
+        if _active != found:
+            _install(found)

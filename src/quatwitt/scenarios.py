@@ -34,7 +34,6 @@ from functools import lru_cache
 from math import gcd
 from typing import Callable, NamedTuple, Optional, Tuple
 
-from . import faults
 from .errors import QuatwittError, ScenarioError
 from .fields import (
     ConicExtension,
@@ -745,17 +744,13 @@ def verify_generated(inst: Instance, budget) -> VerificationReport:
     return verify_instance(inst.form, inst.valuation, **kwargs)
 
 
-def run_instance(sc: dict, index: int, fault_names=(), budget=None) -> dict:
+def run_instance(sc: dict, index: int, *, budget=None) -> dict:
     """Generate and verify one batch instance; returns a JSON-ready record.
 
     Re-derives everything from (scenario, index) so it can run in a
-    worker process; fault names travel in the payload because fault
-    state is per-process.
+    worker process.
     """
-    faults.clear()
     try:
-        for name in fault_names:
-            faults.activate(name)
         inst = generate_instance(sc, index)
         rep = verify_generated(inst, budget)
         return {
@@ -771,5 +766,3 @@ def run_instance(sc: dict, index: int, fault_names=(), budget=None) -> dict:
             "error": type(e).__name__,
             "message": str(e),
         }
-    finally:
-        faults.clear()

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from quatwitt import cli, faults
+from quatwitt import cli, faults, scenarios
 from quatwitt.cli import (
     EXIT_INDETERMINATE,
     EXIT_INPUT,
@@ -614,14 +614,28 @@ _DIVISION_P3 = {
             EXIT_OK,
             "63423a1deeee68a9ee310a2068fbc1f9c832318f2e2e7244220d010898048aca",
         ),
+        # the forked shard runs under the fault it inherits
+        (
+            _DIVISION_P3,
+            ["--inject-fault", "drop-unit-rep", "--jobs", "2"],
+            EXIT_OK,
+            "63423a1deeee68a9ee310a2068fbc1f9c832318f2e2e7244220d010898048aca",
+        ),
     ],
-    ids=["conic-gauss", "point-padic", "conic-unpinned", "conic-gauss-drop-unit-rep"],
+    ids=[
+        "conic-gauss", "point-padic", "conic-unpinned", "conic-gauss-drop-unit-rep",
+        "conic-gauss-drop-unit-rep-jobs2",
+    ],
 )
-def test_verify_theorem_json_is_pinned(tmp_path, capsys, scenario, extra, code, digest):
+def test_verify_theorem_json_is_pinned(
+    tmp_path, capsys, monkeypatch, forks, scenario, extra, code, digest
+):
+    _see_cpus(monkeypatch, 2)
     sc = write_scenario(tmp_path, "pinned.json", scenario)
     assert main(["verify-theorem", "--scenario", sc, "--json"] + extra) == code
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+    assert len(forks) == (1 if "--jobs" in extra else 0)
 
 
 @pytest.mark.parametrize(
@@ -747,6 +761,24 @@ def test_importing_the_cli_loads_no_process_pool(tmp_path):
         assert run.stderr.splitlines()[-1] == b"[]"
         outs.append(run.stdout)
     assert outs[0] == outs[1] and json.loads(outs[0])["counts"]["verified"] == 3
+
+
+def test_a_faulted_batch_sets_its_generator_up_once(monkeypatch):
+    # the batch runs under the caller's faults and their memos, so the
+    # faulted generator is built once, not once per instance
+    clean = run_batch(dict(_DIVISION_P3), 10)[0]
+    calls = []
+    setup = scenarios._conic_setup
+
+    def counting(*args):
+        calls.append(args)
+        return setup(*args)
+
+    monkeypatch.setattr(scenarios, "_conic_setup", counting)
+    with faults.injected(faults.DROP_UNIT_REP):
+        records = run_batch(dict(_DIVISION_P3), 10)[0]
+    assert len(records) == 10 and records != clean
+    assert len(calls) == 1
 
 
 def test_run_batch_counts_match_records(batch_path):

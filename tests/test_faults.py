@@ -133,12 +133,39 @@ def test_a_call_that_changes_nothing_swaps_nothing():
 
 @pytest.mark.parametrize("fault", faults.FAULT_NAMES)
 def test_run_instance_inside_injected_leaves_the_clean_seams(fault):
-    # run_instance clears the caller's faults, so the block's exit finds
-    # nothing to restore and must not restore twice
+    # run_instance leaves the caller's faults in place; the block's exit
+    # restores every clean seam and memo
     before = _current()
     with faults.injected(fault):
-        assert _current() != before
-        run_instance(DIVISION, 0, (fault,))
-        assert _current() == before
+        faulted = _current()
+        assert faulted != before
+        run_instance(DIVISION, 0)
+        assert _current() == faulted
+        assert faults.active_names() == (fault,)
     assert faults.active_names() == ()
+    assert _current() == before
+
+
+def test_injected_restores_the_faults_it_found():
+    before = _current()
+    # a nested block of the same fault leaves it on for the outer block
+    with faults.injected(faults.DROP_UNIT_REP):
+        faulted = _current()
+        with faults.injected(faults.DROP_UNIT_REP):
+            pass
+        assert faults.active_names() == (faults.DROP_UNIT_REP,)
+        assert _current() == faulted
+        # a block of another fault restores exactly this one
+        with faults.injected(faults.SKIP_EVEN_SCALING):
+            assert faults.active_names() == (faults.DROP_UNIT_REP, faults.SKIP_EVEN_SCALING)
+        assert faults.active_names() == (faults.DROP_UNIT_REP,)
+    assert _current() == before
+    # a fault the caller set stays set after a block of the same fault
+    faults.activate(faults.NEGATE_FAST_PATH)
+    try:
+        with faults.injected(faults.NEGATE_FAST_PATH):
+            pass
+        assert faults.active_names() == (faults.NEGATE_FAST_PATH,)
+    finally:
+        faults.clear()
     assert _current() == before

@@ -361,15 +361,23 @@ def test_run_instance_point_records_carry_the_point():
     json.dumps(rec)
 
 
-def test_run_instance_clears_faults_even_on_errors():
-    rec = run_instance(CONIC_SC, 3, fault_names=(faults.NEGATE_FAST_PATH,))
+def test_run_instance_records_errors_under_a_fault():
+    # run_instance leaves the active faults alone; the block's exit
+    # clears them
+    with faults.injected(faults.NEGATE_FAST_PATH):
+        rec = run_instance(CONIC_SC, 3)
+        assert faults.active_names() == (faults.NEGATE_FAST_PATH,)
     assert rec["status"] == "error"
     assert faults.active_names() == ()
 
 
-def test_run_instance_rejects_unknown_faults():
+def test_unknown_faults_are_refused():
+    with faults.injected(faults.DROP_UNIT_REP):
+        with pytest.raises(ValueError):
+            faults.activate("wrong-name")
+        assert faults.active_names() == (faults.DROP_UNIT_REP,)
     with pytest.raises(ValueError):
-        run_instance(CONIC_SC, 0, fault_names=("wrong-name",))
+        faults.activate("wrong-name")
     assert faults.active_names() == ()
 
 
@@ -436,7 +444,8 @@ def test_battery_records_are_pinned(battery):
     sc = build(*args, trials=count)
     got = {}
     for fault in (None,) + faults.FAULT_NAMES:
-        records = [run_instance(sc, i, (fault,) if fault else ()) for i in range(count)]
+        with faults.injected(*((fault,) if fault else ())):
+            records = [run_instance(sc, i) for i in range(count)]
         text = json.dumps(records, sort_keys=True)
         got[fault or "clean"] = hashlib.sha256(text.encode()).hexdigest()
     assert got == _RECORD_DIGESTS[battery]

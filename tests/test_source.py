@@ -45,8 +45,8 @@ def test_library_imports_no_process_pool():
 
 
 # the library modules that may name the seeded faults: the faults
-# themselves, the hidden CLI flag, the sweep, and the batch worker
-_FAULT_MODULES = ("faults.py", "cli.py", "batteries.py", "scenarios.py")
+# themselves, the hidden CLI flag and the sweep
+_FAULT_MODULES = ("faults.py", "cli.py", "batteries.py")
 
 
 def _imports_faults(node):
@@ -66,24 +66,6 @@ def test_only_the_fault_modules_import_faults():
         f"{name}:{node.lineno}"
         for name, node in _library_nodes()
         if _imports_faults(node) and name not in _FAULT_MODULES
-    ]
-    assert found == []
-
-
-def test_only_run_instance_names_faults_in_scenarios():
-    # the generator, the certificate and the verifier hold clean code and
-    # memo keys free of fault state; the batch worker sets the faults of
-    # its payload
-    from quatwitt import scenarios
-
-    tree = ast.parse(Path(scenarios.__file__).read_text(encoding="utf-8"))
-    found = [
-        f"scenarios.py:{node.lineno}"
-        for top in tree.body
-        if not (isinstance(top, ast.FunctionDef) and top.name == "run_instance")
-        and not _imports_faults(top)
-        for node in ast.walk(top)
-        if isinstance(node, ast.Name) and node.id == "faults"
     ]
     assert found == []
 
