@@ -766,7 +766,7 @@ def test_importing_the_cli_loads_no_process_pool(tmp_path):
 def test_a_faulted_batch_sets_its_generator_up_once(monkeypatch):
     # the batch runs under the caller's faults and their memos, so the
     # faulted generator is built once, not once per instance
-    clean = run_batch(dict(_DIVISION_P3), 10)[0]
+    clean = run_batch(_DIVISION_P3, 10)[0]
     calls = []
     setup = scenarios._conic_setup
 
@@ -776,7 +776,7 @@ def test_a_faulted_batch_sets_its_generator_up_once(monkeypatch):
 
     monkeypatch.setattr(scenarios, "_conic_setup", counting)
     with faults.injected(faults.DROP_UNIT_REP):
-        records = run_batch(dict(_DIVISION_P3), 10)[0]
+        records = run_batch(_DIVISION_P3, 10)[0]
     assert len(records) == 10 and records != clean
     assert len(calls) == 1
 
