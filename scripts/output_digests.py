@@ -23,7 +23,10 @@ an isotropic vector late and split off its plane.  Two more pin the
 printer's lower levels: `reduce` over F_7(s) on the algebra (3, s),
 whose entries are conic elements over F_7(s)(x), and `residue-forms`
 over Q(s) at the Gauss 3-adic valuation on entries with denominators,
-whose residues print over F_3(s).  The command line
+whose residues print over F_3(s).  Two last `witt-equal` runs, over Q
+and over F_13, read entries that are plain literals (fractions, a
+leading minus, leading zeros, surrounding whitespace), which the fields
+decide from ints without the expression parser.  The command line
 runs in this process through `cli.main`, so --jobs 2 forks one child
 (none where only one CPU is usable): at most one extra process runs at
 a time.
@@ -87,6 +90,18 @@ SINGLE_SHOTS = [
         "field": {"kind": "function", "base": _Q, "variable": "s"},
         "valuation": {"kind": "gauss", "inner": {"kind": "padic", "p": 3}},
         "quad": {"entries": ["(3*s^2 - 1)/(s + 2)", "-(s^3 + 6)/(3*s + 3)", "9*s/(2*s^2 - 1)", "(s - 1/3)/(27*s + 6)"]},
+    }, []),
+    # plain literals, read without the expression parser: fractions,
+    # a leading minus, leading zeros and surrounding whitespace
+    ("witt-equal", "Q literals", {
+        "field": _Q,
+        "first": {"entries": [" -3/4", "12/9 ", "\t-007\n", "5/2"]},
+        "second": {"entries": ["-7", " 10 "]},
+    }, []),
+    ("witt-equal", "F13 literals", {
+        "field": {"kind": "finite", "p": 13},
+        "first": {"entries": [" -3/4", "25/9 ", "\u00a0-0012 ", "7/2"]},
+        "second": {"entries": ["1", " -1/4 "]},
     }, []),
 ]
 

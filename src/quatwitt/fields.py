@@ -54,7 +54,12 @@ expression grammar (integers, the tower's symbols, + - * / ^, parentheses)
 and print back in a form the parser accepts, in one pass down the tower:
 each level writes its terms into one list and tells the level above the
 shape of what it wrote, so no text is scanned again, and a denominator
-shared by an element's coefficients is written once.
+shared by an element's coefficients is written once.  A plain literal,
+an optional minus, ASCII digits and an optional slash and ASCII digits
+between whitespace, skips the tokenizer and the parser: parse builds it
+as from_int(n), or div(from_int(n), from_int(m)), which is the payload
+the parser reaches and raises what the parser raises (division by zero,
+a digit string over int's limit).
 """
 
 from __future__ import annotations
@@ -217,6 +222,18 @@ class _FieldBase:
         return {}
 
     def parse(self, text: str) -> FieldElement:
+        # a plain literal skips the parser (see the module docstring)
+        s = text.strip()
+        neg = s[:1] == "-"
+        num, slash, den = (s[1:] if neg else s).partition("/")
+        if num.isascii() and num.isdigit() and (
+            not slash or (den.isascii() and den.isdigit())
+        ):
+            n = int(num)
+            a = self.from_int(-n if neg else n)
+            if slash:
+                a = self.div(a, self.from_int(int(den)))
+            return FieldElement(self, a)
         return _Parser(self, _tokenize(text)).parse()
 
     def __call__(self, v):
@@ -243,16 +260,38 @@ class _FieldBase:
         return True
 
 
+# the first twelve primes: trial division by them decides every n below
+# 37^2, and Miller-Rabin to these bases is exact below 318665857834031151167461
+# (Sorenson and Webster, Math. Comp. 86, 2017)
+_PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# largest modulus a finite field accepts; below the bound above, so that
+# _is_prime decides every modulus exactly
+MAX_PRIME = 10**23
+
+
 def _is_prime(n: int) -> bool:
+    """Trial division by the bases, then Miller-Rabin to each of them."""
     if n < 2:
         return False
-    if n % 2 == 0:
-        return n == 2
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
+    for q in _PRIME_BASES:
+        if q * q > n:
+            return True
+        if n % q == 0:
+            return n == q
+    d, r = n - 1, 0
+    while not d & 1:
+        d >>= 1
+        r += 1
+    for a in _PRIME_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(r - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        f += 2
     return True
 
 
@@ -390,6 +429,8 @@ class FiniteField(_FieldBase):
     def __init__(self, p: int):
         if p == 2:
             raise EvenResidueChar("characteristic 2 is outside scope")
+        if p > MAX_PRIME:
+            raise ValueError(f"modulus {p} exceeds {MAX_PRIME}")
         if not _is_prime(p):
             raise ValueError(f"modulus must be an odd prime, got {p}")
         self.p = p

@@ -62,9 +62,14 @@ class QuadraticForm:
     __slots__ = ("base", "entries")
 
     def __init__(self, base, entries):
-        entries = tuple(base(e) for e in entries)
+        # an element of base itself is kept; anything else is coerced
+        entries = tuple(
+            e if isinstance(e, FieldElement) and e.field is base else base(e)
+            for e in entries
+        )
+        is_zero = base.is_zero
         for e in entries:
-            if e.is_zero():
+            if is_zero(e.value):
                 raise Degenerate("diagonal entries must be nonzero")
         self.base = base
         self.entries = entries
@@ -418,8 +423,13 @@ def _candidate_vectors(base, rank: int, limit: int):
             yield from _shell(span, rank)
     elif isinstance(base, FunctionField) and isinstance(base.base, FiniteField):
         # 0, the nonzero constants, then c0 + c1*s with c1 != 0: p^2
-        # coordinates in all, built lazily, as far as the limit reaches
-        consts = [base.el(base.constant(c)) for c in base.base.elements()]
+        # coordinates in all, built lazily, as far as the limit reaches;
+        # the pool takes limit + 1 coordinates, so when p exceeds that the
+        # constants alone fill it
+        consts = [
+            base.el(base.constant(c))
+            for c in itertools.islice(base.base.elements(), limit + 1)
+        ]
         gen = base.gen()
         lin = ((c0 + gen * c1).value for c0 in consts for c1 in consts[1:])
         coords = itertools.chain((c.value for c in consts), lin)

@@ -172,20 +172,20 @@ def build_valuation(desc, field):
 
 
 def parse_element(field, text) -> FieldElement:
+    if isinstance(text, str):
+        try:
+            return field.parse(text)
+        except (QuatwittError, ValueError) as e:
+            raise ScenarioError(f"bad element expression {text!r}: {e}") from e
     if _is_int(text):
         return field(text)
-    if not isinstance(text, str):
-        raise ScenarioError(
-            f"element expression must be a string or an integer, got {text!r}"
-        )
-    try:
-        return field(text)
-    except (QuatwittError, ValueError) as e:
-        raise ScenarioError(f"bad element expression {text!r}: {e}") from e
+    raise ScenarioError(
+        f"element expression must be a string or an integer, got {text!r}"
+    )
 
 
 def element_str(el: FieldElement) -> str:
-    return repr(el)
+    return el.field.to_str(el.value)
 
 
 def build_algebra(desc, field) -> QuaternionAlgebra:

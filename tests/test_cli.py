@@ -20,6 +20,7 @@ from quatwitt.cli import (
     main,
     run_batch,
 )
+from quatwitt.fields import MAX_PRIME
 from quatwitt.scenarios import load_scenario
 
 
@@ -228,6 +229,45 @@ def test_reduce_of_a_gram_form_over_q_s_does_not_stall(tmp_path, capsys):
     seconds = time.perf_counter() - start
     assert seconds < 1.0
     assert len(json.loads(capsys.readouterr().out)["entries"]) == 6
+
+
+def _prime_scenario(command, p):
+    """A witt-equal over F_p, or a one-trial point batch at p."""
+    if command == "witt-equal":
+        return {"field": {"kind": "finite", "p": p}, "first": {"entries": ["1", "-2/3", " 5 "]}}
+    return {
+        "field": {"kind": "rationals"},
+        "valuation": {"kind": "padic", "p": p},
+        "generator": "point",
+        "seed": 1,
+        "trials": 1,
+    }
+
+
+@pytest.mark.parametrize(
+    "command, code", [("witt-equal", EXIT_VIOLATION), ("verify-theorem", EXIT_OK)]
+)
+def test_a_61_bit_prime_does_not_stall(tmp_path, capsys, command, code):
+    # the primality check once trial-divided up to the square root of p;
+    # an odd-rank form is not Witt-trivial, so witt-equal answers false
+    path = write_scenario(tmp_path, "p61.json", _prime_scenario(command, 2**61 - 1))
+    start = time.perf_counter()
+    assert main([command, "--scenario", path, "--json"]) == code
+    assert time.perf_counter() - start < 1.0
+    assert "error" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["witt-equal", "verify-theorem"])
+def test_a_prime_over_the_cap_is_an_input_error(tmp_path, capsys, command):
+    sympy = pytest.importorskip("sympy")
+    p = sympy.nextprime(MAX_PRIME)
+    path = write_scenario(tmp_path, "big.json", _prime_scenario(command, p))
+    start = time.perf_counter()
+    assert main([command, "--scenario", path, "--json"]) == EXIT_INPUT
+    assert time.perf_counter() - start < 1.0
+    captured = capsys.readouterr()
+    assert captured.err == f"error: modulus {p} exceeds {MAX_PRIME}\n"
+    assert captured.out == ""
 
 
 def test_residue_forms_output(tmp_path, capsys):

@@ -21,9 +21,11 @@ from quatwitt.errors import (
     NotASquare,
     ParseError,
 )
+from quatwitt import fields
 from quatwitt.fields import (
     MAX_EXPONENT,
     MAX_POWER_COST,
+    MAX_PRIME,
     ConicExtension,
     FieldElement,
     FiniteField,
@@ -35,7 +37,10 @@ from quatwitt.fields import (
     poly_gcd,
     poly_mul,
     poly_trim,
+    _Parser,
+    _is_prime,
     _power_cost,
+    _tokenize,
     _z_cancel,
     _z_gcd,
 )
@@ -262,6 +267,154 @@ def test_finite_field_rejects_even_characteristic():
 def test_finite_field_rejects_composites():
     with pytest.raises(ValueError):
         FiniteField(9)
+
+
+# Carmichael numbers, and strong pseudoprimes to the bases 2, 3, 5, 7 and
+# to the bases 2, ..., 23: each needs a base the one before lacks
+_PSEUDOPRIMES = (561, 41041, 3215031751, 3825123056546413051)
+# the least composite that passes Miller-Rabin to every base 2, ..., 37
+_PSI_12 = 318665857834031151167461
+
+
+def test_primality_matches_sympy_below_20000():
+    sympy = pytest.importorskip("sympy")
+    assert [n for n in range(20000) if _is_prime(n)] == list(sympy.primerange(20000))
+
+
+@settings(max_examples=300)
+@given(
+    st.one_of(
+        st.integers(0, MAX_PRIME),
+        st.integers(1, 2**40).map(lambda n: n * n),
+        st.tuples(st.integers(2, 10**11), st.integers(2, 10**11)).map(
+            lambda ab: ab[0] * ab[1]
+        ),
+    )
+)
+@example(2**61 - 1)
+@example(MAX_PRIME)
+def test_primality_matches_sympy_up_to_the_cap(n):
+    sympy = pytest.importorskip("sympy")
+    assert _is_prime(n) == sympy.isprime(n)
+
+
+@given(st.integers(1, MAX_PRIME))
+def test_primes_up_to_the_cap_are_primes(n):
+    sympy = pytest.importorskip("sympy")
+    p = sympy.prevprime(n + 1) if n > 2 else 3
+    assert _is_prime(p)
+
+
+@pytest.mark.parametrize("n", _PSEUDOPRIMES)
+def test_pseudoprimes_are_composite(n):
+    sympy = pytest.importorskip("sympy")
+    assert not sympy.isprime(n)
+    assert not _is_prime(n)
+    with pytest.raises(ValueError, match="odd prime"):
+        FiniteField(n)
+
+
+def test_the_prime_cap_lies_below_the_first_composite_all_bases_pass():
+    # above the cap the bases stop deciding, so a modulus there is refused
+    # before the test runs
+    sympy = pytest.importorskip("sympy")
+    assert MAX_PRIME < _PSI_12 and not sympy.isprime(_PSI_12)
+    assert _is_prime(_PSI_12)
+    for p in (_PSI_12, sympy.nextprime(MAX_PRIME)):
+        with pytest.raises(ValueError, match=f"exceeds {MAX_PRIME}"):
+            FiniteField(p)
+
+
+def test_a_61_bit_finite_field_does_not_stall():
+    start = time.perf_counter()
+    F = FiniteField(2**61 - 1)
+    assert time.perf_counter() - start < 0.01
+    assert (F(3) * F(3).inv()).value == 1
+
+
+# ---------------------------------------------------------------------------
+# literal parsing
+
+
+def _parser_outcome(parse):
+    """The payload parse gives, or the type and message of what it raises."""
+    try:
+        return parse().value
+    except Exception as e:  # the two paths must raise alike, whatever it is
+        return type(e), str(e)
+
+
+# one field per level a literal can be parsed at: F_p, Q, Q(s) and a
+# conic over Q(s)
+def _literal_levels():
+    QS = FunctionField(Rationals(), "s")
+    conic = ConicExtension(QS, QS(-1), QS("s"))
+    return {"F7": FiniteField(7), "Q": Rationals(), "Q(s)": QS, "conic": conic}
+
+
+_LITERAL_LEVELS = _literal_levels()
+
+# pieces of literal texts and of their near misses: Unicode whitespace,
+# signs the fast path takes and ones it leaves to the parser, leading
+# zeros, zero numerators and denominators, multiples of 7 (a zero
+# residue over F_7), non-ASCII digits, and a second slash or a space
+_SPACES = st.sampled_from(("", " ", "\t\n", "\u00a0", "\u2003", "\u3000", "\x1c"))
+_SIGNS = st.sampled_from(("", "", "-", "--", "+", "- "))
+_NUMERALS = st.one_of(
+    st.integers(0, 10**30).map(str),
+    st.sampled_from(("0", "00", "007", "7", "14", "\u0663", "\u00b2", "1 2", "")),
+)
+
+
+@st.composite
+def _literal_texts(draw):
+    text = draw(_SPACES) + draw(_SIGNS) + draw(_NUMERALS)
+    for _ in range(draw(st.integers(0, 2))):
+        text += draw(st.sampled_from(("/", "/", " / "))) + draw(_SIGNS) + draw(_NUMERALS)
+    return text + draw(_SPACES)
+
+
+@pytest.mark.parametrize("name", sorted(_LITERAL_LEVELS))
+@settings(max_examples=150)
+@given(text=_literal_texts())
+@example(text="-0")
+@example(text="0/5")
+@example(text="5/0")
+@example(text="-00/0003")
+@example(text="14/7")
+@example(text="3/14")
+@example(text="\u2003-12/9\n")
+@example(text="\u0663")
+@example(text="\u00b2")
+@example(text="--5")
+@example(text="5/-2")
+@example(text="1/2/3")
+@example(text="1 2")
+@example(text="-")
+@example(text="5/")
+@example(text="")
+@example(text="4" * 4300)
+@example(text="-" + "4" * 4301)
+@example(text="4" * 4301 + "/0")
+@example(text="5/" + "4" * 4301)
+def test_literal_fast_path_matches_the_parser(name, text):
+    """parse on a plain literal gives the parser's payload, or raises what
+    the parser raises, message included; other text goes to the parser."""
+    field = _LITERAL_LEVELS[name]
+    want = _parser_outcome(lambda: _Parser(field, _tokenize(text)).parse())
+    assert _parser_outcome(lambda: field.parse(text)) == want
+
+
+def test_plain_literals_skip_the_parser(Q, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the parser ran on a plain literal")
+
+    monkeypatch.setattr(fields, "_Parser", refuse)
+    for text in ("12", " -3/4 ", "\u00a0007/0002\n"):
+        assert Q.parse(text).field is Q
+    assert Q.parse("-3/4") == Fraction(-3, 4)
+    with pytest.raises(AssertionError):
+        Q.parse("3 / 4")
 
 
 # ---------------------------------------------------------------------------

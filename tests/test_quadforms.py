@@ -43,6 +43,41 @@ def test_rejects_zero_entries(Q):
         qform(Q, 1, 0)
 
 
+def test_entries_of_the_base_are_kept(Q, F7):
+    u, w = Q("-7/4"), F7(3)
+    assert QuadraticForm(Q, [u]).entries[0] is u
+    assert QuadraticForm(F7, [w, w]).entries == (w, w)
+    assert all(e is w for e in QuadraticForm(F7, [w, w]).entries)
+
+
+def test_other_entries_are_coerced_into_the_base(Q, K):
+    q = QuadraticForm(K, [2, "s + 1", Q("3/5"), K.gen()])
+    assert q.entries == (K(2), K.gen() + 1, K("3/5"), K.gen())
+    assert all(e.field is K for e in q.entries)
+    # an equal but distinct finite field is the same field
+    F, G = FiniteField(7), FiniteField(7)
+    q = QuadraticForm(F, [G(3), 4])
+    assert F is not G and q.entries == (F(3), F(4))
+
+
+@pytest.mark.parametrize(
+    "base, zero",
+    [
+        (FiniteField(7), 0),
+        (FiniteField(7), "14"),
+        (FiniteField(7), "-0/3"),
+        (Rationals(), "0"),
+        (FunctionField(Rationals(), "s"), "7*s/s - 7"),
+    ],
+    ids=["F7-int", "F7-residue", "F7-fraction", "Q", "Q(s)"],
+)
+def test_zero_entries_are_degenerate_however_given(base, zero):
+    with pytest.raises(Degenerate):
+        QuadraticForm(base, [1, zero])
+    with pytest.raises(Degenerate):
+        QuadraticForm(base, [base(zero), 1])
+
+
 def test_rank_det_apply(Q):
     q = qform(Q, 1, -2, 3)
     assert q.rank == 3
@@ -302,10 +337,11 @@ def test_witt_decision_over_a_large_prime_is_fast(entries):
         assert verdict.state == TRUE
 
 
-@pytest.mark.parametrize("p", [509, 4001])
+@pytest.mark.parametrize("p", [509, 4001, 2**61 - 1])
 def test_witt_search_over_a_large_f_p_s_does_not_stall(p):
     # the candidate coordinates are cut to what the budget reaches, so the
-    # p^2 linear polynomials are never all built
+    # p^2 linear polynomials, and past the budget the p constants, are
+    # never all built
     F = FunctionField(FiniteField(p), "s")
     q = QuadraticForm(F, [F.parse(e) for e in ("1", "s", "s + 1", "s^2 + 2")])
     start = time.perf_counter()

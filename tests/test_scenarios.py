@@ -6,6 +6,7 @@ import gc
 import hashlib
 import json
 import random
+import re
 import sys
 from collections import Counter
 from fractions import Fraction
@@ -14,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import support
 from quatwitt import batteries, faults, hermitian, morita, quaternions, scenarios
 from quatwitt.errors import ScenarioError
 from quatwitt.fields import (
@@ -81,6 +83,50 @@ def test_valuation_descriptors_round_trip(Q, K, v3, g3):
 def test_element_expressions_round_trip(K):
     e = K("(s^2 - 2)/(3*s + 1)")
     assert parse_element(K, element_str(e)) == e
+
+
+def _printing_levels():
+    Q = Rationals()
+    QS = FunctionField(Q, "s")
+    F5S = FunctionField(FiniteField(5), "s")
+    return {
+        "F7": FiniteField(7),
+        "Q": Q,
+        "Q(s)": QS,
+        "F5(s)": F5S,
+        "Q(s)(x)": FunctionField(QS, "x"),
+        "conic/Q": ConicExtension(Q, Q(2), Q(3)),
+        "conic/Q(s)": ConicExtension(QS, QS(-1), QS("s")),
+        "conic/F5(s)": ConicExtension(F5S, F5S(2), F5S("s")),
+    }
+
+
+_PRINTING_LEVELS = _printing_levels()
+
+
+@pytest.mark.parametrize("name", sorted(_PRINTING_LEVELS))
+@settings(max_examples=25)
+@given(data=st.data())
+def test_element_str_is_repr_at_every_level(name, data):
+    field = _PRINTING_LEVELS[name]
+    if isinstance(field, ConicExtension):
+        u = data.draw(support.conic_elements(field), label="element")
+    else:
+        u = field.el(data.draw(support.tower_payloads(field), label="payload"))
+    assert element_str(u) == repr(u)
+    assert parse_element(field, element_str(u)) == u
+
+
+def test_literal_errors_are_scenario_errors(Q, F7):
+    for field, text, message in (
+        (Q, "5/0", "bad element expression '5/0': inverse of 0"),
+        (F7, "3/14", "bad element expression '3/14': inverse of 0 mod 7"),
+        (Q, "4" * 4301, "Exceeds the limit (4300 digits)"),
+    ):
+        with pytest.raises(ScenarioError, match=re.escape(message)):
+            parse_element(field, text)
+    assert parse_element(F7, " -3/4 ") == F7(1)
+    assert parse_element(Q, 5) == Q(5)
 
 
 def test_algebra_descriptors_round_trip(K):
