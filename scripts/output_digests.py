@@ -26,7 +26,12 @@ over Q(s) at the Gauss 3-adic valuation on entries with denominators,
 whose residues print over F_3(s).  Two last `witt-equal` runs, over Q
 and over F_13, read entries that are plain literals (fractions, a
 leading minus, leading zeros, surrounding whitespace), which the fields
-decide from ints without the expression parser.  The command line
+decide from ints without the expression parser.  Five `residue` runs
+over Q(s) at Gauss p-adic valuations pin the split decision over F_p(s)
+on residue parameters with a p-th power factor, a factor shared by both
+parameters, square factors and places of degree 2 and 3, and on two
+algebras that split.  A last `residue-forms` run reduces conic entries
+at the half-norm extension of the Gauss 3-adic valuation.  The command line
 runs in this process through `cli.main`, so --jobs 2 forks one child
 (none where only one CPU is usable): at most one extra process runs at
 a time.
@@ -59,6 +64,7 @@ CLEAN_ONLY_POINT_PRIMES = (11, 101)
 
 _Q = {"kind": "rationals"}
 _F7S = {"kind": "function", "base": {"kind": "finite", "p": 7}, "variable": "s"}
+_QS = {"kind": "function", "base": _Q, "variable": "s"}
 SINGLE_SHOTS = [
     ("witt-equal", "Q <1, 1, -2, -3>", {"field": _Q, "first": {"entries": ["1", "1", "-2", "-3"]}}, []),
 ] + [
@@ -102,6 +108,29 @@ SINGLE_SHOTS = [
         "field": {"kind": "finite", "p": 13},
         "first": {"entries": [" -3/4", "25/9 ", "\u00a0-0012 ", "7/2"]},
         "second": {"entries": ["1", " -1/4 "]},
+    }, []),
+] + [
+    # the split decision over F_p(s): a p-th power and a place of degree
+    # 2, a shared factor, squares and a place of degree 3, and two
+    # algebras that split, so that every place is tested
+    ("residue", label, {
+        "field": _QS,
+        "valuation": {"kind": "gauss", "inner": {"kind": "padic", "p": p}},
+        "algebra": {"d": d, "t": t},
+    }, [])
+    for label, p, d, t in (
+        ("Q(s) p=3 p-th pow", 3, "-1", "(s + 1)^3*(s^2 + 1)"),
+        ("Q(s) p=5 shared", 5, "s^2 + 2", "(s^2 + 2)*(s^3 + s + 1)"),
+        ("Q(s) p=7 squares", 7, "3", "s^2*(s + 2)^2*(s^3 + 2)"),
+        ("Q(s) p=3 split", 3, "2*s + 1", "s^3 + 2"),
+        ("Q(s) p=5 split", 5, "-1", "s^3 + s + 1"),
+    )
+] + [
+    # residues at the half-norm extension of a Gauss valuation to a conic
+    ("residue-forms", "conic (-1, s) p=3", {
+        "field": {"kind": "conic", "base": _QS, "d": "-1", "t": "s"},
+        "valuation": {"kind": "conic-half-norm", "inner": {"kind": "gauss", "inner": {"kind": "padic", "p": 3}}},
+        "quad": {"entries": ["3*x", "y + 1", "9*(x - y)", "1/3"]},
     }, []),
 ]
 

@@ -47,7 +47,10 @@ num_den gives the pair (num, den) of Rationals payload tuples with den
 monic, for the few callers that need monic coefficients: sqrt, the
 parser's power cost and the transported conic valuation.  Other bases,
 F_p and Q(s) among them, use the poly_* helpers below, Euclid's
-algorithm over the base field.
+algorithm over the base field.  Over F_p two more of them decide
+splitting over F_p(s) without factoring: poly_squarefree_parts gives the
+squarefree decomposition, and poly_distinct_degree_products the product
+of the irreducible factors of each degree.
 
 Characteristic 2 is rejected everywhere.  Elements parse from a small
 expression grammar (integers, the tower's symbols, + - * / ^, parentheses)
@@ -209,9 +212,6 @@ class _FieldBase:
 
     def from_fraction(self, fr: Fraction):
         return self.div(self.from_int(fr.numerator), self.from_int(fr.denominator))
-
-    def is_zero(self, a):
-        return a == self.zero()
 
     def lift(self, elem):
         """Embed an element of a lower level, or None if not embeddable."""
@@ -641,43 +641,49 @@ def poly_sqrt(base, f):
     return r
 
 
-def poly_monic_irreducible_factors(base, f):
-    """Multiset of monic irreducible factors over a finite base field.
-
-    Returns a dict factor -> multiplicity.  Trial division by monic
-    polynomials of increasing degree; fine at desk-scale degrees.
-    """
-    out = {}
+def poly_squarefree_parts(base, f):
+    """Squarefree decomposition of a nonzero polynomial over F_p: pairs
+    (g, e), g monic, squarefree and of degree >= 1, with f = lc(f) * prod
+    g^e and the g pairwise coprime.  The factors of multiplicity prime to
+    p come from gcds with f'; what is left has f' = 0, so it is a p-th
+    power, and its p-th root is decomposed in turn (Knuth, TAOCP vol. 2,
+    4.6.2)."""
+    p = base.p
     f = poly_scale(base, f, base.inv(f[-1]))
-    deg = poly_deg(f)
-    d = 1
-    while poly_deg(f) >= 1 and d <= poly_deg(f) // 2:
-        for g in _monic_polys(base, d):
-            if poly_deg(f) < d:
-                break
-            q, r = poly_divmod(base, f, g)
-            while not r:
-                out[g] = out.get(g, 0) + 1
-                f = q
-                q, r = poly_divmod(base, f, g)
-        d += 1
-    if poly_deg(f) >= 1:
-        out[f] = out.get(f, 0) + 1
+    df = poly_trim(base, [base.mul(c, base.from_int(i)) for i, c in enumerate(f)][1:])
+    c = poly_gcd(base, f, df)
+    w = poly_divmod(base, f, c)[0]
+    out, e = [], 1
+    while poly_deg(w) > 0:
+        y = poly_gcd(base, w, c)
+        g = poly_divmod(base, w, y)[0]
+        if poly_deg(g) > 0:
+            out.append((g, e))
+        w, c, e = y, poly_divmod(base, c, y)[0], e + 1
+    if poly_deg(c) > 0:
+        out += [(g, e * p) for g, e in poly_squarefree_parts(base, c[::p])]
     return out
 
 
-def _monic_polys(base, d: int):
-    """All monic polynomials of degree d over a finite base field."""
-
-    def rec(k):
-        if k == d:
-            yield (base.one(),)
-            return
-        for tail in rec(k + 1):
-            for c in base.elements():
-                yield (c,) + tail
-
-    yield from rec(0)
+def poly_distinct_degree_products(base, f):
+    """Distinct-degree products of a monic squarefree polynomial over F_p:
+    pairs (k, g), g the product of the monic irreducible factors of f of
+    degree k, for each k that has one.  Those factors are the ones left
+    in gcd(f, s^(p^k) - s) once the lower degrees are divided out (Knuth,
+    TAOCP vol. 2, 4.6.2); s^(p^k) comes from poly_pow_mod, so the cost
+    grows with log p and not with p."""
+    s = (base.zero(), base.one())
+    out, h, k = [], s, 0
+    while poly_deg(f) >= 2 * (k + 1):
+        k += 1
+        h = poly_pow_mod(base, h, base.p, f)
+        g = poly_gcd(base, f, poly_add(base, h, poly_neg(base, s)))
+        if poly_deg(g) > 0:
+            out.append((k, g))
+            f = poly_divmod(base, f, g)[0]
+    if poly_deg(f) > 0:
+        out.append((poly_deg(f), f))
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -45,10 +45,13 @@ from .fields import (
     FunctionField,
     _poly_terms,
     poly_deg,
+    poly_distinct_degree_products,
     poly_divmod,
-    poly_monic_irreducible_factors,
+    poly_gcd,
     poly_mul,
     poly_pow_mod,
+    poly_scale,
+    poly_squarefree_parts,
 )
 from .quadforms import _even_scaled
 from .valuations import INF
@@ -296,21 +299,6 @@ class QuaternionElement:
             other = self.algebra.scalar(s)
         return self * other.inv()
 
-    def __pow__(self, n: int):
-        if not isinstance(n, int):
-            return NotImplemented
-        if n < 0:
-            return self.inv() ** (-n)
-        out = self.algebra.one()
-        acc = self
-        e = n
-        while e:
-            if e & 1:
-                out = out * acc
-            acc = acc * acc
-            e >>= 1
-        return out
-
     def conj(self) -> "QuaternionElement":
         base = self.algebra.base
         neg = base.neg
@@ -537,75 +525,42 @@ def residue_algebra_splits(rf, a: FieldElement, b: FieldElement) -> bool:
     raise UnsupportedField(f"no splitting decision over {rf!r}")
 
 
-def _place_value(factor, num, den, base):
-    def mult(poly):
-        if not poly:
-            return 0
-        count = 0
-        while True:
-            q, r = poly_divmod(base, poly, factor)
-            if r:
-                return count
-            poly = q
-            count += 1
-
-    return mult(num) - mult(den)
-
-
-def _residue_at_place(base: FiniteField, factor, num, den):
-    """Residue of num/den in GF(p^deg f) = base[s]/(f); needs place value 0."""
-
-    def strip(poly):
-        while True:
-            q, r = poly_divmod(base, poly, factor)
-            if r:
-                return poly
-            poly = q
-
-    q = base.p ** poly_deg(factor)
-    n0 = poly_divmod(base, strip(num), factor)[1]
-    d0 = poly_divmod(base, strip(den), factor)[1]
-    d_inv = poly_pow_mod(base, d0, q - 2, factor)
-    return poly_divmod(base, poly_mul(base, n0, d_inv), factor)[1]
-
-
-def _is_square_mod(base: FiniteField, poly, factor) -> bool:
-    """Euler criterion for a nonzero class of GF(p^deg f)."""
-    q = base.p ** poly_deg(factor)
-    power = poly_pow_mod(base, poly, (q - 1) // 2, factor)
-    return poly_deg(power) == 0 and power[0] == base.one()
-
-
 def _splits_over_rational_function_field(rf: FunctionField, a, b) -> bool:
-    """Split test for (a, b) over GF(p)(s): the tame class must be a
-    square in the residue field of every place where either slot has a
-    nonzero value (elsewhere the class is 1).  Finite places run over the
-    monic irreducible factors of both slots; the degree place uses 1/s."""
+    """Split test for (a, b) over F_p(s): the tame symbol must be a square
+    at every place.  Modulo squares a = c_a*A and b = c_b*B (`_odd_part`).
+    With G = gcd(A, B), A1 = A/G and B1 = B/G, the symbol at a prime P is
+    the unit c_b*B if P | A1, c_a*A if P | B1 and -c_a*c_b*A1*B1 if P | G,
+    up to squares, and 1 at every other prime.  So one Euler test modulo
+    the product of the primes of each degree k decides them all (CRT),
+    and no prime is ever found.  At the degree place the symbol is
+    (-1)^(deg A*deg B) * c_a^deg B * c_b^deg A."""
     base = rf.base
-    num_a, den_a = a.value
-    num_b, den_b = b.value
-    places = set()
-    for poly in (num_a, den_a, num_b, den_b):
-        places.update(poly_monic_irreducible_factors(base, poly))
-    for f in sorted(places, key=lambda f: (poly_deg(f), f)):
-        va = _place_value(f, num_a, den_a, base)
-        vb = _place_value(f, num_b, den_b, base)
-        if va == 0 and vb == 0:
-            continue
-        un, ud = _tame_element(rf, a.value, b.value, va, vb)
-        r = _residue_at_place(base, f, un, ud)
-        if not _is_square_mod(base, r, f):
-            return False
-    va = poly_deg(den_a) - poly_deg(num_a)
-    vb = poly_deg(den_b) - poly_deg(num_b)
-    if va != 0 or vb != 0:
-        un, ud = _tame_element(rf, a.value, b.value, va, vb)
-        # a unit at the degree place has num and den of equal degree; its
-        # residue there is the ratio of leading coefficients
-        lc = base.div(un[-1], ud[-1])
-        if not base.is_square(lc):
-            return False
-    return True
+    (ca, A), (cb, B) = _odd_part(base, a.value), _odd_part(base, b.value)
+    G = poly_gcd(base, A, B)
+    A1, B1 = poly_divmod(base, A, G)[0], poly_divmod(base, B, G)[0]
+    for primes, sym in (
+        (A1, poly_scale(base, B, cb)),
+        (B1, poly_scale(base, A, ca)),
+        (G, poly_scale(base, poly_mul(base, A1, B1), base.neg(base.mul(ca, cb)))),
+    ):
+        for k, f in poly_distinct_degree_products(base, primes):
+            if poly_pow_mod(base, sym, (base.p**k - 1) // 2, f) != (base.one(),):
+                return False
+    da, db = poly_deg(A) % 2, poly_deg(B) % 2
+    return base.is_square((-1) ** (da * db) * ca**db * cb**da)
+
+
+def _odd_part(base, x):
+    """(c, A) with the payload x = num/den equal to c*A modulo squares: c
+    the leading coefficient of num, A the monic product of the primes of
+    odd multiplicity in num*den."""
+    num, den = x
+    c = num[-1]
+    A = (base.one(),)
+    for g, e in poly_squarefree_parts(base, poly_mul(base, num, den)):
+        if e % 2:
+            A = poly_mul(base, A, g)
+    return c, A
 
 
 def _tame_element(field, a, b, va: int, vb: int):

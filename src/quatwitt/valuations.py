@@ -251,7 +251,8 @@ class ConicValuation(_ValuationBase):
         return hash(("ConicValuation", self.inner, self.domain))
 
     def descriptor(self):
-        return {"kind": "conic-half-norm", "inner": self.inner.descriptor()}
+        # build_valuation reads "inner" as the valuation of the base field
+        return {"kind": "conic-half-norm", "inner": self.inner.inner.descriptor()}
 
     def _value(self, payload):
         A, B = payload
@@ -333,11 +334,3 @@ class TransportedConicValuation(_ValuationBase):
 
     def __hash__(self):
         return hash(("TransportedConicValuation", self.domain, self.target, self.alpha, self.beta))
-
-    def descriptor(self):
-        return {
-            "kind": "conic-transported",
-            "target": self.target.descriptor(),
-            "alpha": self.alpha,
-            "beta": self.beta,
-        }

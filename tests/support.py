@@ -17,6 +17,8 @@ from quatwitt.fields import (
     FiniteField,
     FunctionField,
     Rationals,
+    poly_deg,
+    poly_mul,
 )
 from quatwitt.morita import conic_field
 from quatwitt.quadforms import DEFAULT_BUDGET, diagonalize, mat_mul
@@ -63,6 +65,47 @@ def nonzero_rational_functions(field, max_deg=3, coeffs=None):
     return rational_functions(field, max_deg, coeffs).filter(
         lambda f: not f.is_zero()
     )
+
+
+# primes of the F_p(s) oracles: small ones, where p-th powers fit the
+# degree bound, and one above 1000
+FP_S_PRIMES = (3, 5, 7, 13, 1009)
+
+
+@st.composite
+def fp_products(draw, count, max_deg=12):
+    """(p, polys): `count` polynomials over F_p, lowest degree first, each
+    a nonzero constant times powers 1, 2, 3 or p of monic factors of
+    degree 1 to 4 from one shared pool, and of degree at most max_deg, so
+    that repeated, shared and p-th-power factors occur."""
+    p = draw(st.sampled_from(FP_S_PRIMES))
+    F = FiniteField(p)
+    coeffs = st.integers(1, 4).flatmap(
+        lambda d: st.lists(st.integers(0, p - 1), min_size=d, max_size=d)
+    )
+    pool = [tuple(cs) + (1,) for cs in draw(st.lists(coeffs, min_size=1, max_size=4))]
+    polys = []
+    for _ in range(count):
+        f = (draw(st.integers(1, p - 1)),)
+        for _ in range(draw(st.integers(0, 4))):
+            g, e = draw(st.sampled_from(pool)), draw(st.sampled_from((1, 2, 3, p)))
+            if poly_deg(f) + e * poly_deg(g) <= max_deg:
+                for _ in range(e):
+                    f = poly_mul(F, f, g)
+        polys.append(f)
+    return p, polys
+
+
+def sympy_fp_poly(p, f):
+    """The sympy Poly over F_p of a coefficient tuple, lowest degree first."""
+    import sympy
+
+    return sympy.Poly(list(reversed(f)), sympy.Symbol("s"), modulus=p)
+
+
+def from_sympy_fp_poly(p, P):
+    """The coefficient tuple, lowest degree first, of a sympy Poly over F_p."""
+    return tuple(int(c) % p for c in reversed(P.all_coeffs()))
 
 
 def finite_elements(field: FiniteField):

@@ -3,6 +3,7 @@
 import hashlib
 import json
 import os
+import random
 import subprocess
 import sys
 import time
@@ -267,6 +268,78 @@ def test_a_prime_over_the_cap_is_an_input_error(tmp_path, capsys, command):
     assert time.perf_counter() - start < 1.0
     captured = capsys.readouterr()
     assert captured.err == f"error: modulus {p} exceeds {MAX_PRIME}\n"
+    assert captured.out == ""
+
+
+_QS_FIELD = {"kind": "function", "base": {"kind": "rationals"}, "variable": "s"}
+
+
+def _gauss(p):
+    return {"kind": "gauss", "inner": {"kind": "padic", "p": p}}
+
+
+def _irreducible_mod_13(degree):
+    """Coefficients, lowest degree first, of the first monic polynomial
+    of this degree drawn by random.Random(7) that is irreducible mod 13."""
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(7)
+    while True:
+        cs = [rng.randrange(13) for _ in range(degree)] + [1]
+        if sympy.Poly(list(reversed(cs)), sympy.Symbol("s"), modulus=13).is_irreducible:
+            return cs
+
+
+@pytest.mark.parametrize("degree, split", [(13, False), (20, True)])
+def test_residue_at_a_place_of_high_degree_does_not_stall(tmp_path, capsys, degree, split):
+    # the split decision once factored t mod 13 by trial division; t is
+    # irreducible, so (2, t) splits iff 2 is a square in F_(13^degree),
+    # and 2 is not a square mod 13, so iff the degree is even
+    cs = _irreducible_mod_13(degree)
+    t = " + ".join(f"{c}*s^{i}" for i, c in enumerate(cs) if c)
+    sc = {"field": _QS_FIELD, "valuation": _gauss(13), "algebra": {"d": "2", "t": t}}
+    path = write_scenario(tmp_path, "deg.json", sc)
+    start = time.perf_counter()
+    assert main(["residue", "--scenario", path, "--json"]) == EXIT_OK
+    assert time.perf_counter() - start < 1.0
+    assert json.loads(capsys.readouterr().out)["split_over_residue"] is split
+
+
+def test_residue_at_a_61_bit_prime_does_not_stall(tmp_path, capsys):
+    # s^2 + 3 has two roots mod p = 2^61 - 1, since p = 1 (mod 3), and -1
+    # is not a square at either of them, since p = 3 (mod 4)
+    sc = {"field": _QS_FIELD, "valuation": _gauss(2**61 - 1), "algebra": {"d": "-1", "t": "s^2 + 3"}}
+    path = write_scenario(tmp_path, "p61.json", sc)
+    start = time.perf_counter()
+    assert main(["residue", "--scenario", path, "--json"]) == EXIT_OK
+    assert time.perf_counter() - start < 1.0
+    assert json.loads(capsys.readouterr().out)["split_over_residue"] is False
+
+
+_CONIC_FIELD = {"kind": "conic", "base": _QS_FIELD, "d": "-1", "t": "s"}
+
+
+def test_residue_forms_over_a_conic(tmp_path, capsys):
+    # at the half-norm extension of Gauss 3-adic, with uniformizer 3:
+    # 3*x has value 1 and unit part x; y + 1 has value 0; 9*(x - y) has
+    # value 2 and residue x - y = x + 2*y; 1/3 has value -1 and unit part 1
+    sc = write_scenario(tmp_path, "conic.json", {
+        "field": _CONIC_FIELD,
+        "valuation": {"kind": "conic-half-norm", "inner": _gauss(3)},
+        "quad": {"entries": ["3*x", "y + 1", "9*(x - y)", "1/3"]},
+    })
+    assert main(["residue-forms", "--scenario", sc, "--json"]) == EXIT_OK
+    assert capsys.readouterr().out == '{"first":["y + 1","2*y + x"],"second":["x","1"]}\n'
+
+
+def test_a_conic_valuation_off_a_conic_is_an_input_error(tmp_path, capsys):
+    sc = write_scenario(tmp_path, "offconic.json", {
+        "field": _QS_FIELD,
+        "valuation": {"kind": "conic-half-norm", "inner": {"kind": "padic", "p": 3}},
+        "quad": {"entries": ["1"]},
+    })
+    assert main(["residue-forms", "--scenario", sc, "--json"]) == EXIT_INPUT
+    captured = capsys.readouterr()
+    assert captured.err == "error: a conic valuation lives on a conic extension\n"
     assert captured.out == ""
 
 

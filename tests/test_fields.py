@@ -31,11 +31,12 @@ from quatwitt.fields import (
     FiniteField,
     FunctionField,
     Rationals,
-    poly_monic_irreducible_factors,
     poly_deg,
+    poly_distinct_degree_products,
     poly_divmod,
     poly_gcd,
     poly_mul,
+    poly_squarefree_parts,
     poly_trim,
     _Parser,
     _is_prime,
@@ -471,18 +472,40 @@ def test_poly_gcd_small_degree_cases(Q):
     assert poly_gcd(Q, sq, coprime) == (one,)
 
 
-def test_poly_monic_irreducible_factors_frozen(F3):
-    one = F3(1).value
-    # x^2 - 1 = (x + 1)(x + 2) over GF(3)
-    f = (F3(-1).value, F3(0).value, one)
-    factors = poly_monic_irreducible_factors(F3, f)
-    shapes = sorted((tuple(c for c in g), m) for g, m in factors.items())
-    assert shapes == [((1, 1), 1), ((2, 1), 1)]
-    # x^2 + 1 is irreducible over GF(3)
-    g = (one, F3(0).value, one)
-    assert poly_monic_irreducible_factors(F3, g) == {g: 1}
-    gg = poly_mul(F3, g, g)
-    assert poly_monic_irreducible_factors(F3, gg) == {g: 2}
+@given(support.fp_products(1))
+def test_poly_squarefree_parts_match_sympy(pf):
+    sympy = pytest.importorskip("sympy")
+    p, (f,) = pf
+    got = poly_squarefree_parts(FiniteField(p), f)
+    _, want = support.sympy_fp_poly(p, f).sqf_list()
+    assert sorted(got) == sorted((support.from_sympy_fp_poly(p, g), e) for g, e in want)
+
+
+@given(support.fp_products(1))
+def test_poly_distinct_degree_products_match_sympy(pf):
+    # the radical of f, and its monic irreducible factors grouped by degree
+    sympy = pytest.importorskip("sympy")
+    p, (f,) = pf
+    _, factors = support.sympy_fp_poly(p, f).factor_list()
+    radical = support.sympy_fp_poly(p, (1,))
+    by_degree = {}
+    for g, _ in factors:
+        radical *= g
+        by_degree[g.degree()] = by_degree.get(g.degree(), support.sympy_fp_poly(p, (1,))) * g
+    got = poly_distinct_degree_products(FiniteField(p), support.from_sympy_fp_poly(p, radical))
+    assert got == [(k, support.from_sympy_fp_poly(p, g)) for k, g in sorted(by_degree.items())]
+
+
+def test_distinct_degree_products_of_a_61_bit_prime_do_not_stall():
+    # s^(p^k) - s comes by repeated squaring, so a large p costs log p
+    F = FiniteField(2**61 - 1)
+    # (s - 1)(s - 2)(s^2 + 3) splits into four linear factors, since -3
+    # is a square mod p = 1 (mod 3)
+    f = poly_mul(F, poly_mul(F, (F.neg(1), 1), (F.neg(2), 1)), (3, 0, 1))
+    start = time.perf_counter()
+    got = poly_distinct_degree_products(F, f)
+    assert time.perf_counter() - start < 1.0
+    assert got == [(1, f)]
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 import support
 from quatwitt import faults
 from quatwitt.errors import RamifiedAlgebra, ZeroElement
-from quatwitt.fields import FieldElement, FiniteField, FunctionField, Rationals
+from quatwitt.fields import FieldElement, FiniteField, FunctionField, Rationals, poly_deg
 from quatwitt.quadforms import mat_det
 from quatwitt.quaternions import (
     QuaternionAlgebra,
@@ -216,6 +216,50 @@ def test_residue_split_over_function_fields(F3):
     assert residue_algebra_splits(L, s**2 + 1, s) is True
     assert residue_algebra_splits(L, s, L(2)) is False
     assert residue_algebra_splits(L, L(-1), s) is False
+
+
+def _splits_by_sympy_factors(p, a, b):
+    """Reference for residue_algebra_splits over F_p(s): factor num and den
+    of both slots with sympy, and apply Euler's criterion to the tame
+    symbol (-1)^(va*vb) * a^vb * b^(-va) at each place and at 1/s."""
+    from sympy.polys.domains import ZZ
+    from sympy.polys.galoistools import gf_mul, gf_pow_mod
+
+    def valued(x):
+        # leading coefficient, place -> value (dense, highest degree
+        # first), and the value -deg at 1/s
+        num, den = x.value
+        values = {}
+        for poly, sign in ((num, 1), (den, -1)):
+            for g, e in support.sympy_fp_poly(p, poly).factor_list()[1]:
+                values[tuple(int(c) % p for c in g.all_coeffs())] = sign * e
+        return num[-1], values, poly_deg(den) - poly_deg(num)
+
+    (ca, ea, ia), (cb, eb, ib) = valued(a), valued(b)
+
+    def symbol_is_square(va, vb, mod, k, others):
+        u = [(-1) ** (va * vb % 2) * ca ** (vb % 2) * cb ** (va % 2) % p]
+        for q in others:
+            if (ea.get(q, 0) * vb - eb.get(q, 0) * va) % 2:
+                u = gf_mul(u, list(q), p, ZZ)
+        return gf_pow_mod(u, (p**k - 1) // 2, mod, p, ZZ) == [1]
+
+    places = set(ea) | set(eb)
+    for P in places:
+        others = places - {P}
+        if not symbol_is_square(ea.get(P, 0), eb.get(P, 0), list(P), len(P) - 1, others):
+            return False
+    # at 1/s the residue of a unit is the ratio of its leading coefficients
+    return symbol_is_square(ia, ib, [1, 0], 1, ())
+
+
+@given(support.fp_products(4))
+def test_residue_split_over_fp_s_matches_factoring_by_sympy(pf):
+    pytest.importorskip("sympy")
+    p, (na, da, nb, db) = pf
+    L = FunctionField(FiniteField(p), "s")
+    a, b = L.el(L.make(na, da)), L.el(L.make(nb, db))
+    assert residue_algebra_splits(L, a, b) == _splits_by_sympy_factors(p, a, b)
 
 
 def test_residue_split_rejects_zero_parameters(F3):

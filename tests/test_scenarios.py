@@ -80,6 +80,15 @@ def test_valuation_descriptors_round_trip(Q, K, v3, g3):
     assert build_valuation(g3.descriptor(), K) == g3
 
 
+def test_conic_valuation_descriptor_round_trips(K, g3):
+    # the descriptor names the valuation of the conic's base field, which
+    # build_valuation extends to base(x) and then to the conic
+    C = ConicExtension(K, K(-1), K.gen())
+    v = build_valuation({"kind": "conic-half-norm", "inner": g3.descriptor()}, C)
+    assert v.descriptor() == {"kind": "conic-half-norm", "inner": g3.descriptor()}
+    assert build_valuation(v.descriptor(), C) == v
+
+
 def test_element_expressions_round_trip(K):
     e = K("(s^2 - 2)/(3*s + 1)")
     assert parse_element(K, element_str(e)) == e
