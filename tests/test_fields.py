@@ -474,7 +474,7 @@ def test_poly_gcd_small_degree_cases(Q):
 
 @given(support.fp_products(1))
 def test_poly_squarefree_parts_match_sympy(pf):
-    sympy = pytest.importorskip("sympy")
+    pytest.importorskip("sympy")
     p, (f,) = pf
     got = poly_squarefree_parts(FiniteField(p), f)
     _, want = support.sympy_fp_poly(p, f).sqf_list()
@@ -484,7 +484,7 @@ def test_poly_squarefree_parts_match_sympy(pf):
 @given(support.fp_products(1))
 def test_poly_distinct_degree_products_match_sympy(pf):
     # the radical of f, and its monic irreducible factors grouped by degree
-    sympy = pytest.importorskip("sympy")
+    pytest.importorskip("sympy")
     p, (f,) = pf
     _, factors = support.sympy_fp_poly(p, f).factor_list()
     radical = support.sympy_fp_poly(p, (1,))
