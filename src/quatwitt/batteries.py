@@ -19,7 +19,7 @@ TRIALS = 200
 SEED = 42
 DIVISION_BATCHES = ((3, "-1"), (5, "2"), (7, "3"), (13, "2"))
 SPLIT_PRIMES = (3, 5, 7)
-FAULTS = ("negate-fast-path", "drop-unit-rep", "skip-even-scaling")
+FAULTS = (faults.NEGATE_FAST_PATH, faults.DROP_UNIT_REP, faults.SKIP_EVEN_SCALING)
 SWEEP_SLICE = 30
 
 

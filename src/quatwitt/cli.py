@@ -11,6 +11,16 @@ property (with a serialized counterexample), 2 for input errors, 3 for
 an indeterminate verdict.  A violation wins over indeterminacy.  A
 scenario key the subcommand does not read (SCENARIO_KEYS) is an input
 error.
+
+Input caps, each an input error when passed, so that no input can
+exhaust the interpreter's stack or stall: a scenario the JSON decoder
+can read without exhausting its recursion; a field tower of at most
+scenarios.MAX_TOWER_DEPTH (4) function-field and conic levels over Q
+or F_p; an element expression nesting at most fields.MAX_NESTING (100)
+parentheses and unary minus signs, counted together; exponents up to
+fields.MAX_EXPONENT with a power cost up to fields.MAX_POWER_COST;
+primes up to fields.MAX_PRIME; ranks up to scenarios.MAX_RANK and
+trials up to scenarios.MAX_TRIALS.
 """
 
 from __future__ import annotations

@@ -90,21 +90,9 @@ class FieldElement:
         self.value = value
 
     def _coerce(self, other):
-        if isinstance(other, FieldElement):
-            # fields are shared objects, so identity settles nearly every
-            # operand before the comparison by value
-            if other.field is self.field or other.field == self.field:
-                return other
-            lifted = self.field.lift(other)
-            if lifted is not None:
-                return lifted
-            raise LevelMismatch(
-                f"cannot combine an element of {other.field} with one of {self.field}"
-            )
-        if isinstance(other, int):
-            return FieldElement(self.field, self.field.from_int(other))
-        if isinstance(other, Fraction):
-            return FieldElement(self.field, self.field.from_fraction(other))
+        # the field's own rule, which also parses strings: not operands
+        if isinstance(other, (FieldElement, int, Fraction)):
+            return self.field(other)
         return None
 
     def _operator(name, reflected=False):
@@ -238,6 +226,8 @@ class _FieldBase:
 
     def __call__(self, v):
         if isinstance(v, FieldElement):
+            # fields are shared objects, so identity settles nearly every
+            # element before the comparison by value
             if v.field is self or v.field == self:
                 return v
             lifted = self.lift(v)
@@ -620,11 +610,13 @@ def poly_sqrt(base, f):
     n = poly_deg(f)
     if n % 2 != 0:
         return None
-    if not base.is_square(f[-1]):
-        return None
     half = n // 2
     r = [base.zero()] * (half + 1)
-    r[half] = base.sqrt(f[-1])
+    # one root, not is_square and then sqrt: that doubles every level
+    try:
+        r[half] = base.sqrt(f[-1])
+    except NotASquare:
+        return None
     lead2 = base.inv(base.add(r[half], r[half]))
     for k in range(half - 1, -1, -1):
         # coefficient of x^(half+k) in r^2, using entries above k only
@@ -1303,11 +1295,6 @@ class ConicExtension(_FieldBase):
         if isinstance(elem, FieldElement):
             if elem.field == self.inner:
                 return self.from_inner(elem.value)
-            if elem.field == self.base:
-                return self.from_inner(self.inner.constant(elem.value))
-            via = self.base.lift(elem)
-            if via is not None:
-                return self.from_inner(self.inner.constant(via.value))
             via = self.inner.lift(elem)
             if via is not None:
                 return self.from_inner(via.value)
@@ -1371,6 +1358,9 @@ MAX_EXPONENT = 1000
 # largest estimated cost (see _power_cost) of a parsed power; nesting,
 # as in ((s^1000)^1000)^1000, multiplies exponents past MAX_EXPONENT
 MAX_POWER_COST = 10**6
+# deepest nesting of parentheses and unary minus signs, counted together,
+# that the parser accepts; each level is a few frames of its recursion
+MAX_NESTING = 100
 
 
 def _power_shape(field, value, n: int):
@@ -1437,7 +1427,17 @@ class _Parser:
         self.field = field
         self.toks = tokens
         self.pos = 0
+        self.depth = 0
         self.syms = field.symbols()
+
+    def nested(self, rule):
+        # a parenthesis or a unary minus: one level deeper (MAX_NESTING)
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            raise ParseError(f"expression nests deeper than {MAX_NESTING}")
+        node = rule()
+        self.depth -= 1
+        return node
 
     def peek(self):
         return self.toks[self.pos]
@@ -1485,7 +1485,7 @@ class _Parser:
         kind, val = self.peek()
         if kind == "op" and val == "-":
             self.take()
-            return -self.factor()
+            return -self.nested(self.factor)
         return self.power()
 
     def power(self):
@@ -1520,7 +1520,7 @@ class _Parser:
                 raise ParseError(f"unknown symbol {val!r} at this level")
             return self.syms[val]
         if kind == "op" and val == "(":
-            e = self.expr()
+            e = self.nested(self.expr)
             self.expect_op(")")
             return e
         raise ParseError(f"unexpected token {val!r}")

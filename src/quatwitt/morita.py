@@ -27,8 +27,10 @@ d*c^2 = b^2) the entry falls back to field division.
 When the conic has a rational point the same recipe specializes to a
 form over the base field itself; that route computes e and N/e with the
 base field's operations on payloads and wraps only the 2n entries.
-verify_instance checks each level once against its valuation and values
-the payloads of the certified coordinates and of the reduced entries.
+verify_instance takes a point or none, and the point picks the route;
+both routes share one level check, the values of the reduced payloads,
+the second residue form and its Witt test.  It never searches for a
+point: conic_point_search is a step of its own.
 """
 
 from __future__ import annotations
@@ -93,10 +95,10 @@ def _entry_payloads(u: QuaternionElement):
     return n, a.value, b.value, c.value
 
 
-def _reduce_entry(field, u: QuaternionElement, x, y):
+def _reduce_entry(field, u: QuaternionElement):
     """The binary form <L, N/L> of one diagonal entry over the conic
     function field `field`, with L = a*y - b*x - c at its generators
-    (x, y).
+    x and y.
 
     Both entries have closed forms.  L is the payload (A, B) with
     A = -c - b*x, a polynomial in x, and B = a, written without any
@@ -177,10 +179,9 @@ def morita_reduce(h: SkewHermitianForm) -> QuadraticForm:
 
 def _reduce_diagonal(alg: QuaternionAlgebra, entries) -> QuadraticForm:
     C = conic_field(alg)
-    x, y = C.x_gen(), C.y_gen()
     out = []
     for u in entries:
-        out.extend(_reduce_entry(C, u, x, y))
+        out.extend(_reduce_entry(C, u))
     return QuadraticForm(C, out)
 
 
@@ -219,14 +220,18 @@ def _split_reduce_entries(alg: QuaternionAlgebra, entries, point) -> QuadraticFo
     return QuadraticForm(base, out)
 
 
-def conic_point_search(alg: QuaternionAlgebra, v=None, bound: int = 8):
+# conic_point_search tries x0 = num/den with |num|, den <= this bound
+POINT_SEARCH_BOUND = 8
+
+
+def conic_point_search(alg: QuaternionAlgebra, v=None):
     """Small rational point on d*x^2 + t*y^2 = 1, or None.
 
     Scans x0 over small fractions and solves for y0 by an exact square
     test.  With a valuation given, only points with both coordinates of
     value >= 0 qualify.
     """
-    base = alg.base
+    base, bound = alg.base, POINT_SEARCH_BOUND
     # 0, then each nonzero num/den in lowest terms, by denominator
     candidates = [(0, 1)] + [
         (num, den)
@@ -307,18 +312,19 @@ class VerificationReport(NamedTuple):
 def verify_instance(
     h: SkewHermitianForm,
     v,
-    route: str = "conic",
+    *,
     point=None,
     budget: int = DEFAULT_BUDGET,
 ) -> VerificationReport:
     """Run the whole pipeline on one instance: certify good reduction,
-    reduce the certified diagonal, extend the valuation, and test the
-    second residue form for Witt triviality.
+    reduce the certified diagonal, and test the second residue form for
+    Witt triviality.
 
     The hypothesis must certify; an uncertified form is a precondition
-    failure, not a refutation.  Route "conic" reduces over the conic
-    function field; route "point" specializes at a rational point of the
-    conic and tests residues at the base valuation.
+    failure, not a refutation.  Without a point the form reduces over
+    the conic function field and is valued at the extension of v (route
+    "conic"); with a rational point of the conic it specializes there
+    and is valued at v itself (route "point").
     """
     cert = good_reduction_certificate(h, v)
     if not cert.certified:
@@ -327,39 +333,29 @@ def verify_instance(
         )
     # the certificate checked the base level and valued the entries'
     # coordinates; each level is checked once, and payloads valued directly
+    alg = h.algebra
     entries = cert.scaled_diagonal
-    if route == "conic":
-        vtil = extend_valuation(v, h.algebra)
-        quad = _reduce_diagonal(h.algebra, entries)
-        vtil.check_field(quad.base)
-        values = tuple([vtil._value(u.value) for u in quad.entries])
-        second = second_residue_form(quad, vtil, values)
-        used_point = None
-    elif route == "point":
-        if point is None:
-            point = conic_point_search(h.algebra, v)
-            if point is None:
-                raise NotOnConic(
-                    "no small rational point found; supply one explicitly"
-                )
-        quad = _split_reduce_entries(h.algebra, entries, point)
-        values = tuple([v._value(u.value) for u in quad.entries])
-        second = second_residue_form(quad, v, values)
-        used_point = (h.algebra.base(point[0]), h.algebra.base(point[1]))
+    if point is None:
+        val = extend_valuation(v, alg)
+        quad = _reduce_diagonal(alg, entries)
     else:
-        raise ValueError(f"unknown route {route!r}; use 'conic' or 'point'")
-    verdict = witt_trivial(second, budget)
+        val = v
+        quad = _split_reduce_entries(alg, entries, point)
+        point = (alg.base(point[0]), alg.base(point[1]))
+    val.check_field(quad.base)
+    values = tuple([val._value(u.value) for u in quad.entries])
+    second = second_residue_form(quad, val, values)
     return VerificationReport(
-        algebra=h.algebra,
+        algebra=alg,
         scaling=cert.scaling,
         extvals=cert.extvals,
         certified_diagonal=entries,
         entry_min_values=cert.entry_min_values,
-        route=route,
-        point=used_point,
+        route="conic" if point is None else "point",
+        point=point,
         quad=quad,
         quad_values=values,
         second_residue=second,
         residue_division=not cert.ramification_report.split_over_residue,
-        verdict=verdict,
+        verdict=witt_trivial(second, budget),
     )

@@ -45,7 +45,7 @@ from .fields import (
 )
 from .hermitian import SkewHermitianForm, good_reduction_certificate
 from .morita import VerificationReport, verify_instance
-from .quadforms import QuadraticForm
+from .quadforms import DEFAULT_BUDGET, QuadraticForm
 from .quaternions import MEMO_SIZE, QuaternionAlgebra, _wrap, ramification
 from .valuations import (
     ConicValuation,
@@ -73,43 +73,41 @@ _CONIC_T_LEAD = (1, 1, 1, 2)
 # a batch runs `trials` instances
 MAX_RANK = 16
 MAX_TRIALS = 100_000
+# most function-field and conic levels a field may stack over Q or F_p
+MAX_TOWER_DEPTH = 4
 
 
 # ---------------------------------------------------------------------------
 # field and valuation descriptors
 
 
-def build_field(desc):
+def build_field(desc, _levels=0):
+    # _levels counts the levels above desc, before building its base
     if not isinstance(desc, dict) or "kind" not in desc:
         raise ScenarioError("field descriptor needs a 'kind'")
     kind = desc["kind"]
     if kind == "rationals":
         return Rationals()
-    if kind == "finite":
-        if not _is_int(desc.get("p")):
-            raise ScenarioError("finite field descriptor needs an integer 'p'")
-        try:
-            return FiniteField(desc["p"])
-        except (QuatwittError, ValueError) as e:
-            raise ScenarioError(str(e)) from e
-    if kind == "function":
-        base = build_field(desc.get("base", {"kind": "rationals"}))
-        var = desc.get("variable", "s")
-        try:
-            return FunctionField(base, var)
-        except (QuatwittError, ValueError) as e:
-            raise ScenarioError(str(e)) from e
+    if kind == "finite" and not _is_int(desc.get("p")):
+        raise ScenarioError("finite field descriptor needs an integer 'p'")
+    if kind in ("function", "conic"):
+        if _levels == MAX_TOWER_DEPTH:
+            raise ScenarioError(f"field tower is deeper than {MAX_TOWER_DEPTH} levels")
+        base = build_field(desc.get("base", {"kind": "rationals"}), _levels + 1)
     if kind == "conic":
-        base = build_field(desc.get("base", {"kind": "rationals"}))
         for key in ("d", "t"):
             if key not in desc:
                 raise ScenarioError(f"conic field descriptor needs {key!r}")
-        try:
+    try:
+        if kind == "finite":
+            return FiniteField(desc["p"])
+        if kind == "function":
+            return FunctionField(base, desc.get("variable", "s"))
+        if kind == "conic":
             d = parse_element(base, desc["d"])
-            t = parse_element(base, desc["t"])
-            return ConicExtension(base, d, t)
-        except (QuatwittError, ValueError) as e:
-            raise ScenarioError(str(e)) from e
+            return ConicExtension(base, d, parse_element(base, desc["t"]))
+    except (QuatwittError, ValueError) as e:
+        raise ScenarioError(str(e)) from e
     raise ScenarioError(f"unknown field kind {kind!r}")
 
 
@@ -283,6 +281,8 @@ def load_scenario(source, keys=BATCH_KEYS) -> dict:
             raise ScenarioError(f"cannot read scenario: {e}") from e
         except json.JSONDecodeError as e:
             raise ScenarioError(f"scenario is not valid JSON: {e}") from e
+        except RecursionError:
+            raise ScenarioError("scenario nests too deeply to decode") from None
     if not isinstance(sc, dict):
         raise ScenarioError("scenario must be a JSON object")
     unknown = sorted(set(sc) - keys)
@@ -735,13 +735,10 @@ def report_to_dict(rep: VerificationReport) -> dict:
 
 
 def verify_generated(inst: Instance, budget) -> VerificationReport:
-    """Verify a generated instance by its generator's route: through the
-    conic, or at the drawn point.  A budget of None keeps the verifier's
-    default."""
-    kwargs = {"route": "conic"} if inst.point is None else {"route": "point", "point": inst.point}
-    if budget is not None:
-        kwargs["budget"] = budget
-    return verify_instance(inst.form, inst.valuation, **kwargs)
+    """Verify a generated instance through the conic, or at its drawn
+    point.  A budget of None keeps the verifier's default."""
+    budget = DEFAULT_BUDGET if budget is None else budget
+    return verify_instance(inst.form, inst.valuation, point=inst.point, budget=budget)
 
 
 def run_instance(sc: dict, index: int, *, budget=None) -> dict:

@@ -81,8 +81,6 @@ class _ValuationBase:
 class PAdicValuation(_ValuationBase):
     """The p-adic valuation on the rationals, p an odd prime."""
 
-    kind = "padic"
-
     def __init__(self, p: int):
         self.residue_field = FiniteField(p)  # rejects p = 2
         self.p = p
@@ -133,8 +131,6 @@ class PAdicValuation(_ValuationBase):
 
 class GaussValuation(_ValuationBase):
     """Coefficientwise extension of an inner valuation to base(var)."""
-
-    kind = "gauss"
 
     def __init__(self, inner, domain: FunctionField):
         if not isinstance(domain, FunctionField):
@@ -216,8 +212,6 @@ class ConicValuation(_ValuationBase):
     cancel.
     """
 
-    kind = "conic-half-norm"
-
     def __init__(self, inner: GaussValuation, domain: ConicExtension):
         if not isinstance(domain, ConicExtension):
             raise LevelMismatch("conic valuation lives on a ConicExtension level")
@@ -279,8 +273,6 @@ class TransportedConicValuation(_ValuationBase):
     the conic of (d, t) with the unit-parameter conic of (d0, t0);
     elements are pushed through it and valued in the unit model.
     """
-
-    kind = "conic-transported"
 
     def __init__(self, domain: ConicExtension, target: ConicValuation, alpha: int, beta: int):
         if not isinstance(domain, ConicExtension):

@@ -21,8 +21,8 @@ from quatwitt.cli import (
     main,
     run_batch,
 )
-from quatwitt.fields import MAX_PRIME
-from quatwitt.scenarios import load_scenario
+from quatwitt.fields import MAX_NESTING, MAX_PRIME
+from quatwitt.scenarios import MAX_TOWER_DEPTH, load_scenario
 
 
 def write_scenario(tmp_path, name, payload):
@@ -269,6 +269,60 @@ def test_a_prime_over_the_cap_is_an_input_error(tmp_path, capsys, command):
     captured = capsys.readouterr()
     assert captured.err == f"error: modulus {p} exceeds {MAX_PRIME}\n"
     assert captured.out == ""
+
+
+def _tower(levels):
+    """A field descriptor of `levels` function fields stacked over Q."""
+    field = {"kind": "rationals"}
+    for i in range(levels):
+        field = {"kind": "function", "base": field, "variable": f"s{i}"}
+    return field
+
+
+def _entry_scenario(entry, field=None):
+    """A witt-equal of <entry, -1> against nothing."""
+    return {"field": field or {"kind": "rationals"}, "first": {"entries": [entry, "-1"]}}
+
+
+_NESTED_INPUTS = {
+    # each once ended in a RecursionError traceback, or (the tower) in a
+    # square root that ran 4^levels times
+    "json": ("residue", "[" * 100_000 + "]" * 100_000),
+    "parentheses": ("witt-equal", json.dumps(_entry_scenario("(" * 300 + "1" + ")" * 300))),
+    "minus-signs": ("witt-equal", json.dumps(_entry_scenario("-" * 3000 + "1"))),
+    "tower": ("witt-equal", json.dumps(_entry_scenario("1", _tower(10)))),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_NESTED_INPUTS))
+def test_nesting_past_a_cap_is_an_input_error(tmp_path, capsys, case):
+    command, text = _NESTED_INPUTS[case]
+    path = tmp_path / "nested.json"
+    path.write_text(text)
+    start = time.perf_counter()
+    assert main([command, "--scenario", str(path), "--json"]) == EXIT_INPUT
+    assert time.perf_counter() - start < 1.0
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize(
+    "entry, field",
+    [
+        ("(" * MAX_NESTING + "1" + ")" * MAX_NESTING, None),
+        ("-(" * (MAX_NESTING // 2) + "1" + ")" * (MAX_NESTING // 2), None),
+        ("1", _tower(MAX_TOWER_DEPTH)),
+    ],
+    ids=["parentheses", "mixed", "tower"],
+)
+def test_nesting_at_a_cap_is_answered(tmp_path, capsys, entry, field):
+    path = write_scenario(tmp_path, "at_cap.json", _entry_scenario(entry, field))
+    start = time.perf_counter()
+    assert main(["witt-equal", "--scenario", path, "--json"]) == EXIT_OK
+    assert time.perf_counter() - start < 1.0
+    assert capsys.readouterr().out == '{"equal":"true","searched":0}\n'
 
 
 _QS_FIELD = {"kind": "function", "base": {"kind": "rationals"}, "variable": "s"}
