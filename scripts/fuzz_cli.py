@@ -22,6 +22,7 @@ of the last three happened.
 import argparse
 import contextlib
 import io
+import itertools
 import json
 import os
 import random
@@ -231,8 +232,7 @@ def main(argv=None):
 
     stream = cases(args.seed)
     if args.show is not None:
-        for k, (command, text, _as_json) in zip(range(args.show + 1), stream):
-            pass
+        command, text, _as_json = next(itertools.islice(stream, args.show, None))
         print(command)
         print(text)
         return 0

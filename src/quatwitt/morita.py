@@ -98,7 +98,7 @@ def _entry_payloads(u: QuaternionElement):
 def _reduce_entry(field, u: QuaternionElement):
     """The binary form <L, N/L> of one diagonal entry over the conic
     function field `field`, with L = a*y - b*x - c at its generators
-    x and y.
+    (x, y).
 
     Both entries have closed forms.  L is the payload (A, B) with
     A = -c - b*x, a polynomial in x, and B = a, written without any

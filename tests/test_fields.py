@@ -807,6 +807,24 @@ def test_function_field_sqrt(K):
         K.sqrt(s.value)
 
 
+def test_a_root_down_a_tower_roots_each_leading_coefficient_once(Q, monkeypatch):
+    # poly_sqrt once asked its base for is_square and then for sqrt of a
+    # leading coefficient, which took 4^n roots at Q over n function
+    # fields (8.7 s for a witt-equal at n = 10); one root each of the
+    # numerator's and the denominator's takes 2^n
+    levels = 6
+    K = Q
+    for i in range(levels):
+        K = FunctionField(K, f"s{i}")
+    calls = []
+    root = Rationals.sqrt
+    monkeypatch.setattr(Rationals, "sqrt", lambda self, a: calls.append(a) or root(self, a))
+    assert K.el(K.sqrt(K.from_int(4))) == 2
+    assert len(calls) <= 2**levels
+    with pytest.raises(NotASquare):
+        K.sqrt(K.from_int(-1))
+
+
 def test_tower_of_function_fields(Q):
     K = FunctionField(Q, "s")
     L = FunctionField(K, "x")
