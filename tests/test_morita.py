@@ -632,6 +632,14 @@ def test_verify_through_a_transported_valuation(Q, v3):
     assert rep.verdict.searched == 163
 
 
+def test_verify_point_route_needs_a_point_on_pointless_conics(Q, v3):
+    alg = QuaternionAlgebra(Q, 10, 3)
+    h = diag_form(alg, (0, 1, 0, 0))
+    assert conic_point_search(alg, v3) is None
+    with pytest.raises(NotOnConic):
+        verify_instance(h, v3, point=(Q(0), Q(1)))
+
+
 def test_verify_requires_a_certificate(g3, Am1s):
     h = diag_form(Am1s, (0, 1, 0, 0), (0, 0, 3, 0))
     with pytest.raises(HypothesisNotCertified):
